@@ -41,7 +41,6 @@ from .trees import (
     build_all_candidates,
     oracle_shortest_paths,
     shortest_path_tree,
-    tree_depth,
 )
 
 __version__ = "0.1.0"
@@ -85,6 +84,5 @@ __all__ = [
     "shortest_path_tree",
     "total_distance",
     "tree_cost",
-    "tree_depth",
     "tree_energy",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -40,8 +41,10 @@ class RadioModel:
     rx_cost: float = 50e-9
 
     def __post_init__(self):
-        if self.tx_fixed < 0 or self.tx_dist_coeff < 0 or self.rx_cost < 0:
-            raise ValueError("radio coefficients must be nonnegative")
+        # NaN compares false against 0, so finiteness is tested explicitly
+        if not all(math.isfinite(c) and c >= 0
+                   for c in (self.tx_fixed, self.tx_dist_coeff, self.rx_cost)):
+            raise ValueError("radio coefficients must be finite and nonnegative")
         if self.exponent not in (2, 4):
             raise ValueError("path-loss exponent must be 2 or 4")
 

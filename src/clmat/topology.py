@@ -95,10 +95,6 @@ class NetworkGraph:
         """Insertion position of a vertex, or -1 when absent."""
         return self._index.get(name, -1)
 
-    def edge_exists(self) -> bool:
-        """True when at least one link has been stored."""
-        return bool(self.links)
-
     def distance(self, u: str, v: str) -> float:
         """Stored link distance; 0 on the diagonal, +inf for absent pairs."""
         if u == v:
@@ -125,17 +121,11 @@ class NetworkGraph:
             raise InvalidEnergy(f"energy must be a positive finite Joule value, got {energy!r}")
         if position is not None:
             position = (float(position[0]), float(position[1]))
+            if not all(map(math.isfinite, position)):
+                raise ValueError(f"position must be finite, got {position!r}")
         self._index[name] = len(self.nodes)
         self.nodes.append(Node(name, float(energy), position))
         self._adj[name] = {}
-
-    def _find_link(self, u: str, v: str) -> Link | None:
-        for link in self.links:
-            if (link.u, link.v) == (u, v):
-                return link
-            if self.mode == UNDIRECTED and (link.u, link.v) == (v, u):
-                return link
-        return None
 
     def add_edge(self, u: str, v: str, distance: float) -> None:
         """Store a link between existing vertices.
@@ -153,10 +143,12 @@ class NetworkGraph:
             raise NonPositiveDistance(f"distance must be a positive finite number, got {distance!r}")
         distance = float(distance)
         cache = self.link_energy(u, v)
-        link = self._find_link(u, v)
-        if link is None:
+        if v not in self._adj[u]:
             self.links.append(Link(u, v, distance, cache))
         else:
+            # a re-added pair is rare, so its Link is found by a scan
+            stored = {(u, v), (v, u)} if self.mode == UNDIRECTED else {(u, v)}
+            link = next(l for l in self.links if (l.u, l.v) in stored)
             link.distance = distance
             link.link_energy = cache
         self._adj[u][v] = distance
@@ -234,6 +226,11 @@ def _require(cond, msg: str) -> None:
         raise ParseError(msg)
 
 
+def _is_number(x) -> bool:
+    """JSON number test; bool is an int subclass but JSON true is not a number."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 _CONSTRUCTION_ERRORS = (
     DuplicateVertex, InvalidEnergy, UnknownVertex, SelfLoop, NonPositiveDistance, ValueError,
 )
@@ -268,12 +265,12 @@ def load_topology(data) -> NetworkGraph:
         for rec in nodes:
             _require(isinstance(rec, dict), "node entries must be objects")
             _require(isinstance(rec.get("id"), str), 'each node needs a string "id"')
-            _require(isinstance(rec.get("energy"), (int, float)), 'each node needs a numeric "energy"')
+            _require(_is_number(rec.get("energy")), 'each node needs a numeric "energy"')
             has_x, has_y = "x" in rec, "y" in rec
             _require(has_x == has_y, "a node position needs both x and y")
             pos = None
             if has_x:
-                _require(isinstance(rec["x"], (int, float)) and isinstance(rec["y"], (int, float)),
+                _require(_is_number(rec["x"]) and _is_number(rec["y"]),
                          "x and y must be numbers")
                 pos = (rec["x"], rec["y"])
             g.add_vertex(rec["id"], rec["energy"], pos)
@@ -281,7 +278,7 @@ def load_topology(data) -> NetworkGraph:
             _require(isinstance(rec, dict), "edge entries must be objects")
             _require(isinstance(rec.get("u"), str) and isinstance(rec.get("v"), str),
                      'each edge needs string "u" and "v"')
-            _require(isinstance(rec.get("distance"), (int, float)), 'each edge needs a numeric "distance"')
+            _require(_is_number(rec.get("distance")), 'each edge needs a numeric "distance"')
             g.add_edge(rec["u"], rec["v"], rec["distance"])
     except _CONSTRUCTION_ERRORS as exc:
         raise SemanticError(str(exc)) from exc

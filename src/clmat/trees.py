@@ -1,16 +1,17 @@
 """Per-root shortest-path aggregation trees, plus an independent relaxation oracle.
 
-Tree construction is deterministic: the minimum-distance scan and the
-relaxation loop both walk nodes in insertion order, so ties always resolve
-the same way. Per-root builds are independent pure computations over the
-immutable graph.
+Tree construction is deterministic: the heap Dijkstra breaks distance ties
+by node insertion index and the relaxation loop sweeps links in insertion
+order, so ties always resolve the same way. Per-root builds are independent
+pure computations over the immutable graph.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotInTree, SingletonTree, UnknownVertex
 from .metrics import CLMAT, NODE_MIN, TreeMetrics, total_distance, tree_cost, tree_energy
@@ -29,6 +30,7 @@ class AggregationTree:
     root: str
     parent: dict[str, str]
     dist: dict[str, float]
+    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __contains__(self, v: str) -> bool:
         return v in self.dist
@@ -57,56 +59,58 @@ class AggregationTree:
             if steps > len(self.dist):
                 raise ValueError("parent map contains a cycle")
 
-    def hop_count(self, v: str) -> int:
-        return sum(1 for _ in self.path_to_root(v)) - 1
-
     @property
     def depth(self) -> int:
-        """Longest root-to-node hop count; 0 for a singleton."""
-        return max((self.hop_count(v) for v in self.dist), default=0)
+        """Longest root-to-node hop count; 0 for a singleton.
 
-
-def tree_depth(tree: AggregationTree) -> int:
-    """Hop depth of a tree, the quantity consulted on selection ties."""
-    return tree.depth
+        Computed on first access in O(n), each node's hop count derived
+        from its parent's, then kept: the tree is immutable once built.
+        """
+        if self._depth is None:
+            hops = {self.root: 0}
+            for v in self.dist:
+                path = []
+                while v not in hops:
+                    path.append(v)
+                    if len(path) > len(self.dist):
+                        raise ValueError("parent map contains a cycle")
+                    v = self.parent[v]
+                h = hops[v]
+                for u in reversed(path):
+                    h += 1
+                    hops[u] = h
+            self._depth = max(hops.values())
+        return self._depth
 
 
 def shortest_path_tree(graph, root: str) -> AggregationTree:
     """Single-source shortest paths from root, with parent pointers.
 
-    Classic quadratic scan: repeatedly finalize the unfinalized node of
-    minimum tentative distance, walking indices in insertion order so the
-    lowest index wins ties. A parent is recorded only on strict improvement,
-    so the first-found parent survives equal-distance alternatives.
+    Heap Dijkstra over neighbors(), O((n + E) log n). Heap entries are keyed
+    (distance, insertion index) and stale entries are skipped, so nodes are
+    finalized in the order of a minimum-distance scan whose ties go to the
+    lowest index. A parent is recorded only on strict improvement, so the
+    first-found parent survives equal-distance alternatives. dist lists
+    the reached nodes in insertion order.
     """
-    if graph.get_index(root) == -1:
-        raise UnknownVertex(f"unknown vertex: {root}")
-    ids = graph.node_ids()
-    n = len(ids)
     ri = graph.get_index(root)
-    tentative = [graph.distance(root, name) for name in ids]
+    if ri == -1:
+        raise UnknownVertex(f"unknown vertex: {root}")
+    best = {root: 0.0}
     parent: dict[str, str] = {}
-    for j, name in enumerate(ids):
-        if j != ri and math.isfinite(tentative[j]):
-            parent[name] = root
-    final = [False] * n
-    final[ri] = True
-    for _ in range(n - 1):
-        v = -1
-        for j in range(n):
-            if not final[j] and (v == -1 or tentative[j] < tentative[v]):
-                v = j
-        if v == -1 or not math.isfinite(tentative[v]):
-            break
-        final[v] = True
-        for w in range(n):
-            if final[w]:
-                continue
-            step = graph.distance(ids[v], ids[w])
-            if math.isfinite(step) and tentative[v] + step < tentative[w]:
-                tentative[w] = tentative[v] + step
-                parent[ids[w]] = ids[v]
-    dist = {ids[j]: tentative[j] for j in range(n) if math.isfinite(tentative[j])}
+    heap = [(0.0, ri, root)]
+    while heap:
+        d, _, v = heapq.heappop(heap)
+        if d > best[v]:
+            continue  # stale: v was pushed again at a shorter distance
+        # distances are positive, so no finalized node can strictly improve
+        for w, step in graph.neighbors(v).items():
+            through = d + step
+            if through < best.get(w, math.inf):
+                best[w] = through
+                parent[w] = v
+                heapq.heappush(heap, (through, graph.get_index(w), w))
+    dist = {name: best[name] for name in graph.node_ids() if name in best}
     return AggregationTree(root=root, parent=parent, dist=dist)
 
 

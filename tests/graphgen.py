@@ -46,6 +46,44 @@ def random_connected_graph(rng: random.Random, n=None, weight_lo=1, weight_hi=20
     return g
 
 
+def scan_shortest_path_tree(graph, root: str) -> AggregationTree:
+    """Reference tree builder: the quadratic minimum-distance scan.
+
+    Repeatedly finalize the unfinalized node of minimum tentative distance,
+    walking indices in insertion order so the lowest index wins ties. A
+    parent is recorded only on strict improvement, so the first-found
+    parent survives equal-distance alternatives. shortest_path_tree must
+    agree with it on parents, distances (in key order) and depth.
+    """
+    ids = graph.node_ids()
+    n = len(ids)
+    ri = graph.get_index(root)
+    tentative = [graph.distance(root, name) for name in ids]
+    parent = {}
+    for j, name in enumerate(ids):
+        if j != ri and math.isfinite(tentative[j]):
+            parent[name] = root
+    final = [False] * n
+    final[ri] = True
+    for _ in range(n - 1):
+        v = -1
+        for j in range(n):
+            if not final[j] and (v == -1 or tentative[j] < tentative[v]):
+                v = j
+        if v == -1 or not math.isfinite(tentative[v]):
+            break
+        final[v] = True
+        for w in range(n):
+            if final[w]:
+                continue
+            step = graph.distance(ids[v], ids[w])
+            if math.isfinite(step) and tentative[v] + step < tentative[w]:
+                tentative[w] = tentative[v] + step
+                parent[ids[w]] = ids[v]
+    dist = {ids[j]: tentative[j] for j in range(n) if math.isfinite(tentative[j])}
+    return AggregationTree(root=root, parent=parent, dist=dist)
+
+
 def chain_tree(root: str, depth: int) -> AggregationTree:
     """Synthetic chain of `depth` hops hanging under `root` (unit distances)."""
     parent = {}

@@ -163,6 +163,14 @@ def test_simulate_bad_radio_is_usage_error(capsys, tmp_path):
     assert err.strip().startswith("usage error:")
 
 
+@pytest.mark.parametrize("radio", ["nan,1e-6,2,5e-4", "1e-3,inf,2,5e-4", "1e-3,1e-6,2,inf"])
+def test_simulate_non_finite_radio_is_usage_error(capsys, tmp_path, radio):
+    code, out, err = _run(capsys, ["simulate", _f4_file(tmp_path), "--radio", radio])
+    assert code == 1
+    assert out == ""
+    assert err.strip().startswith("usage error:")
+
+
 def test_compare_table(capsys, tmp_path):
     topo = _f4_file(tmp_path)
     code, out, _ = _run(capsys, ["compare", topo, "--radio", "0.3,0.01,2,0.2",

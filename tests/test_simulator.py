@@ -43,6 +43,13 @@ def test_radio_model_validation():
         RadioModel(exponent=3)
 
 
+@pytest.mark.parametrize("field", ["tx_fixed", "tx_dist_coeff", "rx_cost"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_radio_model_rejects_non_finite(field, bad):
+    with pytest.raises(ValueError):
+        RadioModel(**{field: bad})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(max_rounds=0).validate()

@@ -39,7 +39,7 @@ def test_add_vertex_independent_insertion():
     g.add_vertex("A", 5.0)
     g.add_vertex("B", 4.0)
     assert g.node_ids() == ["A", "B"]
-    assert not g.edge_exists()
+    assert not g.links
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
@@ -127,16 +127,6 @@ def test_add_edge_overwrites_existing_pair():
     g.add_edge("B", "A", 7.0)
     assert len(g.links) == 1
     assert g.distance("A", "B") == 7.0
-
-
-def test_edge_exists():
-    g = NetworkGraph()
-    assert not g.edge_exists()
-    for name in "abc":
-        g.add_vertex(name, 1.0)
-    assert not g.edge_exists()
-    g.add_edge("a", "b", 1.0)
-    assert g.edge_exists()
 
 
 def test_get_index():
@@ -241,6 +231,12 @@ def test_load_malformed_json_is_parse_error():
     {"nodes": [{"id": 5, "energy": 1.0}]},
     {"nodes": [{"id": "a"}]},
     {"nodes": [{"id": "a", "energy": 1.0}], "edges": [{"u": "a"}]},
+    # JSON booleans are not numbers
+    {"nodes": [{"id": "a", "energy": True}]},
+    {"nodes": [{"id": "a", "energy": 1.0, "x": True, "y": 0.0}]},
+    {"nodes": [{"id": "a", "energy": 1.0, "x": 0.0, "y": False}]},
+    {"nodes": [{"id": "a", "energy": 1.0}, {"id": "b", "energy": 1.0}],
+     "edges": [{"u": "a", "v": "b", "distance": True}]},
 ])
 def test_load_structural_errors(doc):
     with pytest.raises(errors.ParseError):
@@ -254,10 +250,27 @@ def test_load_structural_errors(doc):
      "edges": [{"u": "a", "v": "b", "distance": -1.0}]},
     {"nodes": [{"id": "a", "energy": 1.0}],
      "edges": [{"u": "a", "v": "a", "distance": 1.0}]},
+    {"nodes": [{"id": "a", "energy": 1.0, "x": math.nan, "y": 0.0}]},
+    {"nodes": [{"id": "a", "energy": 1.0, "x": 0.0, "y": -math.inf}]},
 ])
 def test_load_semantic_errors(doc):
     with pytest.raises(errors.SemanticError):
         load_topology(json.dumps(doc))
+
+
+@pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_add_vertex_rejects_non_finite_position(position):
+    g = NetworkGraph()
+    with pytest.raises(ValueError):
+        g.add_vertex("a", 1.0, position)
+    assert len(g) == 0
+
+
+def test_csv_rejects_non_finite_positions():
+    with pytest.raises(errors.SemanticError):
+        load_topology_csv("id,energy,x,y\na,2.0,nan,0\n", "u,v,distance\n")
+    with pytest.raises(errors.SemanticError):
+        load_topology_csv("id,energy,x,y\na,2.0,0,inf\n", "u,v,distance\n")
 
 
 def test_csv_import():

@@ -2,19 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clmat import errors
 from clmat.metrics import NODE_MIN, total_distance, tree_cost, tree_energy
-from clmat.topology import NetworkGraph
+from clmat.topology import MODES, NetworkGraph
 from clmat.trees import (
     AggregationTree,
     build_all_candidates,
     oracle_shortest_paths,
     shortest_path_tree,
-    tree_depth,
 )
 
-from graphgen import f4, random_connected_graph, two_node
+from graphgen import f4, random_connected_graph, scan_shortest_path_tree, two_node
 
 
 def test_f4_root_a():
@@ -70,11 +71,42 @@ def test_depth_star_and_singleton():
     for i in range(5):
         g.add_vertex(f"leaf{i}", 1.0)
         g.add_edge("hub", f"leaf{i}", 1.0)
-    assert tree_depth(shortest_path_tree(g, "hub")) == 1
+    assert shortest_path_tree(g, "hub").depth == 1
 
     lone = NetworkGraph()
     lone.add_vertex("x", 1.0)
-    assert tree_depth(shortest_path_tree(lone, "x")) == 0
+    assert shortest_path_tree(lone, "x").depth == 0
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """Small graphs with weights 1-3, so equal-distance paths are common.
+
+    Pairs are drawn with repetition and in both orientations, so add_edge
+    often overwrites a stored pair. Names sort against insertion order, so
+    a tie broken by name instead of index shows.
+    """
+    n = draw(st.integers(1, 9))
+    names = [f"v{n - i}" for i in range(n)]
+    g = NetworkGraph(draw(st.sampled_from(MODES)))
+    for name in names:
+        g.add_vertex(name, 1.0)
+    if n > 1:
+        pair = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda p: p[0] != p[1])
+        for u, v in draw(st.lists(pair, max_size=3 * n)):
+            g.add_edge(u, v, float(draw(st.integers(1, 3))))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=tie_heavy_graphs())
+def test_heap_build_matches_scan_on_every_root(g):
+    for root in g.node_ids():
+        tree = shortest_path_tree(g, root)
+        scan = scan_shortest_path_tree(g, root)
+        assert tree.parent == scan.parent
+        assert list(tree.dist.items()) == list(scan.dist.items())
+        assert tree.depth == scan.depth
 
 
 def test_oracle_f4():
@@ -160,6 +192,8 @@ def test_path_to_root_rejects_cycles():
                            dist={"a": 0.0, "b": 1.0, "c": 1.0})
     with pytest.raises(ValueError):
         list(tree.path_to_root("b"))
+    with pytest.raises(ValueError):
+        tree.depth
 
 
 def test_edges_and_children_counts():
