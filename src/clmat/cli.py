@@ -18,6 +18,7 @@ from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, compare_trees, sel
 from .simulator import (
     RadioModel,
     SimConfig,
+    check_policy,
     compare_policies,
     reports_csv,
     residual_trace_csv,
@@ -124,10 +125,13 @@ def display_graph(graph: NetworkGraph) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -168,13 +172,16 @@ def _add_input_args(sub) -> None:
     sub.add_argument("--edges-csv", help="edge CSV (u,v,distance) instead of JSON")
 
 
-def _add_variant_args(sub) -> None:
+def _add_scoring_args(sub) -> None:
     sub.add_argument("--cost", choices=COST_VARIANTS, default=CLMAT,
                      help="edge cost formula (default: %(default)s; residual divides "
                           "per-packet tx energy by residual energy and needs --radio)")
     sub.add_argument("--energy", choices=ENERGY_VARIANTS, default=NODE_MIN,
                      help="tree energy: min non-root node energy, or min over edges "
                           "of min endpoint energy (default: %(default)s)")
+
+
+def _add_selection_args(sub) -> None:
     sub.add_argument("--tie", choices=TIE_RULES, default=MIN_DEPTH,
                      help="distance-tie rule: min-depth prefers the shallower tree "
                           "then the later root; first-min keeps the earliest minimum "
@@ -203,24 +210,28 @@ def _build_parser() -> _Parser:
 
     trees = subs.add_parser("trees", help="score the candidate tree of every root")
     _add_input_args(trees)
-    _add_variant_args(trees)
+    _add_scoring_args(trees)
+    _add_selection_args(trees)
     trees.add_argument("--format", choices=("table", "csv", "json"), default="table")
     trees.add_argument("-o", "--output", default=None)
     trees.set_defaults(func=_cmd_trees)
 
     select = subs.add_parser("select", help="pick the lifetime-maximizing aggregator")
     _add_input_args(select)
-    _add_variant_args(select)
+    _add_scoring_args(select)
+    _add_selection_args(select)
     select.add_argument("--format", choices=("table", "json", "dot"), default="table")
     select.add_argument("-o", "--output", default=None)
     select.set_defaults(func=_cmd_select)
 
     sim = subs.add_parser("simulate", help="run the round-based lifetime simulation")
     _add_input_args(sim)
-    _add_variant_args(sim)
+    _add_selection_args(sim)
     sim.add_argument("--rounds", type=int, default=1000, help="horizon (default: %(default)s)")
     sim.add_argument("--reselect-every", type=int, default=1,
-                     help="rounds between re-selections (default: %(default)s)")
+                     help="rounds between re-picks by max-energy and random; every "
+                          "policy re-picks after a death, and clmat and fixed:<id> "
+                          "only then (default: %(default)s)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--until", choices=("first-death", "exhaustion"), default="first-death",
                      help="stop at the first death, or keep going to the horizon "
@@ -234,9 +245,10 @@ def _build_parser() -> _Parser:
 
     comp = subs.add_parser("compare", help="lifetime table across root policies")
     _add_input_args(comp)
-    _add_variant_args(comp)
+    _add_selection_args(comp)
     comp.add_argument("--rounds", type=int, default=1000)
-    comp.add_argument("--reselect-every", type=int, default=1)
+    comp.add_argument("--reselect-every", type=int, default=1,
+                      help="as for simulate (default: %(default)s)")
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--policies", default="clmat,max-energy",
                       help="comma list of clmat, max-energy, random, fixed:<id> "
@@ -254,8 +266,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    graph = random_topology(args.nodes, args.side, args.radio_range,
-                            args.energy_lo, args.energy_hi, args.seed)
+    try:
+        graph = random_topology(args.nodes, args.side, args.radio_range,
+                                args.energy_lo, args.energy_hi, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _write_text(args.output, export_json(graph))
     return 0
 
@@ -315,20 +330,23 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(radio=args.radio, max_rounds=args.rounds,
-                     reselect_every=args.reselect_every, tie_rule=args.tie,
-                     cost_variant=args.cost, energy_variant=args.energy,
-                     seed=args.seed)
+def _sim_config(args, policies) -> SimConfig:
+    """The run's config, with every argument error raised as a UsageError."""
+    config = SimConfig(radio=args.radio, max_rounds=args.rounds,
+                       reselect_every=args.reselect_every, tie_rule=args.tie,
+                       seed=args.seed)
+    try:
+        config.validate()
+        for policy in policies:
+            check_policy(policy)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return config
 
 
 def _cmd_simulate(args) -> int:
     graph = _load_input(args)
-    config = _sim_config(args)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = _sim_config(args, [args.policy])
     result = run_lifetime(graph, config, policy=args.policy,
                           stop_at_first_death=args.until == "first-death")
     _write_text(args.output, reports_csv(result.reports))
@@ -343,18 +361,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     graph = _load_input(args)
-    config = _sim_config(args)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise UsageError("--policies must name at least one policy")
-    try:
-        rows = compare_policies(graph, config, policies, random_trials=args.trials)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
+    config = _sim_config(args, policies)
+    rows = compare_policies(graph, config, policies, random_trials=args.trials)
     if args.format == "table":
         table = [("policy", "lifetime_rounds")]
         table.extend((name, f"{lifetime:g}") for name, lifetime in rows)
@@ -477,7 +490,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NoSpanningCandidate as exc:

@@ -25,39 +25,43 @@ class SelectionResult:
     ranking: list[Candidate]
 
 
-def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> SelectionResult:
-    """Choose the spanning candidate of minimum total distance.
+def pick_tree(entries, tie_rule: str = MIN_DEPTH):
+    """The chosen entry among (index, tree, total_distance) spanning candidates.
 
-    min-depth resolves distance ties toward the shallower tree, and any
-    remaining tie toward the later-inserted root. first-min is the plain
-    strict-less-than scan: the earliest minimum wins outright.
+    The index is the root's insertion position. min-depth resolves distance
+    ties toward the shallower tree, and any remaining tie toward the later
+    index. first-min is the plain strict-less-than scan: the earliest
+    minimum wins outright.
+    """
+    if not entries:
+        raise NoSpanningCandidate("no candidate tree spans every node")
+    if tie_rule == MIN_DEPTH:
+        return min(entries, key=lambda e: (e[2], e[1].depth, -e[0]))
+    # min keeps the first of equal keys, which is the strict-less-than scan
+    return min(entries, key=lambda e: e[2])
+
+
+def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> SelectionResult:
+    """Choose the spanning candidate of minimum total distance (see pick_tree).
+
+    The ranking lists every candidate, spanning ones first, in the order of
+    the same tie key.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     candidates = list(candidates)
-    spanning = [(i, c) for i, c in enumerate(candidates) if c.spanning]
-    if not spanning:
-        raise NoSpanningCandidate("no candidate tree spans every node")
+    chosen = candidates[pick_tree([(i, c.tree, c.metrics.total_distance)
+                                   for i, c in enumerate(candidates) if c.spanning],
+                                  tie_rule)[0]]
 
     if tie_rule == MIN_DEPTH:
-        def pick_key(entry):
-            i, c = entry
-            return (c.metrics.total_distance, c.tree.depth, -i)
-
         def rank_key(entry):
             i, c = entry
             return (not c.spanning, c.metrics.total_distance, c.tree.depth, -i)
-
-        chosen = min(spanning, key=pick_key)[1]
     else:
         def rank_key(entry):
             i, c = entry
             return (not c.spanning, c.metrics.total_distance, i)
-
-        chosen = spanning[0][1]
-        for _, c in spanning[1:]:
-            if c.metrics.total_distance < chosen.metrics.total_distance:
-                chosen = c
 
     ranking = [c for _, c in sorted(enumerate(candidates), key=rank_key)]
     return SelectionResult(chosen.root, chosen.tree, chosen.metrics, ranking)

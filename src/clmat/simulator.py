@@ -22,8 +22,8 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import NoSpanningCandidate
-from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN
-from .selection import MIN_DEPTH, TIE_RULES, select_aggregator
+from .metrics import total_distance
+from .selection import MIN_DEPTH, TIE_RULES, pick_tree
 from .trees import AggregationTree, shortest_path_tree
 
 
@@ -58,8 +58,6 @@ class SimConfig:
     max_rounds: int = 1000
     reselect_every: int = 1
     tie_rule: str = MIN_DEPTH
-    cost_variant: str = CLMAT
-    energy_variant: str = NODE_MIN
     seed: int = 0
 
     def validate(self) -> None:
@@ -69,10 +67,6 @@ class SimConfig:
             raise ValueError("reselect_every must be at least 1")
         if self.tie_rule not in TIE_RULES:
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
-        if self.cost_variant not in COST_VARIANTS:
-            raise ValueError(f"unknown cost variant {self.cost_variant!r}")
-        if self.energy_variant not in ENERGY_VARIANTS:
-            raise ValueError(f"unknown energy variant {self.energy_variant!r}")
 
 
 @dataclass
@@ -85,9 +79,6 @@ class SimState:
 
     def residual(self, v: str) -> float:
         return self.initial[v] - self.drained_cum[v]
-
-    def residuals(self) -> dict[str, float]:
-        return {v: self.residual(v) for v in self.alive}
 
 
 @dataclass
@@ -138,49 +129,80 @@ def drain_round(state: SimState, tree: AggregationTree, radio: RadioModel, graph
     return RoundReport(state.round, tree.root, drained, total, len(state.alive), deaths)
 
 
-def _policy_chooser(policy: str, config: SimConfig, rng: random.Random):
-    """Resolve a policy name into a tree chooser over the alive view."""
+POLICIES = ("clmat", "max-energy", "random")  # plus "fixed:<id>"
+
+
+def check_policy(policy: str) -> None:
+    """Raise ValueError unless policy is one of POLICIES or fixed:<id>."""
+    if policy not in POLICIES and not policy.startswith("fixed:"):
+        raise ValueError(f"unknown policy {policy!r}")
+
+
+class _AliveView:
+    """What one alive set fixes: the graph restricted to it and each root's tree.
+
+    Trees are built on first use and kept. None of this reads energy, so a
+    view answers for as long as the alive set stays the same.
+    """
+
+    def __init__(self, graph, alive):
+        self.graph = graph.restricted(alive)
+        self._trees: dict[str, AggregationTree] = {}
+
+    def tree(self, root: str) -> AggregationTree:
+        tree = self._trees.get(root)
+        if tree is None:
+            tree = self._trees[root] = shortest_path_tree(self.graph, root)
+        return tree
+
+    def spans(self, root: str) -> bool:
+        return len(self.tree(root).dist) == len(self.graph)
+
+    def spanning_roots(self) -> list[str]:
+        """Alive roots whose tree reaches every alive node, in insertion order."""
+        return [v for v in self.graph.node_ids() if self.spans(v)]
+
+
+def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
+    """Resolve a policy name into (choose(view, state) -> tree, reads_residuals).
+
+    A chooser that does not read residuals depends on the alive set alone,
+    so its answer is fixed for the life of a view.
+    """
+    check_policy(policy)
     if policy == "clmat":
-        def choose(view):
-            return select_aggregator(view, config.cost_variant, config.energy_variant,
-                                     config.tie_rule, tx_energy=config.radio.tx_energy).tree
-        return choose
+        def choose(view, state):
+            entries = [(i, view.tree(v), total_distance(view.tree(v)))
+                       for i, v in enumerate(view.graph.node_ids()) if view.spans(v)]
+            return pick_tree(entries, tie_rule)[1]
+        return choose, False
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
 
-        def choose(view):
-            if view.get_index(root) == -1:
+        def choose(view, state):
+            if view.graph.get_index(root) == -1:
                 raise NoSpanningCandidate(f"fixed root {root} is not in the alive network")
-            tree = shortest_path_tree(view, root)
-            if len(tree.dist) != len(view):
+            if not view.spans(root):
                 raise NoSpanningCandidate(f"fixed root {root} no longer spans the network")
-            return tree
-        return choose
+            return view.tree(root)
+        return choose, False
     if policy == "max-energy":
-        def choose(view):
+        def choose(view, state):
             best = None
-            for node in view.nodes:
-                tree = shortest_path_tree(view, node.id)
-                if len(tree.dist) != len(view):
-                    continue
-                if best is None or node.energy > best[0]:
-                    best = (node.energy, tree)
+            for v in view.spanning_roots():
+                if best is None or state.residual(v) > state.residual(best):
+                    best = v
             if best is None:
                 raise NoSpanningCandidate("no spanning root available")
-            return best[1]
-        return choose
-    if policy == "random":
-        def choose(view):
-            spanning = []
-            for node in view.nodes:
-                tree = shortest_path_tree(view, node.id)
-                if len(tree.dist) == len(view):
-                    spanning.append(tree)
-            if not spanning:
-                raise NoSpanningCandidate("no spanning root available")
-            return rng.choice(spanning)
-        return choose
-    raise ValueError(f"unknown policy {policy!r}")
+            return view.tree(best)
+        return choose, True
+
+    def choose(view, state):  # random
+        spanning = view.spanning_roots()
+        if not spanning:
+            raise NoSpanningCandidate("no spanning root available")
+        return view.tree(rng.choice(spanning))
+    return choose, True
 
 
 def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
@@ -188,8 +210,11 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
                  rng: random.Random | None = None) -> LifetimeResult:
     """Drive rounds until the first death or the horizon.
 
-    The tree is re-chosen every reselect_every rounds and after any death,
-    always on the alive subgraph with current residuals as node energies.
+    The shortest-path trees depend only on which nodes are alive, so they
+    are built on the alive subgraph once per alive set: in round 1 and
+    after each death. clmat and fixed:<id> pick their tree then and keep
+    it. max-energy and random also re-pick every reselect_every rounds,
+    reading current residuals, so the cadence matters only for them.
     With stop_at_first_death False the run continues past deaths until the
     horizon or until no alive root spans the survivors (partitioned=True).
     Fully deterministic for a fixed graph, config, and policy.
@@ -199,7 +224,7 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
         raise NoSpanningCandidate("empty graph")
     if rng is None:
         rng = random.Random(config.seed)
-    choose = _policy_chooser(policy, config, rng)
+    choose, reads_residuals = _policy_chooser(policy, config.tie_rule, rng)
     state = SimState(
         initial={n.id: n.energy for n in graph.nodes},
         drained_cum={n.id: 0.0 for n in graph.nodes},
@@ -209,33 +234,30 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     first_death: int | None = None
     delivered = 0
     partitioned = False
-    need_select = True
+    view = None
     for r in range(1, config.max_rounds + 1):
-        if need_select or (r - 1) % config.reselect_every == 0:
-            view = graph.restricted(state.alive, state.residuals())
+        if view is None or (reads_residuals and (r - 1) % config.reselect_every == 0):
+            if view is None:
+                view = _AliveView(graph, state.alive)
             try:
-                state.current_tree = choose(view)
+                state.current_tree = choose(view, state)
             except NoSpanningCandidate:
                 if r == 1:
                     raise
                 partitioned = True
                 break
-            need_select = False
         report = drain_round(state, state.current_tree, config.radio, graph)
         reports.append(report)
         delivered += len(state.current_tree.dist)
         if report.deaths:
             if first_death is None:
                 first_death = r
-            need_select = True
+            view = None
             if stop_at_first_death:
                 break
     lifetime = first_death if first_death is not None else config.max_rounds
     final = {v: state.residual(v) for v in state.initial}
     return LifetimeResult(lifetime, reports, first_death, delivered, partitioned, final)
-
-
-POLICIES = ("clmat", "max-energy", "random")  # plus "fixed:<id>"
 
 
 def compare_policies(graph, config: SimConfig, policies,

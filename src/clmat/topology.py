@@ -186,10 +186,11 @@ def random_topology(n: int, side: float, radio_range: float,
     """
     if n < 1:
         raise ValueError("need at least one node")
-    if side <= 0 or radio_range <= 0:
-        raise ValueError("side and radio_range must be positive")
-    if not 0 < energy_lo <= energy_hi:
-        raise ValueError("need 0 < energy_lo <= energy_hi")
+    # written as "not x > 0" so that NaN fails too; an infinite range links every pair
+    if not (math.isfinite(side) and side > 0) or not radio_range > 0:
+        raise ValueError("side must be positive and finite, radio_range positive")
+    if not (0 < energy_lo <= energy_hi and math.isfinite(energy_hi)):
+        raise ValueError("need 0 < energy_lo <= energy_hi < inf")
     rng = random.Random(seed)
     g = NetworkGraph()
     for i in range(n):
@@ -231,8 +232,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+# OverflowError: a JSON integer too large to convert to a float
 _CONSTRUCTION_ERRORS = (
     DuplicateVertex, InvalidEnergy, UnknownVertex, SelfLoop, NonPositiveDistance, ValueError,
+    OverflowError,
 )
 
 
@@ -251,7 +254,9 @@ def load_topology(data) -> NetworkGraph:
             raise ParseError(f"not UTF-8: {exc}") from exc
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and over-long integer literals;
+        # RecursionError comes from arrays or objects nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
     mode = doc.get("mode", UNDIRECTED)
@@ -294,13 +299,17 @@ def _num(text, field: str) -> float:
 
 def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
     reader = csv.DictReader(io.StringIO(text))
-    names = reader.fieldnames or []
+    try:
+        names = reader.fieldnames or []
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from exc
     allowed = set(required) | set(optional)
     _require(set(required) <= set(names),
              f"CSV header must include {','.join(required)}")
     _require(set(names) <= allowed,
              f"unexpected CSV columns: {sorted(set(names) - allowed)}")
-    return list(reader)
+    return rows
 
 
 def load_topology_csv(nodes_csv: str, edges_csv: str, mode: str = UNDIRECTED) -> NetworkGraph:

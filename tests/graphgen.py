@@ -3,9 +3,12 @@
 import math
 import random
 
+from clmat.errors import NoSpanningCandidate
 from clmat.metrics import TreeMetrics
+from clmat.selection import select_aggregator
+from clmat.simulator import LifetimeResult, SimState, drain_round
 from clmat.topology import NetworkGraph, random_topology
-from clmat.trees import AggregationTree, Candidate, oracle_shortest_paths
+from clmat.trees import AggregationTree, Candidate, oracle_shortest_paths, shortest_path_tree
 
 
 def f4() -> NetworkGraph:
@@ -133,3 +136,96 @@ def spanning_topologies(count, n=20, side=100.0, radio_range=45.0,
             found.append(g)
         seed += 1
     return found
+
+
+def _reference_chooser(policy, config, rng):
+    """Per-round tree choosers over a view that carries residual energies."""
+    if policy == "clmat":
+        def choose(view):
+            return select_aggregator(view, tie_rule=config.tie_rule,
+                                     tx_energy=config.radio.tx_energy).tree
+        return choose
+    if policy.startswith("fixed:"):
+        root = policy.split(":", 1)[1]
+
+        def choose(view):
+            if view.get_index(root) == -1:
+                raise NoSpanningCandidate(f"fixed root {root} is not in the alive network")
+            tree = shortest_path_tree(view, root)
+            if len(tree.dist) != len(view):
+                raise NoSpanningCandidate(f"fixed root {root} no longer spans the network")
+            return tree
+        return choose
+    if policy == "max-energy":
+        def choose(view):
+            best = None
+            for node in view.nodes:
+                tree = shortest_path_tree(view, node.id)
+                if len(tree.dist) != len(view):
+                    continue
+                if best is None or node.energy > best[0]:
+                    best = (node.energy, tree)
+            if best is None:
+                raise NoSpanningCandidate("no spanning root available")
+            return best[1]
+        return choose
+    if policy == "random":
+        def choose(view):
+            spanning = []
+            for node in view.nodes:
+                tree = shortest_path_tree(view, node.id)
+                if len(tree.dist) == len(view):
+                    spanning.append(tree)
+            if not spanning:
+                raise NoSpanningCandidate("no spanning root available")
+            return rng.choice(spanning)
+        return choose
+    raise ValueError(f"unknown policy {policy!r}")
+
+
+def reference_run_lifetime(graph, config, policy="clmat", stop_at_first_death=True,
+                           rng=None) -> LifetimeResult:
+    """Reference simulator: the whole selection redone from scratch at every reselection.
+
+    Every reselection (round 1, each death, and every reselect_every rounds
+    for every policy) copies the alive subgraph with residuals as node
+    energies and runs the full scored selection on it. run_lifetime must
+    agree with it on every output and every exception.
+    """
+    config.validate()
+    if not graph.nodes:
+        raise NoSpanningCandidate("empty graph")
+    if rng is None:
+        rng = random.Random(config.seed)
+    choose = _reference_chooser(policy, config, rng)
+    state = SimState(initial={n.id: n.energy for n in graph.nodes},
+                     drained_cum={n.id: 0.0 for n in graph.nodes},
+                     alive=[n.id for n in graph.nodes])
+    reports = []
+    first_death = None
+    delivered = 0
+    partitioned = False
+    need_select = True
+    for r in range(1, config.max_rounds + 1):
+        if need_select or (r - 1) % config.reselect_every == 0:
+            view = graph.restricted(state.alive, {v: state.residual(v) for v in state.alive})
+            try:
+                state.current_tree = choose(view)
+            except NoSpanningCandidate:
+                if r == 1:
+                    raise
+                partitioned = True
+                break
+            need_select = False
+        report = drain_round(state, state.current_tree, config.radio, graph)
+        reports.append(report)
+        delivered += len(state.current_tree.dist)
+        if report.deaths:
+            if first_death is None:
+                first_death = r
+            need_select = True
+            if stop_at_first_death:
+                break
+    lifetime = first_death if first_death is not None else config.max_rounds
+    final = {v: state.residual(v) for v in state.initial}
+    return LifetimeResult(lifetime, reports, first_death, delivered, partitioned, final)

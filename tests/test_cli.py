@@ -196,6 +196,36 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert code == 1 and err.strip().startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--nodes", "3", "--side", "nan"],
+    ["gen", "--nodes", "3", "--range", "nan"],
+    ["gen", "--nodes", "3", "--energy-hi", "inf"],
+    ["simulate", "{topo}", "--policy", "bogus"],
+    ["simulate", "{topo}", "--rounds", "0"],
+    ["compare", "{topo}", "--policies", "clmat,bogus"],
+    ["compare", "{topo}", "--policies", "random", "--trials", "0"],
+])
+def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
+    topo = _f4_file(tmp_path)
+    code, out, err = _run(capsys, [topo if a == "{topo}" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.strip().startswith("usage error:")
+
+
+def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
+    # a broken invariant deep in the library is a bug, not a user mistake
+    def broken(*args, **kwargs):
+        raise ValueError("parent map contains a cycle")
+
+    monkeypatch.setattr("clmat.cli.build_all_candidates", broken)
+    with pytest.raises(ValueError, match="cycle"):
+        main(["select", _f4_file(tmp_path)])
+    monkeypatch.setattr("clmat.simulator.shortest_path_tree", broken)
+    with pytest.raises(ValueError, match="cycle"):
+        main(["compare", _f4_file(tmp_path)])
+
+
 def test_data_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope", encoding="utf-8")
@@ -205,6 +235,11 @@ def test_data_errors_exit_2(capsys, tmp_path):
     assert len(err.strip().splitlines()) == 1
     code, _, err = _run(capsys, ["select", str(tmp_path / "missing.json")])
     assert code == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"nodes": [{"id": "\xe9", "energy": 1}]}')
+    code, out, err = _run(capsys, ["select", str(latin)])
+    assert code == 2
+    assert out == "" and err.strip().startswith("error: not UTF-8")
 
 
 def test_no_spanning_exit_3(capsys, tmp_path):

@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clmat import errors
+from clmat import cli, errors, simulator
 from clmat.simulator import (
     LifetimeResult,
     RadioModel,
@@ -15,10 +17,10 @@ from clmat.simulator import (
     residual_trace_csv,
     run_lifetime,
 )
-from clmat.topology import NetworkGraph
+from clmat.topology import MODES, NetworkGraph, export_json, random_topology
 from clmat.trees import shortest_path_tree
 
-from graphgen import f4, random_connected_graph, two_node
+from graphgen import f4, random_connected_graph, reference_run_lifetime, two_node
 
 FLAT = RadioModel(tx_fixed=1.0, tx_dist_coeff=0.0, exponent=2, rx_cost=0.5)
 
@@ -272,3 +274,119 @@ def test_residual_trace_matches_reports():
             cum[v] += d
             seen.add((str(report.round), v, repr(g.energy(v) - cum[v])))
     assert {tuple(r) for r in rows} == seen
+
+
+@st.composite
+def drain_graphs(draw):
+    """Small graphs in either mode with weights 1-3 and few distinct energies.
+
+    Equal distances make selection ties common, and equal energies make
+    max-energy ties common; energies of a few rounds' drain make runs
+    cross several deaths within the horizon. Names sort against insertion
+    order.
+    """
+    n = draw(st.integers(1, 8))
+    names = [f"v{n - i}" for i in range(n)]
+    g = NetworkGraph(draw(st.sampled_from(MODES)))
+    weights = st.integers(1, 3).map(float)
+    for name in names:
+        g.add_vertex(name, draw(st.sampled_from([2.0, 2.0, 3.0, 4.0, 6.0])))
+    for i in range(1, n if draw(st.integers(0, 3)) else 1):
+        # usually a backbone from the first node; directed arcs back are
+        # optional, so only some directed roots span
+        parent = names[draw(st.integers(0, i - 1))]
+        g.add_edge(parent, names[i], draw(weights))
+        if draw(st.booleans()):
+            g.add_edge(names[i], parent, draw(weights))
+    if n > 1:
+        pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+            lambda p: p[0] != p[1])
+        for u, v in draw(st.lists(pairs, max_size=2 * n)):
+            g.add_edge(u, v, draw(weights))
+    return g
+
+
+def _outcome(run, graph, config, policy, stop_at_first_death):
+    try:
+        result = run(graph, config, policy, stop_at_first_death=stop_at_first_death)
+    except Exception as exc:  # the exception itself is what gets compared
+        return type(exc), str(exc)
+    return (reports_csv(result.reports), residual_trace_csv(graph, result.reports),
+            (result.lifetime, result.first_death_round, result.delivered_packets,
+             result.partitioned),
+            result.final_residuals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=drain_graphs(),
+       policy=st.sampled_from(["clmat", "max-energy", "random", "fixed:v1", "fixed:v3",
+                               "fixed:absent"]),
+       tie_rule=st.sampled_from(["min-depth", "first-min"]),
+       reselect_every=st.sampled_from([1, 2, 3]),
+       max_rounds=st.integers(1, 20),
+       stop_at_first_death=st.booleans(),
+       seed=st.integers(0, 3))
+def test_run_lifetime_matches_per_round_reference(g, policy, tie_rule, reselect_every,
+                                                   max_rounds, stop_at_first_death, seed):
+    # receiving costs more than sending, so a busy root drains fastest and
+    # max-energy moves the root between deaths
+    config = SimConfig(radio=RadioModel(0.125, 0.05, 2, 0.5), max_rounds=max_rounds,
+                       reselect_every=reselect_every, tie_rule=tie_rule, seed=seed)
+    assert (_outcome(run_lifetime, g, config, policy, stop_at_first_death)
+            == _outcome(reference_run_lifetime, g, config, policy, stop_at_first_death))
+
+
+def test_energy_aware_policies_repick_at_cadence():
+    # the hub starts richest but pays for three children, so a cadence of
+    # one round moves max-energy off it before anyone dies
+    g = NetworkGraph()
+    for name, energy in [("a", 3.0), ("b", 2.0), ("c", 2.0), ("d", 2.0)]:
+        g.add_vertex(name, energy)
+    for u, v in [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")]:
+        g.add_edge(u, v, 1.0)
+    radio = RadioModel(0.125, 0.05, 2, 0.5)
+    for policy in ("max-energy", "random"):
+        for every, want_switch in ((1, True), (20, False)):
+            cfg = SimConfig(radio=radio, max_rounds=20, reselect_every=every, seed=1)
+            result = run_lifetime(g, cfg, policy)
+            roots = {r.aggregator for r in result.reports}
+            assert (len(roots) > 1) == want_switch, (policy, every, roots)
+            assert result == reference_run_lifetime(g, cfg, policy)
+
+
+def test_one_view_and_one_tree_per_root_per_alive_set(tmp_path, monkeypatch):
+    """A clmat run rebuilds its view and trees only when the alive set changes."""
+    g = random_topology(12, 100.0, 60.0, 0.1, 0.15, seed=3)
+    topo = tmp_path / "topo.json"
+    topo.write_text(export_json(g), encoding="utf-8")
+    rounds_csv = tmp_path / "rounds.csv"
+    views, built = [], []
+    restricted = NetworkGraph.restricted
+    build = simulator.shortest_path_tree
+
+    def spy_restricted(self, keep, energies=None):
+        views.append(tuple(keep))
+        return restricted(self, keep, energies)
+
+    def spy_build(graph, root):
+        built.append((len(views), root))
+        return build(graph, root)
+
+    monkeypatch.setattr(NetworkGraph, "restricted", spy_restricted)
+    monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
+    code = cli.main(["simulate", str(topo), "--policy", "clmat", "--reselect-every", "1",
+                     "--until", "exhaustion", "--radio", "1e-3,1e-6,2,5e-4",
+                     "-o", str(rounds_csv)])
+    assert code == 0
+    rows = [line.split(",") for line in rounds_csv.read_text().splitlines()[1:]]
+    death_rounds = [int(r[0]) for r in rows if r[4]]
+    assert len(rows) > len(death_rounds) > 1  # several alive sets, each kept a while
+    # a view for round 1 and after every death that another round follows
+    alive_sets = [g.node_ids()]
+    for r in rows:
+        if r[4] and int(r[0]) < 1000:
+            dead = set(r[4].split(";"))
+            alive_sets.append([v for v in alive_sets[-1] if v not in dead])
+    assert views == [tuple(a) for a in alive_sets]
+    # every alive root's tree is built once per view, in node order
+    assert built == [(k, v) for k, alive in enumerate(alive_sets, 1) for v in alive]

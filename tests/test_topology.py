@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from clmat import errors
@@ -340,3 +340,96 @@ def test_link_energy_is_min_of_endpoints(e1, e2, d):
     g.add_vertex("v", e2)
     g.add_edge("u", "v", d)
     assert g.links[0].link_energy == min(e1, e2)
+
+
+LOADER_ERRORS = (errors.ParseError, errors.SemanticError)
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.integers(min_value=2 ** 1024)  # too large for a float
+                 | st.text(max_size=4) | st.sampled_from(["a", "b", "undirected", "directed"]))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def _record(keys):
+    """A dict that often carries the keys a node or edge needs, with any JSON values."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=2), _json_values,
+                           max_size=len(keys) + 1)
+
+
+_topology_docs = st.fixed_dictionaries(
+    {},
+    optional={"mode": _json_values | st.sampled_from(["undirected", "directed"]),
+              "nodes": st.lists(_record(["id", "energy", "x", "y"]), max_size=4) | _json_values,
+              "edges": st.lists(_record(["u", "v", "distance"]), max_size=4) | _json_values})
+
+
+def _loads_or_rejects(load, *args):
+    try:
+        graph = load(*args)
+    except LOADER_ERRORS:
+        return
+    assert isinstance(graph, NetworkGraph)
+
+
+@given(text=st.text())
+@example(text="[" * 100_000)
+@example(text="1" * 5000)
+def test_load_topology_fuzz_text(text):
+    _loads_or_rejects(load_topology, text)
+    _loads_or_rejects(load_topology, text.encode("utf-8", "surrogatepass"))
+
+
+@given(doc=_topology_docs | _json_values)
+@example(doc={"nodes": [{"id": "a", "energy": 10 ** 400}]})
+def test_load_topology_fuzz_documents(doc):
+    _loads_or_rejects(load_topology, json.dumps(doc))
+
+
+_csv_cell = st.text(max_size=4) | st.sampled_from(["1", "2.5", "-1", "0", "nan", "inf",
+                                                   "1e999", "a", "b", "", "a\rb"])
+
+
+def _csv_text(columns):
+    header = st.lists(st.sampled_from(columns) | st.text(max_size=3), max_size=5).map(
+        lambda cols: ",".join(cols))
+    rows = st.lists(st.lists(_csv_cell, max_size=5).map(lambda cells: ",".join(cells)),
+                    max_size=4)
+    return st.tuples(header, rows).map(lambda hr: "\n".join([hr[0], *hr[1]]) + "\n")
+
+
+@given(nodes=st.text() | _csv_text(["id", "energy", "x", "y"]),
+       edges=st.text() | _csv_text(["u", "v", "distance"]),
+       mode=st.sampled_from(["undirected", "directed"]))
+@example(nodes="id,energy\na\rb,1\n", edges="u,v,distance\n", mode="undirected")
+@example(nodes='id,energy\n"' + "a" * 200_000 + '",1\n', edges="u,v,distance\n",
+         mode="undirected")
+def test_load_topology_csv_fuzz(nodes, edges, mode):
+    _loads_or_rejects(load_topology_csv, nodes, edges, mode)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _exportable_graphs(draw):
+    g = NetworkGraph(draw(st.sampled_from(["undirected", "directed"])))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=6))
+    for name in names:
+        g.add_vertex(name, draw(_positive), draw(st.none() | st.tuples(_finite, _finite)))
+    for _ in range(draw(st.integers(0, 2 * len(names))) if len(names) > 1 else 0):
+        u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        g.add_edge(u, v, draw(_positive))
+    return g
+
+
+@given(g=_exportable_graphs())
+def test_export_load_export_is_byte_identical(g):
+    text = export_json(g)
+    again = load_topology(text)
+    assert again == g
+    assert export_json(again) == text
