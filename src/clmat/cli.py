@@ -25,7 +25,6 @@ from .simulator import (
     run_lifetime,
 )
 from .topology import (
-    DIRECTED,
     NetworkGraph,
     export_json,
     load_topology,
@@ -89,9 +88,7 @@ def render_ranking(result: SelectionResult) -> str:
 
 def export_dot(graph: NetworkGraph, tree=None) -> str:
     """Deterministic DOT text; tree edges bold, the root double-circled."""
-    directed = graph.mode == DIRECTED
-    kind, op = ("digraph", "->") if directed else ("graph", "--")
-    lines = [f"{kind} sensors {{"]
+    lines = ["graph sensors {"]
     root = tree.root if tree is not None else None
     for n in graph.nodes:
         attrs = [f'label="{n.id}\\n{n.energy:.3f} J"']
@@ -102,13 +99,12 @@ def export_dot(graph: NetworkGraph, tree=None) -> str:
     if tree is not None:
         for p, v in tree.edges():
             marked.add((p, v))
-            if not directed:
-                marked.add((v, p))
+            marked.add((v, p))
     for link in sorted(graph.links, key=lambda l: (l.u, l.v)):
         attrs = [f'label="{link.distance:g}"']
         if (link.u, link.v) in marked:
             attrs.append("style=bold")
-        lines.append(f'  "{link.u}" {op} "{link.v}" [{", ".join(attrs)}];')
+        lines.append(f'  "{link.u}" -- "{link.v}" [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

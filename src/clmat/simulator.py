@@ -49,7 +49,18 @@ class RadioModel:
             raise ValueError("path-loss exponent must be 2 or 4")
 
     def tx_energy(self, distance: float) -> float:
-        return self.tx_fixed + self.tx_dist_coeff * distance ** self.exponent
+        """Joules to send one packet over distance; +inf once d**exponent overflows.
+
+        A zero amplifier coefficient ignores distance altogether, so an
+        overflowing power never meets it as 0 * inf = NaN.
+        """
+        if not self.tx_dist_coeff:
+            return self.tx_fixed
+        try:
+            amplifier = distance ** self.exponent
+        except OverflowError:
+            return math.inf
+        return self.tx_fixed + self.tx_dist_coeff * amplifier
 
 
 @dataclass
@@ -155,26 +166,31 @@ class _AliveView:
             tree = self._trees[root] = shortest_path_tree(self.graph, root)
         return tree
 
-    def spans(self, root: str) -> bool:
-        return len(self.tree(root).dist) == len(self.graph)
+    def spanning_tree(self, root: str, message: str) -> AggregationTree:
+        """root's tree, or NoSpanningCandidate(message) unless it reaches every alive node.
 
-    def spanning_roots(self) -> list[str]:
-        """Alive roots whose tree reaches every alive node, in insertion order."""
-        return [v for v in self.graph.node_ids() if self.spans(v)]
+        Links are undirected, so one root spans exactly when every root does.
+        """
+        tree = self.tree(root)
+        if len(tree.dist) != len(self.graph):
+            raise NoSpanningCandidate(message)
+        return tree
 
 
 def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
     """Resolve a policy name into (choose(view, state) -> tree, reads_residuals).
 
-    A chooser that does not read residuals depends on the alive set alone,
-    so its answer is fixed for the life of a view.
+    Each chooser names a root among the alive nodes and returns its tree if
+    that tree spans them. A chooser that does not read residuals depends on
+    the alive set alone, so its answer is fixed for the life of a view.
     """
     check_policy(policy)
     if policy == "clmat":
         def choose(view, state):
             entries = [(i, view.tree(v), total_distance(view.tree(v)))
-                       for i, v in enumerate(view.graph.node_ids()) if view.spans(v)]
-            return pick_tree(entries, tie_rule)[1]
+                       for i, v in enumerate(view.graph.node_ids())]
+            root = pick_tree(entries, tie_rule)[1].root
+            return view.spanning_tree(root, "no candidate tree spans every node")
         return choose, False
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
@@ -182,26 +198,18 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
         def choose(view, state):
             if view.graph.get_index(root) == -1:
                 raise NoSpanningCandidate(f"fixed root {root} is not in the alive network")
-            if not view.spans(root):
-                raise NoSpanningCandidate(f"fixed root {root} no longer spans the network")
-            return view.tree(root)
+            return view.spanning_tree(root, f"fixed root {root} no longer spans the network")
         return choose, False
     if policy == "max-energy":
         def choose(view, state):
-            best = None
-            for v in view.spanning_roots():
-                if best is None or state.residual(v) > state.residual(best):
-                    best = v
-            if best is None:
-                raise NoSpanningCandidate("no spanning root available")
-            return view.tree(best)
+            # max keeps the first of equal residuals
+            root = max(view.graph.node_ids(), key=state.residual)
+            return view.spanning_tree(root, "no spanning root available")
         return choose, True
 
     def choose(view, state):  # random
-        spanning = view.spanning_roots()
-        if not spanning:
-            raise NoSpanningCandidate("no spanning root available")
-        return view.tree(rng.choice(spanning))
+        root = rng.choice(view.graph.node_ids())
+        return view.spanning_tree(root, "no spanning root available")
     return choose, True
 
 
@@ -216,7 +224,8 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     it. max-energy and random also re-pick every reselect_every rounds,
     reading current residuals, so the cadence matters only for them.
     With stop_at_first_death False the run continues past deaths until the
-    horizon or until no alive root spans the survivors (partitioned=True).
+    horizon or until the survivors are disconnected or all dead
+    (partitioned=True).
     Fully deterministic for a fixed graph, config, and policy.
     """
     config.validate()
@@ -236,6 +245,9 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     partitioned = False
     view = None
     for r in range(1, config.max_rounds + 1):
+        if not state.alive:  # the last survivors died together
+            partitioned = True
+            break
         if view is None or (reads_residuals and (r - 1) % config.reselect_every == 0):
             if view is None:
                 view = _AliveView(graph, state.alive)

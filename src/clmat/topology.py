@@ -19,10 +19,6 @@ from .errors import (
     UnknownVertex,
 )
 
-UNDIRECTED = "undirected"
-DIRECTED = "directed"
-MODES = (UNDIRECTED, DIRECTED)
-
 
 @dataclass
 class Node:
@@ -35,27 +31,24 @@ class Node:
 
 @dataclass
 class Link:
-    """A stored radio link. link_energy caches min endpoint energy at insertion time."""
+    """A stored radio link, usable in both directions."""
 
     u: str
     v: str
     distance: float
-    link_energy: float
 
 
 class NetworkGraph:
-    """Node table plus weighted adjacency with distance-matrix semantics.
+    """Node table plus weighted undirected adjacency with distance-matrix semantics.
 
-    distance(i, i) is 0 and absent pairs are infinitely far. Undirected mode
-    writes both matrix cells per link; directed mode writes only u -> v.
+    distance(i, i) is 0 and absent pairs are infinitely far. Each link
+    writes both matrix cells, so a tree searched outward from its root
+    also carries the readings back up to it.
     Construction is single-writer; a fully built graph is treated as
     immutable and may be read from many computations at once.
     """
 
-    def __init__(self, mode: str = UNDIRECTED):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
+    def __init__(self):
         self.nodes: list[Node] = []
         self.links: list[Link] = []
         self._index: dict[str, int] = {}
@@ -68,16 +61,13 @@ class NetworkGraph:
         if not isinstance(other, NetworkGraph):
             return NotImplemented
         return (
-            self.mode == other.mode
-            and [(n.id, n.energy, n.position) for n in self.nodes]
+            [(n.id, n.energy, n.position) for n in self.nodes]
             == [(n.id, n.energy, n.position) for n in other.nodes]
             and self._link_set() == other._link_set()
         )
 
     def _link_set(self) -> set[tuple[str, str, float]]:
-        if self.mode == UNDIRECTED:
-            return {(min(l.u, l.v), max(l.u, l.v), l.distance) for l in self.links}
-        return {(l.u, l.v, l.distance) for l in self.links}
+        return {(min(l.u, l.v), max(l.u, l.v), l.distance) for l in self.links}
 
     def node_ids(self) -> list[str]:
         return [n.id for n in self.nodes]
@@ -105,11 +95,7 @@ class NetworkGraph:
         return self._adj.get(u, {})
 
     def link_energy(self, u: str, v: str) -> float:
-        """Min endpoint energy, recomputed from current node energies.
-
-        The Link.link_energy field is only an insertion-time cache; every
-        consumer goes through here so draining batteries are reflected.
-        """
+        """Min endpoint energy, computed from current node energies."""
         return min(self.energy(u), self.energy(v))
 
     def add_vertex(self, name: str, energy: float, position=None) -> None:
@@ -130,8 +116,8 @@ class NetworkGraph:
     def add_edge(self, u: str, v: str, distance: float) -> None:
         """Store a link between existing vertices.
 
-        Re-adding an existing pair overwrites the stored distance (matrix
-        cell semantics). The energy cache is refreshed at the same time.
+        Re-adding an existing pair, in either order, overwrites the stored
+        distance (matrix cell semantics).
         """
         if self.get_index(u) == -1:
             raise UnknownVertex(f"source vertex does not exist: {u}")
@@ -142,18 +128,14 @@ class NetworkGraph:
         if not (isinstance(distance, (int, float)) and math.isfinite(distance) and distance > 0):
             raise NonPositiveDistance(f"distance must be a positive finite number, got {distance!r}")
         distance = float(distance)
-        cache = self.link_energy(u, v)
         if v not in self._adj[u]:
-            self.links.append(Link(u, v, distance, cache))
+            self.links.append(Link(u, v, distance))
         else:
             # a re-added pair is rare, so its Link is found by a scan
-            stored = {(u, v), (v, u)} if self.mode == UNDIRECTED else {(u, v)}
-            link = next(l for l in self.links if (l.u, l.v) in stored)
+            link = next(l for l in self.links if {l.u, l.v} == {u, v})
             link.distance = distance
-            link.link_energy = cache
         self._adj[u][v] = distance
-        if self.mode == UNDIRECTED:
-            self._adj[v][u] = distance
+        self._adj[v][u] = distance
 
     def restricted(self, keep, energies=None) -> NetworkGraph:
         """Copy containing only the kept nodes and links among them.
@@ -162,7 +144,7 @@ class NetworkGraph:
         carry (used to feed residual energies back in as node energies).
         """
         keep_set = set(keep)
-        g = NetworkGraph(self.mode)
+        g = NetworkGraph()
         for n in self.nodes:
             if n.id in keep_set:
                 e = energies[n.id] if energies is not None else n.energy
@@ -219,7 +201,7 @@ def export_json(graph: NetworkGraph) -> str:
         {"u": link.u, "v": link.v, "distance": link.distance}
         for link in sorted(graph.links, key=lambda l: (l.u, l.v))
     ]
-    return json.dumps({"mode": graph.mode, "nodes": nodes, "edges": edges}, indent=2) + "\n"
+    return json.dumps({"mode": "undirected", "nodes": nodes, "edges": edges}, indent=2) + "\n"
 
 
 def _require(cond, msg: str) -> None:
@@ -242,9 +224,10 @@ _CONSTRUCTION_ERRORS = (
 def load_topology(data) -> NetworkGraph:
     """Build a graph from the JSON topology format.
 
-    Structural problems raise ParseError; well-formed content that
-    contradicts itself (duplicate ids, unknown endpoints, nonpositive
-    energies or distances) raises SemanticError. Link energies are always
+    The optional "mode" key may only be "undirected". Structural problems
+    raise ParseError; well-formed content that contradicts itself
+    (duplicate ids, unknown endpoints, nonpositive energies or distances)
+    raises SemanticError. Link energies are always
     recomputed from node energies, never read from the file.
     """
     if isinstance(data, bytes):
@@ -259,13 +242,12 @@ def load_topology(data) -> NetworkGraph:
         # RecursionError comes from arrays or objects nested too deeply
         raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "top level must be an object")
-    mode = doc.get("mode", UNDIRECTED)
-    _require(mode in MODES, f"mode must be one of {MODES}")
+    _require(doc.get("mode", "undirected") == "undirected", 'mode must be "undirected"')
     nodes = doc.get("nodes")
     edges = doc.get("edges", [])
     _require(isinstance(nodes, list), '"nodes" must be a list')
     _require(isinstance(edges, list), '"edges" must be a list')
-    g = NetworkGraph(mode)
+    g = NetworkGraph()
     try:
         for rec in nodes:
             _require(isinstance(rec, dict), "node entries must be objects")
@@ -312,11 +294,11 @@ def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
     return rows
 
 
-def load_topology_csv(nodes_csv: str, edges_csv: str, mode: str = UNDIRECTED) -> NetworkGraph:
+def load_topology_csv(nodes_csv: str, edges_csv: str) -> NetworkGraph:
     """Edge-list import: nodes as `id,energy[,x,y]`, edges as `u,v,distance`."""
     node_rows = _read_csv(nodes_csv, ("id", "energy"), optional=("x", "y"))
     edge_rows = _read_csv(edges_csv, ("u", "v", "distance"))
-    g = NetworkGraph(mode)
+    g = NetworkGraph()
     try:
         for row in node_rows:
             pos = None

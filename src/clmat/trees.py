@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .errors import NotInTree, SingletonTree, UnknownVertex
 from .metrics import CLMAT, NODE_MIN, TreeMetrics, total_distance, tree_cost, tree_energy
-from .topology import UNDIRECTED
 
 
 @dataclass
@@ -127,8 +126,7 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
     arcs = []
     for link in graph.links:
         arcs.append((link.u, link.v, link.distance))
-        if graph.mode == UNDIRECTED:
-            arcs.append((link.v, link.u, link.distance))
+        arcs.append((link.v, link.u, link.distance))
     for _ in range(len(dist)):
         changed = False
         for u, v, d in arcs:

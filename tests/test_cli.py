@@ -94,18 +94,6 @@ def test_export_dot_singleton_and_tree():
     assert "doublecircle" in text
 
 
-def test_export_dot_directed_mode():
-    from clmat.topology import DIRECTED, NetworkGraph
-
-    g = NetworkGraph(DIRECTED)
-    g.add_vertex("a", 1.0)
-    g.add_vertex("b", 1.0)
-    g.add_edge("a", "b", 2.0)
-    text = export_dot(g)
-    assert text.startswith("digraph sensors {")
-    assert '"a" -> "b"' in text
-
-
 def test_trees_formats(capsys, tmp_path):
     topo = _f4_file(tmp_path)
     code, table, _ = _run(capsys, ["trees", topo])
@@ -240,6 +228,34 @@ def test_data_errors_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["select", str(latin)])
     assert code == 2
     assert out == "" and err.strip().startswith("error: not UTF-8")
+    # trees are aggregation in-trees of an undirected graph; arcs are refused
+    directed = tmp_path / "directed.json"
+    directed.write_text(json.dumps({
+        "mode": "directed",
+        "nodes": [{"id": "r", "energy": 1.0}, {"id": "a", "energy": 1.0}],
+        "edges": [{"u": "r", "v": "a", "distance": 1.0}]}), encoding="utf-8")
+    code, out, err = _run(capsys, ["select", str(directed)])
+    assert code == 2
+    assert out == "" and err.strip().startswith("error: mode must be")
+
+
+def test_overflowing_tx_energy_is_infinite(capsys, tmp_path):
+    # 1e200 ** 2 leaves the float range: the sender pays inf and dies in round 1
+    doc = {"nodes": [{"id": "a", "energy": 1.0}, {"id": "b", "energy": 1.0}],
+           "edges": [{"u": "a", "v": "b", "distance": 1e200}]}
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    code, out, err = _run(capsys, ["simulate", str(path), "--trace", str(trace)])
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,b,inf,1,a"]
+    assert "lifetime: 1 rounds" in err
+    assert "nan" not in (out + err + trace.read_text(encoding="utf-8")).lower()
+    code, out, err = _run(capsys, ["select", str(path), "--cost", "residual",
+                                   "--format", "json"])
+    assert code == 0 and err == ""
+    assert "nan" not in out.lower()
+    assert json.loads(out)["metrics"]["cost"] == "inf"
 
 
 def test_no_spanning_exit_3(capsys, tmp_path):

@@ -210,7 +210,7 @@ def test_total_distance_matches_dist_sum():
 
 def _scaled_copy(g, k):
     from clmat.topology import NetworkGraph
-    scaled = NetworkGraph(g.mode)
+    scaled = NetworkGraph()
     for n in g.nodes:
         scaled.add_vertex(n.id, n.energy, n.position)
     for link in g.links:

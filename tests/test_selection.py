@@ -129,7 +129,7 @@ def test_ranking_puts_non_spanning_last():
 
 
 def _scaled_copy(g, k):
-    scaled = NetworkGraph(g.mode)
+    scaled = NetworkGraph()
     for n in g.nodes:
         scaled.add_vertex(n.id, n.energy, n.position)
     for link in g.links:

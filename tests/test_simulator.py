@@ -17,7 +17,7 @@ from clmat.simulator import (
     residual_trace_csv,
     run_lifetime,
 )
-from clmat.topology import MODES, NetworkGraph, export_json, random_topology
+from clmat.topology import NetworkGraph, export_json, random_topology
 from clmat.trees import shortest_path_tree
 
 from graphgen import f4, random_connected_graph, reference_run_lifetime, two_node
@@ -36,6 +36,14 @@ def test_radio_model_tx_energy():
     assert radio.tx_energy(3.0) == 2.0 + 0.5 * 9.0
     quartic = RadioModel(tx_fixed=0.0, tx_dist_coeff=1.0, exponent=4, rx_cost=0.0)
     assert quartic.tx_energy(2.0) == 16.0
+
+
+def test_radio_model_tx_energy_overflow():
+    far = 1e200  # far ** 2 and far ** 4 leave the float range
+    assert RadioModel().tx_energy(far) == math.inf
+    assert RadioModel(exponent=4).tx_energy(far) == math.inf
+    flat = RadioModel(tx_fixed=2.0, tx_dist_coeff=0.0, exponent=4)
+    assert flat.tx_energy(far) == 2.0
 
 
 def test_radio_model_validation():
@@ -278,7 +286,7 @@ def test_residual_trace_matches_reports():
 
 @st.composite
 def drain_graphs(draw):
-    """Small graphs in either mode with weights 1-3 and few distinct energies.
+    """Small graphs with weights 1-3 and few distinct energies.
 
     Equal distances make selection ties common, and equal energies make
     max-energy ties common; energies of a few rounds' drain make runs
@@ -287,13 +295,13 @@ def drain_graphs(draw):
     """
     n = draw(st.integers(1, 8))
     names = [f"v{n - i}" for i in range(n)]
-    g = NetworkGraph(draw(st.sampled_from(MODES)))
+    g = NetworkGraph()
     weights = st.integers(1, 3).map(float)
     for name in names:
         g.add_vertex(name, draw(st.sampled_from([2.0, 2.0, 3.0, 4.0, 6.0])))
     for i in range(1, n if draw(st.integers(0, 3)) else 1):
-        # usually a backbone from the first node; directed arcs back are
-        # optional, so only some directed roots span
+        # usually a backbone from the first node; re-adding the pair in
+        # the other order overwrites its distance
         parent = names[draw(st.integers(0, i - 1))]
         g.add_edge(parent, names[i], draw(weights))
         if draw(st.booleans()):
@@ -354,9 +362,12 @@ def test_energy_aware_policies_repick_at_cadence():
             assert result == reference_run_lifetime(g, cfg, policy)
 
 
-def test_one_view_and_one_tree_per_root_per_alive_set(tmp_path, monkeypatch):
-    """A clmat run rebuilds its view and trees only when the alive set changes."""
-    g = random_topology(12, 100.0, 60.0, 0.1, 0.15, seed=3)
+def _spied_simulate(tmp_path, monkeypatch, g, policy):
+    """Run `simulate --until exhaustion` on g, recording views and tree builds.
+
+    Returns the alive set of each restricted view in order, the tree builds
+    as (1-based view number, root), and the round CSV rows.
+    """
     topo = tmp_path / "topo.json"
     topo.write_text(export_json(g), encoding="utf-8")
     rounds_csv = tmp_path / "rounds.csv"
@@ -374,11 +385,18 @@ def test_one_view_and_one_tree_per_root_per_alive_set(tmp_path, monkeypatch):
 
     monkeypatch.setattr(NetworkGraph, "restricted", spy_restricted)
     monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
-    code = cli.main(["simulate", str(topo), "--policy", "clmat", "--reselect-every", "1",
+    code = cli.main(["simulate", str(topo), "--policy", policy, "--reselect-every", "1",
                      "--until", "exhaustion", "--radio", "1e-3,1e-6,2,5e-4",
                      "-o", str(rounds_csv)])
     assert code == 0
     rows = [line.split(",") for line in rounds_csv.read_text().splitlines()[1:]]
+    return views, built, rows
+
+
+def test_one_view_and_one_tree_per_root_per_alive_set(tmp_path, monkeypatch):
+    """A clmat run rebuilds its view and trees only when the alive set changes."""
+    g = random_topology(12, 100.0, 60.0, 0.1, 0.15, seed=3)
+    views, built, rows = _spied_simulate(tmp_path, monkeypatch, g, "clmat")
     death_rounds = [int(r[0]) for r in rows if r[4]]
     assert len(rows) > len(death_rounds) > 1  # several alive sets, each kept a while
     # a view for round 1 and after every death that another round follows
@@ -390,3 +408,25 @@ def test_one_view_and_one_tree_per_root_per_alive_set(tmp_path, monkeypatch):
     assert views == [tuple(a) for a in alive_sets]
     # every alive root's tree is built once per view, in node order
     assert built == [(k, v) for k, alive in enumerate(alive_sets, 1) for v in alive]
+
+
+@pytest.mark.parametrize("policy", ["max-energy", "random", "fixed:n4"])
+def test_one_tree_per_picked_root_per_alive_set(tmp_path, monkeypatch, policy):
+    """max-energy, random and fixed:<id> build only the trees of roots they pick."""
+    g = random_topology(12, 100.0, 80.0, 0.1, 0.15, seed=3)
+    views, built, rows = _spied_simulate(tmp_path, monkeypatch, g, policy)
+    # the aggregators of the rounds each view served; a death ends a view
+    picked = [[] for _ in views]
+    k = 0
+    for r in rows:
+        picked[k].append(r[1])
+        if r[4]:
+            k += 1
+    assert len(views) > 2 and all(picked[:-1])
+    for k, roots in enumerate(picked, 1):
+        trees = [root for view, root in built if view == k]
+        assert len(trees) == len(set(trees)), (k, trees)
+        if roots:
+            assert set(trees) == set(roots), (k, trees, roots)
+        else:  # the view that found the survivors partitioned
+            assert len(trees) <= 1, (k, trees)

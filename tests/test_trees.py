@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from clmat import errors
 from clmat.metrics import NODE_MIN, total_distance, tree_cost, tree_energy
-from clmat.topology import MODES, NetworkGraph
+from clmat.topology import NetworkGraph
 from clmat.trees import (
     AggregationTree,
     build_all_candidates,
@@ -88,7 +88,7 @@ def tie_heavy_graphs(draw):
     """
     n = draw(st.integers(1, 9))
     names = [f"v{n - i}" for i in range(n)]
-    g = NetworkGraph(draw(st.sampled_from(MODES)))
+    g = NetworkGraph()
     for name in names:
         g.add_vertex(name, 1.0)
     if n > 1:
@@ -201,17 +201,3 @@ def test_edges_and_children_counts():
     assert tree.edges() == [("A", "B"), ("B", "C"), ("C", "D")]
     assert tree.children_counts() == {"A": 1, "B": 1, "C": 1}
 
-
-def test_directed_mode_follows_arc_direction():
-    from clmat.topology import DIRECTED
-
-    g = NetworkGraph(DIRECTED)
-    for name in ("A", "B", "C"):
-        g.add_vertex(name, 1.0)
-    g.add_edge("A", "B", 1.0)
-    g.add_edge("B", "C", 1.0)
-    forward = shortest_path_tree(g, "A")
-    assert forward.dist == {"A": 0.0, "B": 1.0, "C": 2.0}
-    backward = shortest_path_tree(g, "C")
-    assert backward.dist == {"C": 0.0}
-    assert oracle_shortest_paths(g, "A") == {"A": 0.0, "B": 1.0, "C": 2.0}
