@@ -1,7 +1,7 @@
 """Byte-level regression gate: CLI outputs must match files recorded earlier.
 
-Each case generates a small topology with `clmat gen` and runs `select
---format json`, `simulate --trace` and `compare` on it. The recorded files
+Each case generates a small topology with `clmat gen` and runs `trees` and
+`select` in every output format, `simulate --trace` and `compare` on it. The recorded files
 live in tests/golden/. After a deliberate output change, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -40,6 +40,13 @@ def outputs(seed: int) -> dict[str, str]:
                  "--energy-lo", "0.1", "--energy-hi", "0.15", "--seed", str(seed),
                  "-o", topo])
         select, _ = _invoke(["select", topo, "--format", "json"])
+        trees = {fmt: _invoke(["trees", topo, "--format", fmt])[0]
+                 for fmt in ("table", "csv", "json")}
+        residual, _ = _invoke(["trees", topo, "--format", "json", "--cost", "residual",
+                               "--energy", "edge-min", "--radio", RADIO])
+        select_table, _ = _invoke(["select", topo])
+        select_dot, _ = _invoke(["select", topo, "--format", "dot"])
+        first_min, _ = _invoke(["select", topo, "--tie", "first-min", "--format", "json"])
         rounds, lifetime = _invoke(["simulate", topo, "--radio", RADIO, "--until", "exhaustion",
                                     "--trace", trace])
         compare, _ = _invoke(["compare", topo, "--radio", RADIO, "--trials", "3",
@@ -47,6 +54,13 @@ def outputs(seed: int) -> dict[str, str]:
         return {
             "topo.json": Path(topo).read_text(encoding="utf-8"),
             "select.json": select,
+            "trees.txt": trees["table"],
+            "trees.csv": trees["csv"],
+            "trees.json": trees["json"],
+            "trees-residual.json": residual,
+            "select.txt": select_table,
+            "select.dot": select_dot,
+            "select-first-min.json": first_min,
             "simulate.csv": rounds,
             "simulate.stderr": lifetime,
             "trace.csv": Path(trace).read_text(encoding="utf-8"),
