@@ -8,11 +8,13 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
 
-from .errors import ClmatError, NoSpanningCandidate, ParseError, SemanticError
+from .errors import ClmatError, NoSpanningCandidate, ParseError
 from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN
 from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, compare_trees, select_aggregator
 from .simulator import (
@@ -44,18 +46,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _jsonable(x):
+    """x as a standard JSON value: an infinite float becomes the string "inf"."""
+    if isinstance(x, float) and math.isinf(x):
+        return "inf"
+    return x
+
+
 def _fmt(x) -> str:
+    """A JSON record value as a table or CSV cell."""
     if x is None:
         return "-"
-    if math.isinf(x):
-        return "inf"
-    return f"{x:.3f}"
+    if isinstance(x, bool):
+        return "yes" if x else "no"
+    if isinstance(x, float):
+        # fixed point would spell out every digit of a huge distance
+        return f"{x:.3f}" if abs(x) < 1e15 else f"{x:.6g}"
+    return str(x)
 
 
-def _jsonable(x):
-    if x is None or not math.isinf(x):
-        return x
-    return "inf"
+_FIELDS = ("root", "energy", "cost", "distance", "depth", "spanning")
+_COLUMNS = ("root", "energy_J", "cost", "distance", "depth", "spanning")
+
+
+def _record(c) -> dict:
+    """One candidate's output fields, keyed by _FIELDS, as JSON values."""
+    m = c.metrics
+    values = (c.root, m.tree_energy, m.tree_cost, m.total_distance, c.tree.depth, c.spanning)
+    return {name: _jsonable(x) for name, x in zip(_FIELDS, values)}
+
+
+def _cells(c) -> list[str]:
+    return [_fmt(x) for x in _record(c).values()]
 
 
 def _table(rows) -> str:
@@ -67,34 +89,32 @@ def _table(rows) -> str:
 
 def render_candidates(candidates) -> str:
     """Candidate table in insertion order: one row per root."""
-    rows = [("root", "energy_J", "cost", "distance", "depth", "spanning")]
-    for c in candidates:
-        rows.append((c.root, _fmt(c.metrics.tree_energy), _fmt(c.metrics.tree_cost),
-                     _fmt(c.metrics.total_distance), str(c.tree.depth),
-                     "yes" if c.spanning else "no"))
-    return _table(rows)
+    return _table([_COLUMNS] + [_cells(c) for c in candidates])
 
 
 def render_ranking(result: SelectionResult) -> str:
     """Ranking table ordered by the selection key, chosen root starred."""
-    rows = [("root", "energy_J", "cost", "distance", "depth", "spanning", "chosen")]
+    rows = [_COLUMNS + ("chosen",)]
     for c in result.ranking:
-        rows.append((c.root, _fmt(c.metrics.tree_energy), _fmt(c.metrics.tree_cost),
-                     _fmt(c.metrics.total_distance), str(c.tree.depth),
-                     "yes" if c.spanning else "no",
-                     "*" if c.root == result.chosen_root else ""))
+        rows.append(_cells(c) + ["*" if c.root == result.chosen_root else ""])
     return _table(rows) + f"chosen aggregator: {result.chosen_root}\n"
 
 
 def export_dot(graph: NetworkGraph, tree=None) -> str:
-    """Deterministic DOT text; tree edges bold, the root double-circled."""
+    """Deterministic DOT text; tree edges bold, the root double-circled.
+
+    A double quote in a node id is written as \\" in both the id and its label.
+    """
+    def quoted(name):
+        return name.replace('"', '\\"')
+
     lines = ["graph sensors {"]
     root = tree.root if tree is not None else None
     for n in graph.nodes:
-        attrs = [f'label="{n.id}\\n{n.energy:.3f} J"']
+        attrs = [f'label="{quoted(n.id)}\\n{n.energy:.3f} J"']
         if n.id == root:
             attrs.append("shape=doublecircle")
-        lines.append(f'  "{n.id}" [{", ".join(attrs)}];')
+        lines.append(f'  "{quoted(n.id)}" [{", ".join(attrs)}];')
     marked = set()
     if tree is not None:
         for p, v in tree.edges():
@@ -104,18 +124,18 @@ def export_dot(graph: NetworkGraph, tree=None) -> str:
         attrs = [f'label="{link.distance:g}"']
         if (link.u, link.v) in marked:
             attrs.append("style=bold")
-        lines.append(f'  "{link.u}" -- "{link.v}" [{", ".join(attrs)}];')
+        lines.append(f'  "{quoted(link.u)}" -- "{quoted(link.v)}" [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def display_graph(graph: NetworkGraph) -> str:
-    """Adjacency listing: vertices with energies, then u -> v distance edge_energy."""
+    """Adjacency listing: vertices with energies, then u -- v distance edge_energy."""
     if len(graph) == 0:
         return "Graph does not exist.\n"
     lines = [f"{n.id}  {n.energy:.3f} J" for n in graph.nodes]
     for link in graph.links:
-        lines.append(f"{link.u} -> {link.v}  {link.distance:g}  "
+        lines.append(f"{link.u} -- {link.v}  {link.distance:g}  "
                      f"{graph.link_energy(link.u, link.v):.3f}")
     return "\n".join(lines) + "\n"
 
@@ -282,21 +302,13 @@ def _cmd_trees(args) -> int:
     if args.format == "table":
         out = render_candidates(candidates)
     elif args.format == "csv":
-        lines = ["root,energy,cost,distance,depth,spanning"]
-        for c in candidates:
-            lines.append(f"{c.root},{_fmt(c.metrics.tree_energy)},{_fmt(c.metrics.tree_cost)},"
-                         f"{_fmt(c.metrics.total_distance)},{c.tree.depth},"
-                         f"{'yes' if c.spanning else 'no'}")
-        out = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_FIELDS)
+        writer.writerows(_cells(c) for c in candidates)
+        out = buf.getvalue()
     else:
-        out = json.dumps({"candidates": [
-            {"root": c.root,
-             "energy": _jsonable(c.metrics.tree_energy),
-             "cost": _jsonable(c.metrics.tree_cost),
-             "distance": c.metrics.total_distance,
-             "depth": c.tree.depth,
-             "spanning": c.spanning}
-            for c in candidates]}, indent=2) + "\n"
+        out = json.dumps({"candidates": [_record(c) for c in candidates]}, indent=2) + "\n"
     _write_text(args.output, out)
     return 0
 
@@ -311,14 +323,8 @@ def _cmd_select(args) -> int:
             "chosen_root": result.chosen_root,
             "metrics": {"energy": _jsonable(result.metrics.tree_energy),
                         "cost": _jsonable(result.metrics.tree_cost),
-                        "distance": result.metrics.total_distance},
-            "ranking": [{"root": c.root,
-                         "energy": _jsonable(c.metrics.tree_energy),
-                         "cost": _jsonable(c.metrics.tree_cost),
-                         "distance": c.metrics.total_distance,
-                         "depth": c.tree.depth,
-                         "spanning": c.spanning}
-                        for c in result.ranking],
+                        "distance": _jsonable(result.metrics.total_distance)},
+            "ranking": [_record(c) for c in result.ranking],
         }, indent=2) + "\n"
     else:
         out = export_dot(graph, result.tree)
@@ -492,13 +498,7 @@ def main(argv=None) -> int:
     except NoSpanningCandidate as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, SemanticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ClmatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ClmatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -100,9 +100,13 @@ def residual_edge_cost(tx_uv: float, tx_vu: float,
     return tx_uv / residual_u + tx_vu / residual_v
 
 
-def tree_cost(tree, graph, variant: str = CLMAT,
-              energy_variant: str = NODE_MIN, tx_energy=None) -> float:
+def tree_cost(tree, graph, variant: str = CLMAT, *, tx_energy=None) -> float:
     """Sum of edge costs over the tree's edges; 0 for a tree with no edges.
+
+    The clmat variant is +inf for every tree with an edge, in closed form:
+    under either tree_energy variant the bottleneck is the energy of an
+    endpoint of some tree edge, that endpoint has zero headroom, and
+    clmat_edge_cost saturates on that edge.
 
     The residual variant prices each edge with a per-packet transmission
     energy, so it needs tx_energy, a callable taking a link distance.
@@ -112,14 +116,11 @@ def tree_cost(tree, graph, variant: str = CLMAT,
     edges = tree.edges()
     if not edges:
         return 0.0
-    total = 0.0
     if variant == CLMAT:
-        bottleneck = tree_energy(tree, graph, energy_variant)
-        for u, v in edges:
-            total += clmat_edge_cost(graph.energy(u), graph.energy(v), bottleneck)
-        return total
+        return math.inf
     if tx_energy is None:
         raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
+    total = 0.0
     for u, v in edges:
         tx = tx_energy(graph.distance(u, v))
         total += residual_edge_cost(tx, tx, graph.energy(u), graph.energy(v))

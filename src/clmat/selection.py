@@ -25,45 +25,42 @@ class SelectionResult:
     ranking: list[Candidate]
 
 
-def pick_tree(entries, tie_rule: str = MIN_DEPTH):
-    """The chosen entry among (index, tree, total_distance) spanning candidates.
+def _tie_key(tie_rule: str):
+    """Sort key over (index, tree, total_distance) entries; the least entry wins.
 
     The index is the root's insertion position. min-depth resolves distance
     ties toward the shallower tree, and any remaining tie toward the later
-    index. first-min is the plain strict-less-than scan: the earliest
-    minimum wins outright.
+    index. first-min keys on distance alone: min and a stable sort both keep
+    the earliest of equal keys, which is the plain strict-less-than scan.
     """
+    if tie_rule == MIN_DEPTH:
+        return lambda e: (e[2], e[1].depth, -e[0])
+    return lambda e: (e[2],)
+
+
+def pick_tree(entries, tie_rule: str = MIN_DEPTH):
+    """The chosen entry among (index, tree, total_distance) spanning candidates."""
     if not entries:
         raise NoSpanningCandidate("no candidate tree spans every node")
-    if tie_rule == MIN_DEPTH:
-        return min(entries, key=lambda e: (e[2], e[1].depth, -e[0]))
-    # min keeps the first of equal keys, which is the strict-less-than scan
-    return min(entries, key=lambda e: e[2])
+    return min(entries, key=_tie_key(tie_rule))
 
 
 def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> SelectionResult:
-    """Choose the spanning candidate of minimum total distance (see pick_tree).
+    """Rank every candidate, spanning ones first, by the pick_tree key.
 
-    The ranking lists every candidate, spanning ones first, in the order of
-    the same tie key.
+    The chosen candidate heads the ranking; NoSpanningCandidate is raised
+    when it does not span.
     """
     if tie_rule not in TIE_RULES:
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     candidates = list(candidates)
-    chosen = candidates[pick_tree([(i, c.tree, c.metrics.total_distance)
-                                   for i, c in enumerate(candidates) if c.spanning],
-                                  tie_rule)[0]]
-
-    if tie_rule == MIN_DEPTH:
-        def rank_key(entry):
-            i, c = entry
-            return (not c.spanning, c.metrics.total_distance, c.tree.depth, -i)
-    else:
-        def rank_key(entry):
-            i, c = entry
-            return (not c.spanning, c.metrics.total_distance, i)
-
-    ranking = [c for _, c in sorted(enumerate(candidates), key=rank_key)]
+    tie_key = _tie_key(tie_rule)
+    entries = [(i, c.tree, c.metrics.total_distance) for i, c in enumerate(candidates)]
+    entries.sort(key=lambda e: (not candidates[e[0]].spanning, tie_key(e)))
+    ranking = [candidates[i] for i, _, _ in entries]
+    if not ranking or not ranking[0].spanning:
+        raise NoSpanningCandidate("no candidate tree spans every node")
+    chosen = ranking[0]
     return SelectionResult(chosen.root, chosen.tree, chosen.metrics, ranking)
 
 

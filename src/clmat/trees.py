@@ -165,7 +165,7 @@ def build_all_candidates(graph, cost_variant: str = CLMAT,
             energy = tree_energy(tree, graph, energy_variant)
         except SingletonTree:
             energy = None
-        cost = tree_cost(tree, graph, cost_variant, energy_variant, tx_energy)
+        cost = tree_cost(tree, graph, cost_variant, tx_energy=tx_energy)
         metrics = TreeMetrics(energy, cost, total_distance(tree))
         candidates.append(Candidate(node.id, tree, metrics, spanning))
     return candidates

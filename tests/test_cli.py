@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import sys
@@ -258,6 +259,65 @@ def test_overflowing_tx_energy_is_infinite(capsys, tmp_path):
     assert json.loads(out)["metrics"]["cost"] == "inf"
 
 
+def _topology_file(tmp_path, nodes, edges):
+    doc = {"nodes": [{"id": n, "energy": 1.0} for n in nodes],
+           "edges": [{"u": u, "v": v, "distance": d} for u, v, d in edges]}
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_overflowing_total_distance_is_standard_json(capsys, tmp_path):
+    # each leaf is 1e308 from the hub, so the hub's total distance overflows to inf
+    path = _topology_file(tmp_path, ["hub", "a", "b"],
+                          [("hub", "a", 1e308), ("hub", "b", 1e308)])
+    code, out, _ = _run(capsys, ["select", path, "--format", "json"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["chosen_root"] == "hub"
+    assert doc["metrics"]["distance"] == "inf"
+    assert doc["ranking"][0]["distance"] == "inf"
+    code, out, _ = _run(capsys, ["trees", path, "--format", "json"])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["candidates"][0]["distance"] == "inf"
+
+
+def test_huge_finite_distance_cells(capsys, tmp_path):
+    path = _topology_file(tmp_path, ["a", "b"], [("a", "b", 1e200)])
+    code, out, _ = _run(capsys, ["trees", path, "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1] == "a,1.000,inf,1e+200,1,yes"
+    code, out, _ = _run(capsys, ["select", path])
+    assert code == 0
+    assert max(len(line) for line in out.splitlines()) < 80
+    assert out.splitlines()[1].split()[3] == "1e+200"
+
+
+def test_trees_csv_quotes_ids(capsys, tmp_path):
+    path = _topology_file(tmp_path, ['a,"b', "c"], [('a,"b', "c", 2.0)])
+    code, out, _ = _run(capsys, ["trees", path, "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["root", 'a,"b', "c"]
+    assert all(len(row) == 6 for row in rows)
+
+
+def test_select_dot_escapes_quotes(capsys, tmp_path):
+    path = _topology_file(tmp_path, ['a,"b', "c"], [('a,"b', "c", 2.0)])
+    code, out, _ = _run(capsys, ["select", path, "--format", "dot"])
+    assert code == 0
+    assert '"a,\\"b" [label="a,\\"b\\n1.000 J"' in out
+    assert '"a,\\"b" -- "c"' in out
+    for line in out.splitlines():
+        # outside escaped quotes, every quoted string is closed on its line
+        assert line.replace('\\"', "").count('"') % 2 == 0, line
+
+
 def test_no_spanning_exit_3(capsys, tmp_path):
     g = f4()
     g.add_vertex("island", 1.0)
@@ -302,7 +362,7 @@ def test_menu_vertex_and_edge_errors():
 
 def test_menu_display_lists_links():
     out = _menu("1\nA\n5\n1\nB\n3\n2\nA\nB\n2\n3\n6\n")
-    assert "A -> B  2  3.000" in out
+    assert "A -- B  2  3.000" in out
 
 
 def test_menu_eof_exits_cleanly():
@@ -341,7 +401,7 @@ def test_display_graph_function():
     assert display_graph(f4()).splitlines()[0] == "A  5.000 J"
     g = two_node()
     g.nodes[0].energy = 1.5
-    assert "a -> b  4  1.500" in display_graph(g)
+    assert "a -- b  4  1.500" in display_graph(g)
 
 
 def test_render_ranking_infinite_cost_cell(tmp_path):

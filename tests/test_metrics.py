@@ -152,14 +152,20 @@ def test_tree_cost_residual_sums_edges():
 
 
 def test_tree_cost_clmat_is_infinite_beyond_singletons():
-    # the bottleneck node always has zero headroom against its own tree
+    # the bottleneck node always has zero headroom against its own tree, so
+    # the closed form agrees with the per-edge formula under either energy
     rng = random.Random(7)
     for _ in range(30):
         g, tree = _random_tree(rng)
         if not tree.edges():
             continue
+        assert tree_cost(tree, g) == math.inf
         for variant in (NODE_MIN, EDGE_MIN):
-            assert tree_cost(tree, g, energy_variant=variant) == math.inf
+            bottleneck = tree_energy(tree, g, variant)
+            assert sum(clmat_edge_cost(g.energy(u), g.energy(v), bottleneck)
+                       for u, v in tree.edges()) == math.inf
+    with pytest.raises(TypeError):
+        tree_cost(tree, g, RESIDUAL, lambda d: 0.2)  # tx_energy is keyword-only
 
 
 def test_tree_cost_residual_requires_tx_energy():
