@@ -7,7 +7,6 @@ from .metrics import (
     NODE_MIN,
     RESIDUAL,
     TreeMetrics,
-    branch_energy,
     clmat_edge_cost,
     residual_edge_cost,
     total_distance,
@@ -65,7 +64,6 @@ __all__ = [
     "SimConfig",
     "SimState",
     "TreeMetrics",
-    "branch_energy",
     "build_all_candidates",
     "clmat_edge_cost",
     "compare_policies",

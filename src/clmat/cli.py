@@ -103,10 +103,11 @@ def render_ranking(result: SelectionResult) -> str:
 def export_dot(graph: NetworkGraph, tree=None) -> str:
     """Deterministic DOT text; tree edges bold, the root double-circled.
 
-    A double quote in a node id is written as \\" in both the id and its label.
+    A backslash in a node id is written as \\\\ and a double quote as \\", in
+    both the id and its label.
     """
     def quoted(name):
-        return name.replace('"', '\\"')
+        return name.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = ["graph sensors {"]
     root = tree.root if tree is not None else None
@@ -452,9 +453,7 @@ def _menu_add_vertex(graph, ask, say) -> None:
         return
     try:
         graph.add_vertex(name, energy)
-    except ClmatError as exc:
-        say(f"{exc}\n")
-    except ValueError as exc:
+    except (ClmatError, ValueError) as exc:
         say(f"{exc}\n")
 
 

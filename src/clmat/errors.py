@@ -33,14 +33,6 @@ class SemanticError(ClmatError):
     """Well-formed topology input that contradicts itself."""
 
 
-class NotInTree(ClmatError):
-    pass
-
-
-class LeafIsRoot(ClmatError):
-    pass
-
-
 class SingletonTree(ClmatError):
     pass
 

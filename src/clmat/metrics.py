@@ -9,13 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    LeafIsRoot,
-    NonPositiveResidual,
-    NotInTree,
-    SingletonTree,
-    UnreachableNode,
-)
+from .errors import NonPositiveResidual, SingletonTree, UnreachableNode
 
 NODE_MIN = "node-min"
 EDGE_MIN = "edge-min"
@@ -37,23 +31,6 @@ class TreeMetrics:
     tree_energy: float | None
     tree_cost: float
     total_distance: float
-
-
-def branch_energy(tree, graph, node: str) -> float:
-    """Smallest battery on the root-to-node path, the end node itself excluded.
-
-    The root is included, so a direct child of the root scores the root's
-    energy.
-    """
-    if node == tree.root:
-        raise LeafIsRoot(f"branch end must differ from the root {tree.root}")
-    if node not in tree.dist:
-        raise NotInTree(f"not a tree node: {node}")
-    best = math.inf
-    for v in tree.path_to_root(node):
-        if v != node:
-            best = min(best, graph.energy(v))
-    return best
 
 
 def tree_energy(tree, graph, variant: str = NODE_MIN) -> float:
@@ -133,6 +110,8 @@ def total_distance(tree) -> float:
     for v, d in tree.dist.items():
         if v == tree.root:
             continue
+        # shortest_path_tree never records inf (an overflowed sum fails through < best),
+        # so only a hand-built AggregationTree can reach this
         if math.isinf(d):
             raise UnreachableNode(f"infinite recorded distance for {v}")
         total += d

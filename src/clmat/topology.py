@@ -39,11 +39,12 @@ class Link:
 
 
 class NetworkGraph:
-    """Node table plus weighted undirected adjacency with distance-matrix semantics.
+    """Node table plus a weighted undirected adjacency dict.
 
-    distance(i, i) is 0 and absent pairs are infinitely far. Each link
-    writes both matrix cells, so a tree searched outward from its root
-    also carries the readings back up to it.
+    distance(u, u) is 0 and absent pairs are infinitely far. Each link is
+    stored once in links and under both endpoints in the adjacency, so a
+    tree searched outward from its root also carries the readings back up
+    to it.
     Construction is single-writer; a fully built graph is treated as
     immutable and may be read from many computations at once.
     """
@@ -116,8 +117,8 @@ class NetworkGraph:
     def add_edge(self, u: str, v: str, distance: float) -> None:
         """Store a link between existing vertices.
 
-        Re-adding an existing pair, in either order, overwrites the stored
-        distance (matrix cell semantics).
+        Re-adding an existing pair, in either order, overwrites its distance
+        in the stored Link and in both adjacency entries.
         """
         if self.get_index(u) == -1:
             raise UnknownVertex(f"source vertex does not exist: {u}")

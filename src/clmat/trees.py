@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import NotInTree, SingletonTree, UnknownVertex
+from .errors import SingletonTree, UnknownVertex
 from .metrics import CLMAT, NODE_MIN, TreeMetrics, total_distance, tree_cost, tree_energy
 
 
@@ -31,32 +31,12 @@ class AggregationTree:
     dist: dict[str, float]
     _depth: int | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __contains__(self, v: str) -> bool:
-        return v in self.dist
-
-    def nodes(self) -> list[str]:
-        return list(self.dist)
-
     def edges(self) -> list[tuple[str, str]]:
         """Tree links as (parent, child), in spanned-node order."""
         return [(self.parent[v], v) for v in self.dist if v != self.root]
 
     def children_counts(self) -> Counter:
         return Counter(self.parent.values())
-
-    def path_to_root(self, v: str):
-        """Yield v, then each ancestor up to and including the root."""
-        if v not in self.dist:
-            raise NotInTree(f"not a tree node: {v}")
-        steps = 0
-        while True:
-            yield v
-            if v == self.root:
-                return
-            v = self.parent[v]
-            steps += 1
-            if steps > len(self.dist):
-                raise ValueError("parent map contains a cycle")
 
     @property
     def depth(self) -> int:
@@ -117,7 +97,8 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
     """Shortest distances by edge relaxation iterated to a fixpoint.
 
     Deliberately shares no structure with shortest_path_tree: it sweeps the
-    stored link list instead of scanning the matrix. Unreachable nodes keep
+    stored link list, both directions of each link, until no distance
+    improves, using neither neighbors() nor a heap. Unreachable nodes keep
     +inf (the tree builder drops them instead).
     """
     if graph.get_index(root) == -1:

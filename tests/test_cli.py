@@ -1,13 +1,16 @@
 import csv
 import io
 import json
+import re
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
 from clmat.selection import select_aggregator
-from clmat.topology import export_json, load_topology
+from clmat.topology import NetworkGraph, export_json, load_topology
 from clmat.trees import shortest_path_tree
 
 from graphgen import f4, two_node
@@ -318,6 +321,48 @@ def test_select_dot_escapes_quotes(capsys, tmp_path):
         assert line.replace('\\"', "").count('"') % 2 == 0, line
 
 
+def test_select_dot_escapes_trailing_backslash(capsys, tmp_path):
+    path = _topology_file(tmp_path, ["a\\", "b"], [("a\\", "b", 2.0)])
+    code, out, _ = _run(capsys, ["select", path, "--format", "dot"])
+    assert code == 0
+    assert '"a\\\\" [label="a\\\\\\n1.000 J"' in out
+    assert '"a\\\\" -- "b"' in out
+
+
+_DOT_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_DOT_NODE_SHAPES = ("  Q [label=Q];", "  Q [label=Q, shape=doublecircle];")
+_DOT_EDGE_SHAPES = ("  Q -- Q [label=Q];", "  Q -- Q [label=Q, style=bold];")
+
+
+def _dot_unescape(raw):
+    return re.sub(r"\\(.)", r"\1", raw)
+
+
+@given(st.lists(st.text(alphabet='\\"ab', min_size=1, max_size=4),
+                min_size=1, max_size=5, unique=True))
+def test_export_dot_quoted_strings_scan_back_to_ids(ids):
+    g = NetworkGraph()
+    for name in ids:
+        g.add_vertex(name, 1.0)
+    for u, v in zip(ids, ids[1:]):
+        g.add_edge(u, v, 1.0)
+    lines = export_dot(g, shortest_path_tree(g, ids[0])).splitlines()
+    assert lines[0] == "graph sensors {" and lines[-1] == "}"
+    nodes, edges = [], set()
+    for line in lines[1:-1]:
+        shape = _DOT_QUOTED.sub("Q", line)
+        raws = _DOT_QUOTED.findall(line)
+        if shape in _DOT_NODE_SHAPES:
+            name, label = raws
+            assert label == name + "\\n1.000 J", line
+            nodes.append(_dot_unescape(name))
+        else:
+            assert shape in _DOT_EDGE_SHAPES, line
+            edges.add(frozenset(map(_dot_unescape, raws[:2])))
+    assert nodes == ids
+    assert edges == {frozenset(pair) for pair in zip(ids, ids[1:])}
+
+
 def test_no_spanning_exit_3(capsys, tmp_path):
     g = f4()
     g.add_vertex("island", 1.0)
@@ -357,6 +402,8 @@ def test_menu_vertex_and_edge_errors():
     assert "Source vertex does not exist." in _menu("1\nA\n5\n2\nQ\n6\n")
     assert "Destination vertex does not exist." in _menu("1\nA\n5\n2\nA\nZ\n6\n")
     assert "Invalid energy." in _menu("1\nA\nlots\n6\n")
+    assert "vertex name must be nonempty" in _menu("1\n\n5\n6\n")
+    assert "energy must be a positive finite Joule value, got -1.0" in _menu("1\nA\n-1\n6\n")
     assert "Invalid distance." in _menu("1\nA\n5\n1\nB\n4\n2\nA\nB\nfar\n6\n")
 
 

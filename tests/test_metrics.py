@@ -10,7 +10,6 @@ from clmat.metrics import (
     EDGE_MIN,
     NODE_MIN,
     RESIDUAL,
-    branch_energy,
     clmat_edge_cost,
     residual_edge_cost,
     total_distance,
@@ -26,43 +25,6 @@ def _random_tree(rng):
     g = random_connected_graph(rng)
     root = rng.choice(g.node_ids())
     return g, shortest_path_tree(g, root)
-
-
-def test_branch_energy_interior_path():
-    g = f4()
-    tree = shortest_path_tree(g, "A")  # chain A(5) -> B(4) -> C(3)
-    assert branch_energy(tree, g, "C") == 4.0
-
-
-def test_branch_energy_direct_child():
-    g = two_node(e_first=2.0, e_second=9.0)
-    tree = shortest_path_tree(g, "a")  # root holds 2 J
-    assert branch_energy(tree, g, "b") == 2.0
-
-
-def test_branch_energy_leaf_is_root():
-    g = f4()
-    tree = shortest_path_tree(g, "A")
-    with pytest.raises(errors.LeafIsRoot):
-        branch_energy(tree, g, "A")
-
-
-def test_branch_energy_not_in_tree():
-    g = f4()
-    tree = shortest_path_tree(g, "A")
-    with pytest.raises(errors.NotInTree):
-        branch_energy(tree, g, "Z")
-
-
-def test_branch_energy_lower_bound_property():
-    rng = random.Random(11)
-    for _ in range(40):
-        g, tree = _random_tree(rng)
-        floor = min(g.energy(v) for v in tree.dist)
-        for v in tree.dist:
-            if v == tree.root:
-                continue
-            assert min(branch_energy(tree, g, v), g.energy(v)) >= floor
 
 
 def test_tree_energy_node_min_f4():

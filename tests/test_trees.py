@@ -187,11 +187,9 @@ def test_build_all_candidates_isolated_node():
     assert not any(c.spanning for c in build_all_candidates(g))
 
 
-def test_path_to_root_rejects_cycles():
+def test_depth_rejects_cycles():
     tree = AggregationTree(root="a", parent={"b": "c", "c": "b"},
                            dist={"a": 0.0, "b": 1.0, "c": 1.0})
-    with pytest.raises(ValueError):
-        list(tree.path_to_root("b"))
     with pytest.raises(ValueError):
         tree.depth
 
