@@ -376,9 +376,11 @@ def _cmd_compare(args) -> int:
         table.extend((name, f"{lifetime:g}") for name, lifetime in rows)
         out = _table(table)
     else:
-        lines = ["policy,lifetime_rounds"]
-        lines.extend(f"{name},{lifetime:g}" for name, lifetime in rows)
-        out = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("policy", "lifetime_rounds"))
+        writer.writerows((name, f"{lifetime:g}") for name, lifetime in rows)
+        out = buf.getvalue()
     _write_text(args.output, out)
     return 0
 

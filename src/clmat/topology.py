@@ -39,12 +39,13 @@ class Link:
 
 
 class NetworkGraph:
-    """Node table plus a weighted undirected adjacency dict.
+    """Node table plus a weighted undirected adjacency keyed by insertion index.
 
     distance(u, u) is 0 and absent pairs are infinitely far. Each link is
     stored once in links and under both endpoints in the adjacency, so a
     tree searched outward from its root also carries the readings back up
-    to it.
+    to it. _adj[i] maps the insertion index of each neighbour of node i to
+    the link distance; names map to indices through _index.
     Construction is single-writer; a fully built graph is treated as
     immutable and may be read from many computations at once.
     """
@@ -53,7 +54,7 @@ class NetworkGraph:
         self.nodes: list[Node] = []
         self.links: list[Link] = []
         self._index: dict[str, int] = {}
-        self._adj: dict[str, dict[str, float]] = {}
+        self._adj: list[dict[int, float]] = []
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -90,10 +91,10 @@ class NetworkGraph:
         """Stored link distance; 0 on the diagonal, +inf for absent pairs."""
         if u == v:
             return 0.0
-        return self._adj.get(u, {}).get(v, math.inf)
-
-    def neighbors(self, u: str) -> dict[str, float]:
-        return self._adj.get(u, {})
+        i, j = self._index.get(u), self._index.get(v)
+        if i is None or j is None:
+            return math.inf
+        return self._adj[i].get(j, math.inf)
 
     def link_energy(self, u: str, v: str) -> float:
         """Min endpoint energy, computed from current node energies."""
@@ -112,7 +113,7 @@ class NetworkGraph:
                 raise ValueError(f"position must be finite, got {position!r}")
         self._index[name] = len(self.nodes)
         self.nodes.append(Node(name, float(energy), position))
-        self._adj[name] = {}
+        self._adj.append({})
 
     def add_edge(self, u: str, v: str, distance: float) -> None:
         """Store a link between existing vertices.
@@ -120,23 +121,24 @@ class NetworkGraph:
         Re-adding an existing pair, in either order, overwrites its distance
         in the stored Link and in both adjacency entries.
         """
-        if self.get_index(u) == -1:
+        i, j = self._index.get(u), self._index.get(v)
+        if i is None:
             raise UnknownVertex(f"source vertex does not exist: {u}")
-        if self.get_index(v) == -1:
+        if j is None:
             raise UnknownVertex(f"destination vertex does not exist: {v}")
         if u == v:
             raise SelfLoop(f"self loop on {u}")
         if not (isinstance(distance, (int, float)) and math.isfinite(distance) and distance > 0):
             raise NonPositiveDistance(f"distance must be a positive finite number, got {distance!r}")
         distance = float(distance)
-        if v not in self._adj[u]:
+        if j not in self._adj[i]:
             self.links.append(Link(u, v, distance))
         else:
             # a re-added pair is rare, so its Link is found by a scan
             link = next(l for l in self.links if {l.u, l.v} == {u, v})
             link.distance = distance
-        self._adj[u][v] = distance
-        self._adj[v][u] = distance
+        self._adj[i][j] = distance
+        self._adj[j][i] = distance
 
     def restricted(self, keep, energies=None) -> NetworkGraph:
         """Copy containing only the kept nodes and links among them.

@@ -1,8 +1,10 @@
 """Per-root shortest-path aggregation trees, plus an independent relaxation oracle.
 
-Tree construction is deterministic: the heap Dijkstra breaks distance ties
-by node insertion index and the relaxation loop sweeps links in insertion
-order, so ties always resolve the same way. Per-root builds are independent
+Tree construction is deterministic: the heap Dijkstra runs on insertion
+indices, over list-held distances, parents and hop counts, and breaks
+distance ties by the lowest index; the relaxation loop sweeps links in
+insertion order, so ties always resolve the same way. The Dijkstra also
+yields each tree's depth in the same pass. Per-root builds are independent
 pure computations over the immutable graph.
 """
 
@@ -42,8 +44,10 @@ class AggregationTree:
     def depth(self) -> int:
         """Longest root-to-node hop count; 0 for a singleton.
 
-        Computed on first access in O(n), each node's hop count derived
-        from its parent's, then kept: the tree is immutable once built.
+        shortest_path_tree sets it during its search. For a tree built by
+        hand it is computed on first access in O(n), each node's hop count
+        derived from its parent's, then kept: the tree is immutable once
+        built.
         """
         if self._depth is None:
             hops = {self.root: 0}
@@ -63,34 +67,54 @@ class AggregationTree:
 
 
 def shortest_path_tree(graph, root: str) -> AggregationTree:
-    """Single-source shortest paths from root, with parent pointers.
+    """Single-source shortest paths from root, with parent pointers and depth.
 
-    Heap Dijkstra over neighbors(), O((n + E) log n). Heap entries are keyed
-    (distance, insertion index) and stale entries are skipped, so nodes are
-    finalized in the order of a minimum-distance scan whose ties go to the
-    lowest index. A parent is recorded only on strict improvement, so the
-    first-found parent survives equal-distance alternatives. dist lists
-    the reached nodes in insertion order.
+    Heap Dijkstra over the graph's index-keyed adjacency, O((n + E) log n),
+    with best distance, parent and hop count held in lists by insertion
+    index. Heap entries are (distance, index) and stale entries are skipped,
+    so nodes are finalized in the order of a minimum-distance scan whose
+    ties go to the lowest index. A parent is recorded only on strict
+    improvement, so the first-found parent survives equal-distance
+    alternatives. A node's hop count is set with its parent and is final
+    when the node is popped, so the tree's depth, the largest popped hop
+    count, is known when the search ends. dist and parent list the reached
+    nodes in insertion order.
     """
     ri = graph.get_index(root)
     if ri == -1:
         raise UnknownVertex(f"unknown vertex: {root}")
-    best = {root: 0.0}
-    parent: dict[str, str] = {}
-    heap = [(0.0, ri, root)]
+    adj = graph._adj
+    n = len(adj)
+    best = [math.inf] * n
+    parent = [-1] * n
+    hop = [0] * n
+    best[ri] = 0.0
+    depth = 0
+    heap = [(0.0, ri)]
     while heap:
-        d, _, v = heapq.heappop(heap)
+        d, v = heapq.heappop(heap)
         if d > best[v]:
             continue  # stale: v was pushed again at a shorter distance
+        h = hop[v]
+        if h > depth:
+            depth = h
+        h += 1
         # distances are positive, so no finalized node can strictly improve
-        for w, step in graph.neighbors(v).items():
+        for w, step in adj[v].items():
             through = d + step
-            if through < best.get(w, math.inf):
+            if through < best[w]:
                 best[w] = through
                 parent[w] = v
-                heapq.heappush(heap, (through, graph.get_index(w), w))
-    dist = {name: best[name] for name in graph.node_ids() if name in best}
-    return AggregationTree(root=root, parent=parent, dist=dist)
+                hop[w] = h
+                heapq.heappush(heap, (through, w))
+    ids = graph.node_ids()
+    tree = AggregationTree(
+        root=root,
+        parent={ids[w]: ids[p] for w, p in enumerate(parent) if p != -1},
+        dist={ids[w]: d for w, d in enumerate(best) if d != math.inf},
+    )
+    tree._depth = depth
+    return tree
 
 
 def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
@@ -98,7 +122,7 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
 
     Deliberately shares no structure with shortest_path_tree: it sweeps the
     stored link list, both directions of each link, until no distance
-    improves, using neither neighbors() nor a heap. Unreachable nodes keep
+    improves, using neither the adjacency nor a heap. Unreachable nodes keep
     +inf (the tree builder drops them instead).
     """
     if graph.get_index(root) == -1:

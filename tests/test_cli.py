@@ -310,6 +310,16 @@ def test_trees_csv_quotes_ids(capsys, tmp_path):
     assert all(len(row) == 6 for row in rows)
 
 
+def test_compare_csv_quotes_policy_names(capsys, tmp_path):
+    path = _topology_file(tmp_path, ["a", "c\nd"], [("a", "c\nd", 2.0)])
+    code, out, _ = _run(capsys, ["compare", path, "--rounds", "5", "--format", "csv",
+                                 "--policies", "clmat,fixed:c\nd"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["policy", "clmat", "fixed:c\nd"]
+    assert all(len(row) == 2 for row in rows)
+
+
 def test_select_dot_escapes_quotes(capsys, tmp_path):
     path = _topology_file(tmp_path, ['a,"b', "c"], [('a,"b', "c", 2.0)])
     code, out, _ = _run(capsys, ["select", path, "--format", "dot"])

@@ -105,6 +105,9 @@ def test_diagonal_zero_absent_infinite():
     for name in g.node_ids():
         assert g.distance(name, name) == 0.0
     assert math.isinf(g.distance("A", "D"))
+    assert math.isinf(g.distance("A", "Z"))
+    assert math.isinf(g.distance("Z", "A"))
+    assert g.distance("Z", "Z") == 0.0
 
 
 def test_add_edge_overwrites_existing_pair():

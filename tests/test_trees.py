@@ -57,6 +57,32 @@ def test_equal_paths_keep_first_found_parent():
     assert tree.parent["D"] == "B"
 
 
+def test_readded_pair_uses_new_distance():
+    g = NetworkGraph()
+    for name in "ABC":
+        g.add_vertex(name, 1.0)
+    g.add_edge("A", "B", 5.0)
+    g.add_edge("B", "C", 1.0)
+    g.add_edge("A", "C", 10.0)
+    g.add_edge("C", "A", 2.0)
+    tree = shortest_path_tree(g, "A")
+    assert tree.dist == {"A": 0.0, "B": 3.0, "C": 2.0}
+    assert tree.parent == {"B": "C", "C": "A"}
+    assert tree.depth == 2
+
+
+def test_search_depth_matches_walked_depth():
+    rng = random.Random(7)
+    for _ in range(40):
+        g = random_connected_graph(rng, n=rng.randint(1, 12), extra_edge_prob=0.15)
+        alive = [name for name in g.node_ids() if rng.random() < 0.7] or g.node_ids()[:1]
+        for view in (g, g.restricted(alive)):
+            for root in view.node_ids():
+                tree = shortest_path_tree(view, root)
+                walked = AggregationTree(root, tree.parent, tree.dist)
+                assert tree.depth == walked.depth
+
+
 def test_rebuild_is_deterministic():
     rng = random.Random(2)
     for _ in range(20):
