@@ -80,7 +80,19 @@ def _cells(c) -> list[str]:
     return [_fmt(x) for x in _record(c).values()]
 
 
+# a control character in an id would break a table row, so it is written as an
+# escape; \ is doubled so that an escape in the output reads back one way
+_ESCAPES = {c: f"\\x{c:02x}" for c in [*range(0x20), 0x7F]} | {
+    ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+
+
+def _escape(text: str) -> str:
+    """text with \\ doubled and control characters as \\n, \\r, \\t or \\xNN."""
+    return text.translate(_ESCAPES)
+
+
 def _table(rows) -> str:
+    rows = [[_escape(cell) for cell in row] for row in rows]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
              for row in rows]
@@ -97,7 +109,7 @@ def render_ranking(result: SelectionResult) -> str:
     rows = [_COLUMNS + ("chosen",)]
     for c in result.ranking:
         rows.append(_cells(c) + ["*" if c.root == result.chosen_root else ""])
-    return _table(rows) + f"chosen aggregator: {result.chosen_root}\n"
+    return _table(rows) + f"chosen aggregator: {_escape(result.chosen_root)}\n"
 
 
 def export_dot(graph: NetworkGraph, tree=None) -> str:

@@ -37,20 +37,16 @@ def tree_energy(tree, graph, variant: str = NODE_MIN) -> float:
     """Bottleneck battery of a tree.
 
     node-min: minimum energy over tree nodes, the root excluded.
-    edge-min: minimum over tree edges of the min endpoint energy.
+    edge-min: minimum over tree edges of the min endpoint energy. Every node
+    of a tree with an edge is an endpoint of one, so this is the minimum
+    energy over all tree nodes, the root included.
     Both read current node energies.
     """
     if variant not in ENERGY_VARIANTS:
         raise ValueError(f"unknown energy variant {variant!r}")
-    if variant == NODE_MIN:
-        energies = [graph.energy(v) for v in tree.dist if v != tree.root]
-        if not energies:
-            raise SingletonTree("node-min energy is undefined for a single-node tree")
-        return min(energies)
-    edges = tree.edges()
-    if not edges:
-        raise SingletonTree("edge-min energy is undefined for a tree with no edges")
-    return min(graph.link_energy(u, v) for u, v in edges)
+    if not tree.parent:
+        raise SingletonTree(f"{variant} energy is undefined for a single-node tree")
+    return min(graph.energy(v) for v in tree.dist if variant == EDGE_MIN or v != tree.root)
 
 
 def clmat_edge_cost(energy_u: float, energy_v: float, tree_energy: float) -> float:
@@ -90,15 +86,14 @@ def tree_cost(tree, graph, variant: str = CLMAT, *, tx_energy=None) -> float:
     """
     if variant not in COST_VARIANTS:
         raise ValueError(f"unknown cost variant {variant!r}")
-    edges = tree.edges()
-    if not edges:
+    if not tree.parent:
         return 0.0
     if variant == CLMAT:
         return math.inf
     if tx_energy is None:
         raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
     total = 0.0
-    for u, v in edges:
+    for u, v in tree.edges():
         tx = tx_energy(graph.distance(u, v))
         total += residual_edge_cost(tx, tx, graph.energy(u), graph.energy(v))
     return total

@@ -19,7 +19,7 @@ import csv
 import io
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import NoSpanningCandidate
 from .metrics import total_distance
@@ -214,8 +214,7 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
 
 
 def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
-                 stop_at_first_death: bool = True,
-                 rng: random.Random | None = None) -> LifetimeResult:
+                 stop_at_first_death: bool = True) -> LifetimeResult:
     """Drive rounds until the first death or the horizon.
 
     The shortest-path trees depend only on which nodes are alive, so they
@@ -231,9 +230,8 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     config.validate()
     if not graph.nodes:
         raise NoSpanningCandidate("empty graph")
-    if rng is None:
-        rng = random.Random(config.seed)
-    choose, reads_residuals = _policy_chooser(policy, config.tie_rule, rng)
+    choose, reads_residuals = _policy_chooser(policy, config.tie_rule,
+                                              random.Random(config.seed))
     state = SimState(
         initial={n.id: n.energy for n in graph.nodes},
         drained_cum={n.id: 0.0 for n in graph.nodes},
@@ -284,8 +282,8 @@ def compare_policies(graph, config: SimConfig, policies,
         if policy == "random":
             total = 0.0
             for trial in range(random_trials):
-                rng = random.Random(config.seed * 100003 + trial)
-                total += run_lifetime(graph, config, policy, rng=rng).lifetime
+                trial_config = replace(config, seed=config.seed * 100003 + trial)
+                total += run_lifetime(graph, trial_config, policy).lifetime
             rows.append((policy, total / random_trials))
         else:
             rows.append((policy, float(run_lifetime(graph, config, policy).lifetime)))

@@ -13,25 +13,26 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SingletonTree, UnknownVertex
 from .metrics import CLMAT, NODE_MIN, TreeMetrics, total_distance, tree_cost, tree_energy
 
 
-@dataclass
+@dataclass(frozen=True)
 class AggregationTree:
-    """Rooted shortest-path tree: parent pointers plus root distances.
+    """Rooted shortest-path tree: parent pointers, root distances and depth.
 
     parent maps every spanned non-root node to its parent; dist maps every
     spanned node to its shortest distance from the root. Nodes the root
-    cannot reach are simply absent.
+    cannot reach are simply absent. depth is the longest root-to-node hop
+    count, 0 for a singleton; shortest_path_tree finds it during its search.
     """
 
     root: str
     parent: dict[str, str]
     dist: dict[str, float]
-    _depth: int | None = field(default=None, init=False, repr=False, compare=False)
+    depth: int
 
     def edges(self) -> list[tuple[str, str]]:
         """Tree links as (parent, child), in spanned-node order."""
@@ -39,31 +40,6 @@ class AggregationTree:
 
     def children_counts(self) -> Counter:
         return Counter(self.parent.values())
-
-    @property
-    def depth(self) -> int:
-        """Longest root-to-node hop count; 0 for a singleton.
-
-        shortest_path_tree sets it during its search. For a tree built by
-        hand it is computed on first access in O(n), each node's hop count
-        derived from its parent's, then kept: the tree is immutable once
-        built.
-        """
-        if self._depth is None:
-            hops = {self.root: 0}
-            for v in self.dist:
-                path = []
-                while v not in hops:
-                    path.append(v)
-                    if len(path) > len(self.dist):
-                        raise ValueError("parent map contains a cycle")
-                    v = self.parent[v]
-                h = hops[v]
-                for u in reversed(path):
-                    h += 1
-                    hops[u] = h
-            self._depth = max(hops.values())
-        return self._depth
 
 
 def shortest_path_tree(graph, root: str) -> AggregationTree:
@@ -108,13 +84,12 @@ def shortest_path_tree(graph, root: str) -> AggregationTree:
                 hop[w] = h
                 heapq.heappush(heap, (through, w))
     ids = graph.node_ids()
-    tree = AggregationTree(
+    return AggregationTree(
         root=root,
         parent={ids[w]: ids[p] for w, p in enumerate(parent) if p != -1},
         dist={ids[w]: d for w, d in enumerate(best) if d != math.inf},
+        depth=depth,
     )
-    tree._depth = depth
-    return tree
 
 
 def oracle_shortest_paths(graph, root: str) -> dict[str, float]:

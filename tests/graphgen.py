@@ -84,7 +84,20 @@ def scan_shortest_path_tree(graph, root: str) -> AggregationTree:
                 tentative[w] = tentative[v] + step
                 parent[ids[w]] = ids[v]
     dist = {ids[j]: tentative[j] for j in range(n) if math.isfinite(tentative[j])}
-    return AggregationTree(root=root, parent=parent, dist=dist)
+    return AggregationTree(root=root, parent=parent, dist=dist,
+                           depth=depth_by_walk(root, parent, dist))
+
+
+def depth_by_walk(root: str, parent: dict[str, str], dist: dict[str, float]) -> int:
+    """Reference depth: the longest walk up the parent chain from a spanned node to root."""
+    worst = 0
+    for v in dist:
+        hops = 0
+        while v != root:
+            v = parent[v]
+            hops += 1
+        worst = max(worst, hops)
+    return worst
 
 
 def chain_tree(root: str, depth: int) -> AggregationTree:
@@ -97,7 +110,7 @@ def chain_tree(root: str, depth: int) -> AggregationTree:
         parent[name] = prev
         dist[name] = float(k)
         prev = name
-    return AggregationTree(root=root, parent=parent, dist=dist)
+    return AggregationTree(root=root, parent=parent, dist=dist, depth=depth)
 
 
 # The eight-candidate selection fixture: (root, cost, total distance), all at
@@ -183,8 +196,8 @@ def _reference_chooser(policy, config, rng):
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def reference_run_lifetime(graph, config, policy="clmat", stop_at_first_death=True,
-                           rng=None) -> LifetimeResult:
+def reference_run_lifetime(graph, config, policy="clmat",
+                           stop_at_first_death=True) -> LifetimeResult:
     """Reference simulator: the whole selection redone from scratch at every reselection.
 
     Every reselection (round 1, each death, and every reselect_every rounds
@@ -195,9 +208,7 @@ def reference_run_lifetime(graph, config, policy="clmat", stop_at_first_death=Tr
     config.validate()
     if not graph.nodes:
         raise NoSpanningCandidate("empty graph")
-    if rng is None:
-        rng = random.Random(config.seed)
-    choose = _reference_chooser(policy, config, rng)
+    choose = _reference_chooser(policy, config, random.Random(config.seed))
     state = SimState(initial={n.id: n.energy for n in graph.nodes},
                      drained_cum={n.id: 0.0 for n in graph.nodes},
                      alive=[n.id for n in graph.nodes])

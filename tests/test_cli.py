@@ -320,6 +320,38 @@ def test_compare_csv_quotes_policy_names(capsys, tmp_path):
     assert all(len(row) == 2 for row in rows)
 
 
+def test_table_cells_escape_backslashes_and_control_characters(capsys, tmp_path):
+    ids = ["a", "c\nd", "e\\f", "g\th\x1b\x7f\r"]
+    path = _topology_file(tmp_path, ids, [("a", v, 2.0) for v in ids[1:]])
+    code, out, _ = _run(capsys, ["trees", path])
+    assert code == 0
+    lines = out.split("\n")[:-1]
+    assert len(lines) == 1 + len(ids)
+    assert [line.split()[0] for line in lines[1:]] == [
+        "a", "c\\nd", "e\\\\f", "g\\th\\x1b\\x7f\\r"]
+    # widths are taken on the escaped text, so the energy column lines up
+    assert {line.index("1.000") for line in lines[1:]} == {lines[0].index("energy_J")}
+
+
+def test_select_table_escapes_chosen_id(capsys, tmp_path):
+    path = _topology_file(tmp_path, ["a", "c\nd", "b"], [("a", "c\nd", 2.0), ("c\nd", "b", 2.0)])
+    code, out, _ = _run(capsys, ["select", path])
+    assert code == 0
+    lines = out.split("\n")[:-1]
+    assert len(lines) == 1 + 3 + 1
+    assert lines[1].split()[0] == "c\\nd" and lines[1].endswith("*")
+    assert lines[-1] == "chosen aggregator: c\\nd"
+
+
+def test_compare_table_escapes_policy_names(capsys, tmp_path):
+    path = _topology_file(tmp_path, ["a", "c\nd"], [("a", "c\nd", 2.0)])
+    code, out, _ = _run(capsys, ["compare", path, "--rounds", "5",
+                                 "--policies", "clmat,fixed:c\nd"])
+    assert code == 0
+    lines = out.split("\n")[:-1]
+    assert [line.split()[0] for line in lines] == ["policy", "clmat", "fixed:c\\nd"]
+
+
 def test_select_dot_escapes_quotes(capsys, tmp_path):
     path = _topology_file(tmp_path, ['a,"b', "c"], [('a,"b', "c", 2.0)])
     code, out, _ = _run(capsys, ["select", path, "--format", "dot"])

@@ -42,7 +42,7 @@ def test_tree_energy_two_node():
 
 def test_tree_energy_singleton_errors():
     g = two_node()
-    tree = AggregationTree(root="a", parent={}, dist={"a": 0.0})
+    tree = AggregationTree(root="a", parent={}, dist={"a": 0.0}, depth=0)
     for variant in (NODE_MIN, EDGE_MIN):
         with pytest.raises(errors.SingletonTree):
             tree_energy(tree, g, variant)
@@ -99,7 +99,7 @@ def test_clmat_edge_cost_saturates():
 
 def test_tree_cost_singleton_is_zero():
     g = two_node()
-    tree = AggregationTree(root="a", parent={}, dist={"a": 0.0})
+    tree = AggregationTree(root="a", parent={}, dist={"a": 0.0}, depth=0)
     assert tree_cost(tree, g) == 0.0
     assert tree_cost(tree, g, RESIDUAL, tx_energy=lambda d: 0.2) == 0.0
 
@@ -150,7 +150,7 @@ def test_total_distance_f4():
 
 
 def test_total_distance_singleton():
-    tree = AggregationTree(root="a", parent={}, dist={"a": 0.0})
+    tree = AggregationTree(root="a", parent={}, dist={"a": 0.0}, depth=0)
     assert total_distance(tree) == 0.0
 
 
@@ -160,7 +160,8 @@ def test_total_distance_two_node():
 
 
 def test_total_distance_unreachable():
-    tree = AggregationTree(root="a", parent={"b": "a"}, dist={"a": 0.0, "b": math.inf})
+    tree = AggregationTree(root="a", parent={"b": "a"}, dist={"a": 0.0, "b": math.inf},
+                           depth=1)
     with pytest.raises(errors.UnreachableNode):
         total_distance(tree)
 

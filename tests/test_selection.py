@@ -9,7 +9,7 @@ from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregat
 from clmat.topology import NetworkGraph
 from clmat.trees import Candidate, build_all_candidates, oracle_shortest_paths, shortest_path_tree
 
-from graphgen import chain_tree, eight_candidates, f4, random_connected_graph
+from graphgen import chain_tree, depth_by_walk, eight_candidates, f4, random_connected_graph
 
 
 def _candidate(root, distance, depth=1, energy=1.0, cost=0.0, spanning=True):
@@ -162,18 +162,6 @@ def test_energies_cannot_move_the_distance_minimum():
         assert _distance_minimal_roots(perturbed) == before
 
 
-def _depth_by_walk(tree):
-    worst = 0
-    for v in tree.dist:
-        hops = 0
-        cur = v
-        while cur != tree.root:
-            cur = tree.parent[cur]
-            hops += 1
-        worst = max(worst, hops)
-    return worst
-
-
 def brute_choice(graph, tie_rule):
     """Exhaustive reimplementation: relaxation distances + a direct key scan."""
     rows = []
@@ -185,7 +173,8 @@ def brute_choice(graph, tie_rule):
         for v, d in dist.items():
             if v != node.id:
                 total += d
-        depth = _depth_by_walk(shortest_path_tree(graph, node.id))
+        tree = shortest_path_tree(graph, node.id)
+        depth = depth_by_walk(node.id, tree.parent, tree.dist)
         rows.append((i, node.id, total, depth))
     assert rows
     best = rows[0]

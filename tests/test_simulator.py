@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -257,6 +258,17 @@ def test_compare_policies_deterministic_with_random():
     a = compare_policies(g, cfg, ["clmat", "random"], random_trials=4)
     b = compare_policies(g, cfg, ["clmat", "random"], random_trials=4)
     assert a == b
+
+
+def test_compare_policies_random_row_is_mean_of_seeded_runs():
+    g = f4()
+    cfg = SimConfig(radio=RadioModel(0.3, 0.01, 2, 0.2), max_rounds=100, seed=9)
+    lifetimes = [run_lifetime(g, dataclasses.replace(cfg, seed=cfg.seed * 100003 + trial),
+                              "random").lifetime
+                 for trial in range(4)]
+    assert len(set(lifetimes)) > 1  # the trials draw different roots
+    assert compare_policies(g, cfg, ["random"], random_trials=4) == [
+        ("random", sum(lifetimes) / 4)]
 
 
 def test_reports_csv_shape():

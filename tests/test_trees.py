@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -9,13 +10,12 @@ from clmat import errors
 from clmat.metrics import NODE_MIN, total_distance, tree_cost, tree_energy
 from clmat.topology import NetworkGraph
 from clmat.trees import (
-    AggregationTree,
     build_all_candidates,
     oracle_shortest_paths,
     shortest_path_tree,
 )
 
-from graphgen import f4, random_connected_graph, scan_shortest_path_tree, two_node
+from graphgen import depth_by_walk, f4, random_connected_graph, scan_shortest_path_tree, two_node
 
 
 def test_f4_root_a():
@@ -79,8 +79,14 @@ def test_search_depth_matches_walked_depth():
         for view in (g, g.restricted(alive)):
             for root in view.node_ids():
                 tree = shortest_path_tree(view, root)
-                walked = AggregationTree(root, tree.parent, tree.dist)
-                assert tree.depth == walked.depth
+                assert tree.depth == depth_by_walk(root, tree.parent, tree.dist)
+
+
+def test_built_tree_is_frozen():
+    tree = shortest_path_tree(f4(), "A")
+    for name, value in (("root", "B"), ("parent", {}), ("dist", {}), ("depth", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tree, name, value)
 
 
 def test_rebuild_is_deterministic():
@@ -211,13 +217,6 @@ def test_build_all_candidates_isolated_node():
     g = f4()
     g.add_vertex("island", 1.0)
     assert not any(c.spanning for c in build_all_candidates(g))
-
-
-def test_depth_rejects_cycles():
-    tree = AggregationTree(root="a", parent={"b": "c", "c": "b"},
-                           dist={"a": 0.0, "b": 1.0, "c": 1.0})
-    with pytest.raises(ValueError):
-        tree.depth
 
 
 def test_edges_and_children_counts():
