@@ -80,14 +80,20 @@ def _cells(c) -> list[str]:
     return [_fmt(x) for x in _record(c).values()]
 
 
-# a control character in an id would break a table row, so it is written as an
-# escape; \ is doubled so that an escape in the output reads back one way
-_ESCAPES = {c: f"\\x{c:02x}" for c in [*range(0x20), 0x7F]} | {
-    ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t"}
+# a control character or line separator in an id would break a table row, so
+# it is written as an escape; \ is doubled so that an escape in the output
+# reads back one way. These cover every line boundary of str.splitlines().
+_ESCAPES = {c: f"\\x{c:02x}" for c in [*range(0x20), *range(0x7F, 0xA0)]} | {
+    ord("\\"): "\\\\", ord("\n"): "\\n", ord("\r"): "\\r", ord("\t"): "\\t",
+    0x2028: "\\u2028", 0x2029: "\\u2029"}
 
 
 def _escape(text: str) -> str:
-    """text with \\ doubled and control characters as \\n, \\r, \\t or \\xNN."""
+    """text with \\ doubled and control characters and line separators escaped.
+
+    Controls become \\n, \\r, \\t or \\xNN; U+2028 and U+2029 become \\u2028
+    and \\u2029.
+    """
     return text.translate(_ESCAPES)
 
 
@@ -143,12 +149,15 @@ def export_dot(graph: NetworkGraph, tree=None) -> str:
 
 
 def display_graph(graph: NetworkGraph) -> str:
-    """Adjacency listing: vertices with energies, then u -- v distance edge_energy."""
+    """Adjacency listing: vertices with energies, then u -- v distance edge_energy.
+
+    Ids are escaped as in the tables.
+    """
     if len(graph) == 0:
         return "Graph does not exist.\n"
-    lines = [f"{n.id}  {n.energy:.3f} J" for n in graph.nodes]
+    lines = [f"{_escape(n.id)}  {n.energy:.3f} J" for n in graph.nodes]
     for link in graph.links:
-        lines.append(f"{link.u} -- {link.v}  {link.distance:g}  "
+        lines.append(f"{_escape(link.u)} -- {_escape(link.v)}  {link.distance:g}  "
                      f"{graph.link_energy(link.u, link.v):.3f}")
     return "\n".join(lines) + "\n"
 

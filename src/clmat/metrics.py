@@ -49,6 +49,25 @@ def tree_energy(tree, graph, variant: str = NODE_MIN) -> float:
     return min(graph.energy(v) for v in tree.dist if variant == EDGE_MIN or v != tree.root)
 
 
+def spanning_tree_energies(graph, variant: str = NODE_MIN) -> list[float]:
+    """tree_energy of a spanning tree at each root, in insertion order.
+
+    A spanning tree holds every node, so node-min is the least energy
+    other than the root's and edge-min is the least energy of all: one
+    pass over the node table answers for every root. The graph needs at
+    least two nodes, since a single-node tree has no tree energy.
+    """
+    if variant not in ENERGY_VARIANTS:
+        raise ValueError(f"unknown energy variant {variant!r}")
+    energies = [n.energy for n in graph.nodes]
+    k = min(range(len(energies)), key=energies.__getitem__)
+    least = energies[k]
+    if variant == EDGE_MIN:
+        return [least] * len(energies)
+    runner_up = min(e for i, e in enumerate(energies) if i != k)
+    return [runner_up if i == k else least for i in range(len(energies))]
+
+
 def clmat_edge_cost(energy_u: float, energy_v: float, tree_energy: float) -> float:
     """Edge cost as each endpoint's energy over its headroom above the tree bottleneck.
 

@@ -186,11 +186,42 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
     """
     check_policy(policy)
     if policy == "clmat":
+        rows: dict[str, dict[str, float]] = {}  # each root's dist in its latest built tree
+
         def choose(view, state):
-            entries = [(i, view.tree(v), total_distance(view.tree(v)))
-                       for i, v in enumerate(view.graph.node_ids())]
-            root = pick_tree(entries, tie_rule)[1].root
-            return view.spanning_tree(root, "no candidate tree spans every node")
+            """The least-total tree, built only for roots whose bound can still win.
+
+            A death only removes paths, and float rounding is monotone, so no
+            distance falls: a root's stored row, which spanned an earlier
+            alive set, folded over the alive nodes in the same order as
+            total_distance, is a lower bound on its new total. Roots are built in (bound, index) order until the next
+            bound is strictly above the least total found, so every skipped
+            root totals strictly more than the winner and cannot even tie.
+            """
+            ids = view.graph.node_ids()
+            bounds = []
+            for i, root in enumerate(ids):
+                row = rows.get(root)
+                bound = -math.inf
+                if row is not None:
+                    bound = 0.0
+                    for v in ids:  # a plain fold: sum() compensates from Python 3.12
+                        if v != root:
+                            bound += row[v]
+                bounds.append((bound, i))
+            bounds.sort()
+            entries = []
+            least = math.inf
+            for bound, i in bounds:
+                if bound > least:
+                    break
+                tree = view.spanning_tree(ids[i], "no candidate tree spans every node")
+                rows[tree.root] = tree.dist
+                total = total_distance(tree)
+                least = min(least, total)
+                entries.append((i, tree, total))
+            entries.sort(key=lambda e: e[0])  # the tie key reads index order
+            return pick_tree(entries, tie_rule)[1]
         return choose, False
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
@@ -218,9 +249,10 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     """Drive rounds until the first death or the horizon.
 
     The shortest-path trees depend only on which nodes are alive, so they
-    are built on the alive subgraph once per alive set: in round 1 and
-    after each death. clmat and fixed:<id> pick their tree then and keep
-    it. max-energy and random also re-pick every reselect_every rounds,
+    are built on the alive subgraph at most once per alive set: in round 1
+    and after each death. clmat and fixed:<id> pick their tree then and
+    keep it; after a death clmat builds only the roots that can still win.
+    max-energy and random also re-pick every reselect_every rounds,
     reading current residuals, so the cadence matters only for them.
     With stop_at_first_death False the run continues past deaths until the
     horizon or until the survivors are disconnected or all dead
@@ -311,13 +343,14 @@ def residual_trace_csv(graph, reports) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["round", "node", "residual"])
-    cum = {n.id: 0.0 for n in graph.nodes}
-    alive = [n.id for n in graph.nodes]
+    initial = {n.id: n.energy for n in graph.nodes}
+    cum = {v: 0.0 for v in initial}
+    alive = list(initial)
     for rep in reports:
         for v in alive:
             if v in rep.drained:
                 cum[v] += rep.drained[v]
-            writer.writerow([rep.round, v, repr(graph.energy(v) - cum[v])])
+            writer.writerow([rep.round, v, repr(initial[v] - cum[v])])
         dead = set(rep.deaths)
         alive = [v for v in alive if v not in dead]
     return buf.getvalue()

@@ -16,7 +16,15 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import SingletonTree, UnknownVertex
-from .metrics import CLMAT, NODE_MIN, TreeMetrics, total_distance, tree_cost, tree_energy
+from .metrics import (
+    CLMAT,
+    NODE_MIN,
+    TreeMetrics,
+    spanning_tree_energies,
+    total_distance,
+    tree_cost,
+    tree_energy,
+)
 
 
 @dataclass(frozen=True)
@@ -135,16 +143,21 @@ def build_all_candidates(graph, cost_variant: str = CLMAT,
     """Score the shortest-path tree rooted at every node, in insertion order.
 
     Entries whose tree fails to reach every node are flagged non-spanning;
-    their metrics still describe the partial tree.
+    their metrics still describe the partial tree. A spanning tree's energy
+    is read from the node table, in closed form.
     """
+    spanning_energies = spanning_tree_energies(graph, energy_variant) if len(graph) > 1 else []
     candidates = []
-    for node in graph.nodes:
+    for i, node in enumerate(graph.nodes):
         tree = shortest_path_tree(graph, node.id)
         spanning = len(tree.dist) == len(graph)
-        try:
-            energy = tree_energy(tree, graph, energy_variant)
-        except SingletonTree:
-            energy = None
+        if spanning and spanning_energies:
+            energy = spanning_energies[i]
+        else:
+            try:
+                energy = tree_energy(tree, graph, energy_variant)
+            except SingletonTree:
+                energy = None
         cost = tree_cost(tree, graph, cost_variant, tx_energy=tx_energy)
         metrics = TreeMetrics(energy, cost, total_distance(tree))
         candidates.append(Candidate(node.id, tree, metrics, spanning))

@@ -321,14 +321,15 @@ def test_compare_csv_quotes_policy_names(capsys, tmp_path):
 
 
 def test_table_cells_escape_backslashes_and_control_characters(capsys, tmp_path):
-    ids = ["a", "c\nd", "e\\f", "g\th\x1b\x7f\r"]
+    # NEL (U+0085) and U+2028/U+2029 end a line for str.splitlines() too
+    ids = ["a", "c\nd", "e\\f", "g\th\x1b\x7f\r", "i\x85j\x9f\u2028k\u2029"]
     path = _topology_file(tmp_path, ids, [("a", v, 2.0) for v in ids[1:]])
     code, out, _ = _run(capsys, ["trees", path])
     assert code == 0
-    lines = out.split("\n")[:-1]
+    lines = out.splitlines()
     assert len(lines) == 1 + len(ids)
     assert [line.split()[0] for line in lines[1:]] == [
-        "a", "c\\nd", "e\\\\f", "g\\th\\x1b\\x7f\\r"]
+        "a", "c\\nd", "e\\\\f", "g\\th\\x1b\\x7f\\r", "i\\x85j\\x9f\\u2028k\\u2029"]
     # widths are taken on the escaped text, so the energy column lines up
     assert {line.index("1.000") for line in lines[1:]} == {lines[0].index("energy_J")}
 
@@ -491,6 +492,17 @@ def test_display_graph_function():
     g = two_node()
     g.nodes[0].energy = 1.5
     assert "a -- b  4  1.500" in display_graph(g)
+
+
+def test_display_graph_escapes_ids():
+    g = NetworkGraph()
+    for name in ("a", "c\nd", "e\x85f"):
+        g.add_vertex(name, 1.0)
+    g.add_edge("a", "c\nd", 2.0)
+    g.add_edge("e\x85f", "a", 3.0)
+    assert display_graph(g).splitlines() == [
+        "a  1.000 J", "c\\nd  1.000 J", "e\\x85f  1.000 J",
+        "a -- c\\nd  2  1.000", "e\\x85f -- a  3  1.000"]
 
 
 def test_render_ranking_infinite_cost_cell(tmp_path):

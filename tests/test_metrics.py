@@ -12,6 +12,7 @@ from clmat.metrics import (
     RESIDUAL,
     clmat_edge_cost,
     residual_edge_cost,
+    spanning_tree_energies,
     total_distance,
     tree_cost,
     tree_energy,
@@ -73,6 +74,22 @@ def test_edge_min_is_node_min_capped_by_root_energy():
             continue
         assert tree_energy(tree, g, EDGE_MIN) == min(
             tree_energy(tree, g, NODE_MIN), g.energy(tree.root))
+
+
+@pytest.mark.parametrize("energies", [None, (1.0, 2.0, 3.0)])
+def test_spanning_tree_energies_match_tree_energy_on_every_root(energies):
+    # energies drawn from three values put the least energy on several
+    # nodes, so a root holding it must still see it on another node
+    rng = random.Random(7)
+    for _ in range(40):
+        g = random_connected_graph(rng)
+        if energies is not None:
+            g = g.with_energies({v: rng.choice(energies) for v in g.node_ids()})
+        for variant in (NODE_MIN, EDGE_MIN):
+            assert spanning_tree_energies(g, variant) == [
+                tree_energy(shortest_path_tree(g, v), g, variant) for v in g.node_ids()]
+    with pytest.raises(ValueError):
+        spanning_tree_energies(f4(), "median")
 
 
 def test_residual_edge_cost_example():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmat import cli, errors, simulator
+from clmat.metrics import total_distance
 from clmat.simulator import (
     LifetimeResult,
     RadioModel,
@@ -356,6 +357,77 @@ def test_run_lifetime_matches_per_round_reference(g, policy, tie_rule, reselect_
             == _outcome(reference_run_lifetime, g, config, policy, stop_at_first_death))
 
 
+@st.composite
+def tie_graphs(draw):
+    """Connected graphs of 3-8 nodes with weights 1-2 and energies of 1-3 J.
+
+    So many equal distances make equal totals between roots common, and
+    runs cross several deaths in a few rounds. Names sort against
+    insertion order.
+    """
+    n = draw(st.integers(3, 8))
+    names = [f"v{n - i}" for i in range(n)]
+    g = NetworkGraph()
+    weights = st.integers(1, 2).map(float)
+    for name in names:
+        g.add_vertex(name, draw(st.sampled_from([1.0, 2.0, 3.0])))
+    for i in range(1, n):
+        g.add_edge(names[draw(st.integers(0, i - 1))], names[i], draw(weights))
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+        lambda p: p[0] != p[1])
+    for u, v in draw(st.lists(pairs, max_size=2 * n)):
+        g.add_edge(u, v, draw(weights))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=tie_graphs(), tie_rule=st.sampled_from(["min-depth", "first-min"]))
+def test_clmat_run_to_exhaustion_matches_reference_on_tie_heavy_graphs(g, tie_rule):
+    config = SimConfig(radio=RadioModel(0.3, 0.1, 2, 0.2), max_rounds=30, tie_rule=tie_rule)
+    assert (_outcome(run_lifetime, g, config, "clmat", False)
+            == _outcome(reference_run_lifetime, g, config, "clmat", False))
+
+
+@pytest.mark.parametrize("tie_rule, winner", [("first-min", "a"), ("min-depth", "b")])
+def test_clmat_stale_bound_order_does_not_break_ties(monkeypatch, tie_rule, winner):
+    """After x dies, a and b tie on total distance but b has the lower bound.
+
+    b reached p through x, so b's stale row is lower than its new one: b is
+    built first. The tie rule must still see a and b in index order.
+    """
+    g = NetworkGraph()
+    for name, energy in [("a", 10.0), ("b", 10.0), ("p", 10.0), ("q", 10.0), ("x", 1.5)]:
+        g.add_vertex(name, energy)
+    for u, v, d in [("a", "b", 1.0), ("a", "p", 2.0), ("b", "q", 1.0), ("b", "x", 1.0),
+                    ("x", "p", 1.0)]:
+        g.add_edge(u, v, d)
+    # round 1 builds every root; b wins, and x, relaying for p, dies that round
+    survivors = ["a", "b", "p", "q"]
+    view = g.restricted(survivors)
+    bounds = {r: sum(shortest_path_tree(g, r).dist[v] for v in survivors if v != r)
+              for r in survivors}
+    totals = {r: total_distance(shortest_path_tree(view, r)) for r in survivors}
+    assert bounds == {"a": 5.0, "b": 4.0, "p": 7.0, "q": 6.0}
+    assert totals == {"a": 5.0, "b": 5.0, "p": 9.0, "q": 7.0}
+    assert shortest_path_tree(view, "a").depth == shortest_path_tree(view, "b").depth
+
+    built = []
+    build = simulator.shortest_path_tree
+
+    def spy_build(graph, root):
+        built.append((len(graph), root))
+        return build(graph, root)
+
+    monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
+    config = SimConfig(radio=FLAT, max_rounds=2, tie_rule=tie_rule)
+    result = run_lifetime(g, config, stop_at_first_death=False)
+    assert [(r.aggregator, r.deaths) for r in result.reports] == [("b", ["x"]), (winner, [])]
+    # q's bound of 6 is above the tie at 5, so only b and a are built, by bound
+    assert [root for n, root in built if n == 4] == ["b", "a"]
+    monkeypatch.undo()
+    assert result == reference_run_lifetime(g, config, stop_at_first_death=False)
+
+
 def test_energy_aware_policies_repick_at_cadence():
     # the hub starts richest but pays for three children, so a cadence of
     # one round moves max-energy off it before anyone dies
@@ -405,8 +477,9 @@ def _spied_simulate(tmp_path, monkeypatch, g, policy):
     return views, built, rows
 
 
-def test_one_view_and_one_tree_per_root_per_alive_set(tmp_path, monkeypatch):
-    """A clmat run rebuilds its view and trees only when the alive set changes."""
+def test_one_view_per_alive_set_and_bounded_clmat_builds(tmp_path, monkeypatch):
+    """clmat makes one view per alive set and, after a death, builds only
+    the trees whose stale-row bound can still win or tie."""
     g = random_topology(12, 100.0, 60.0, 0.1, 0.15, seed=3)
     views, built, rows = _spied_simulate(tmp_path, monkeypatch, g, "clmat")
     death_rounds = [int(r[0]) for r in rows if r[4]]
@@ -418,8 +491,25 @@ def test_one_view_and_one_tree_per_root_per_alive_set(tmp_path, monkeypatch):
             dead = set(r[4].split(";"))
             alive_sets.append([v for v in alive_sets[-1] if v not in dead])
     assert views == [tuple(a) for a in alive_sets]
-    # every alive root's tree is built once per view, in node order
-    assert built == [(k, v) for k, alive in enumerate(alive_sets, 1) for v in alive]
+    # with no stale rows yet, view 1 builds every root, in node order
+    assert [root for k, root in built if k == 1] == g.node_ids()
+    # each later view builds the root it picks, and each root at most once;
+    # a death ends a view, and the last view may find the survivors partitioned
+    picked = [[] for _ in views]
+    k = 0
+    for r in rows:
+        picked[k].append(r[1])
+        if r[4]:
+            k += 1
+    for k, roots in enumerate(picked[1:], 2):
+        trees = [root for view, root in built if view == k]
+        assert len(trees) == len(set(trees)), (k, trees)
+        if roots:
+            assert len(set(roots)) == 1 and roots[0] in trees, (k, trees, roots)
+        else:
+            assert len(trees) <= 1, (k, trees)
+    later = [root for k, root in built if k > 1]
+    assert len(later) < sum(len(a) for a in alive_sets[1:])
 
 
 @pytest.mark.parametrize("policy", ["max-energy", "random", "fixed:n4"])
