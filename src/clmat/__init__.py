@@ -24,6 +24,7 @@ from .simulator import (
     drain_round,
     reports_csv,
     residual_trace_csv,
+    round_costs,
     run_lifetime,
 )
 from .topology import (
@@ -77,6 +78,7 @@ __all__ = [
     "reports_csv",
     "residual_edge_cost",
     "residual_trace_csv",
+    "round_costs",
     "run_lifetime",
     "select_aggregator",
     "shortest_path_tree",

@@ -112,16 +112,15 @@ class LifetimeResult:
     final_residuals: dict[str, float]
 
 
-def drain_round(state: SimState, tree: AggregationTree, radio: RadioModel, graph) -> RoundReport:
-    """Charge one round of traffic on the tree and record deaths.
+def round_costs(tree: AggregationTree, radio: RadioModel, graph) -> dict[str, float]:
+    """Each tree node's drain for one round on the tree, in tree.dist order.
 
     Every non-root node pays one transmission to its parent; every parent
-    pays one reception per child. Nodes finish the round before a residual
-    of <= 0 removes them. graph supplies link distances, which never change.
+    pays one reception per child. The tree fixes these costs, so they are
+    computed once per tree. graph supplies link distances.
     """
-    state.round += 1
     n_children = tree.children_counts()
-    drained: dict[str, float] = {}
+    costs: dict[str, float] = {}
     for v in tree.dist:
         cost = 0.0
         if v != tree.root:
@@ -129,15 +128,29 @@ def drain_round(state: SimState, tree: AggregationTree, radio: RadioModel, graph
         kids = n_children.get(v, 0)
         if kids:
             cost += kids * radio.rx_cost
-        drained[v] = cost
-        state.drained_cum[v] += cost
-    deaths = [v for v in state.alive if state.residual(v) <= 0]
-    dead = set(deaths)
-    state.alive = [v for v in state.alive if v not in dead]
+        costs[v] = cost
+    return costs
+
+
+def drain_round(state: SimState, tree: AggregationTree, costs: dict[str, float]) -> RoundReport:
+    """Charge one round of traffic on the tree and record deaths.
+
+    costs is round_costs of the tree, taken as an argument so that a caller
+    keeping one tree for many rounds computes them once. Nodes finish the
+    round before a residual of <= 0 removes them.
+    """
+    state.round += 1
+    drained_cum = state.drained_cum
     total = 0.0
-    for cost in drained.values():
+    for v, cost in costs.items():
+        drained_cum[v] += cost
         total += cost
-    return RoundReport(state.round, tree.root, drained, total, len(state.alive), deaths)
+    deaths = [v for v in state.alive if state.residual(v) <= 0]
+    if deaths:
+        dead = set(deaths)
+        state.alive = [v for v in state.alive if v not in dead]
+    # each report owns its drains, so no caller can edit the kept costs through one
+    return RoundReport(state.round, tree.root, dict(costs), total, len(state.alive), deaths)
 
 
 POLICIES = ("clmat", "max-energy", "random")  # plus "fixed:<id>"
@@ -150,21 +163,33 @@ def check_policy(policy: str) -> None:
 
 
 class _AliveView:
-    """What one alive set fixes: the graph restricted to it and each root's tree.
+    """What one alive set fixes: the graph restricted to it, each root's tree
+    and each tree's round costs.
 
-    Trees are built on first use and kept. None of this reads energy, so a
-    view answers for as long as the alive set stays the same.
+    Trees and costs are computed on first use and kept. None of this reads
+    energy, so a view answers for as long as the alive set stays the same.
+    The alive list keeps the graph's insertion order, so a view over every
+    node is the graph itself and copies nothing.
     """
 
-    def __init__(self, graph, alive):
-        self.graph = graph.restricted(alive)
+    def __init__(self, graph, alive, radio: RadioModel):
+        self.graph = graph if len(alive) == len(graph) else graph.restricted(alive)
+        self.radio = radio
         self._trees: dict[str, AggregationTree] = {}
+        self._costs: dict[str, dict[str, float]] = {}
 
     def tree(self, root: str) -> AggregationTree:
         tree = self._trees.get(root)
         if tree is None:
             tree = self._trees[root] = shortest_path_tree(self.graph, root)
         return tree
+
+    def costs(self, root: str) -> dict[str, float]:
+        """round_costs of root's tree."""
+        costs = self._costs.get(root)
+        if costs is None:
+            costs = self._costs[root] = round_costs(self.tree(root), self.radio, self.graph)
+        return costs
 
     def spanning_tree(self, root: str, message: str) -> AggregationTree:
         """root's tree, or NoSpanningCandidate(message) unless it reaches every alive node.
@@ -248,17 +273,25 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
                  stop_at_first_death: bool = True) -> LifetimeResult:
     """Drive rounds until the first death or the horizon.
 
-    The shortest-path trees depend only on which nodes are alive, so they
-    are built on the alive subgraph at most once per alive set: in round 1
-    and after each death. clmat and fixed:<id> pick their tree then and
-    keep it; after a death clmat builds only the roots that can still win.
-    max-energy and random also re-pick every reselect_every rounds,
-    reading current residuals, so the cadence matters only for them.
+    The shortest-path trees and their round costs depend only on which
+    nodes are alive, so they are computed on the alive subgraph at most
+    once per alive set: in round 1 and after each death. clmat and
+    fixed:<id> pick their tree then and keep it; after a death clmat
+    builds only the roots that can still win. max-energy and random also
+    re-pick every reselect_every rounds, reading current residuals, so the
+    cadence matters only for them.
     With stop_at_first_death False the run continues past deaths until the
     horizon or until the survivors are disconnected or all dead
     (partitioned=True).
     Fully deterministic for a fixed graph, config, and policy.
     """
+    return _run(graph, config, policy, stop_at_first_death,
+                _AliveView(graph, graph.node_ids(), config.radio))
+
+
+def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
+         first_view: _AliveView) -> LifetimeResult:
+    """run_lifetime, with round 1 served by first_view: the view over every node."""
     config.validate()
     if not graph.nodes:
         raise NoSpanningCandidate("empty graph")
@@ -273,14 +306,14 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     first_death: int | None = None
     delivered = 0
     partitioned = False
-    view = None
+    view = first_view
     for r in range(1, config.max_rounds + 1):
         if not state.alive:  # the last survivors died together
             partitioned = True
             break
-        if view is None or (reads_residuals and (r - 1) % config.reselect_every == 0):
+        if r == 1 or view is None or (reads_residuals and (r - 1) % config.reselect_every == 0):
             if view is None:
-                view = _AliveView(graph, state.alive)
+                view = _AliveView(graph, state.alive, config.radio)
             try:
                 state.current_tree = choose(view, state)
             except NoSpanningCandidate:
@@ -288,9 +321,10 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
                     raise
                 partitioned = True
                 break
-        report = drain_round(state, state.current_tree, config.radio, graph)
+        tree = state.current_tree
+        report = drain_round(state, tree, view.costs(tree.root))
         reports.append(report)
-        delivered += len(state.current_tree.dist)
+        delivered += len(tree.dist)
         if report.deaths:
             if first_death is None:
                 first_death = r
@@ -307,18 +341,22 @@ def compare_policies(graph, config: SimConfig, policies,
     """Lifetime per policy on identical initial conditions.
 
     The random-root policy is averaged over random_trials seeded runs; every
-    other policy is deterministic, so a single run suffices.
+    other policy is deterministic, so a single run suffices. Every run
+    starts from the full alive set with the same radio, so all of them
+    share one first view and build each root's full-network tree at most
+    once.
     """
+    first_view = _AliveView(graph, graph.node_ids(), config.radio)
     rows: list[tuple[str, float]] = []
     for policy in policies:
         if policy == "random":
             total = 0.0
             for trial in range(random_trials):
                 trial_config = replace(config, seed=config.seed * 100003 + trial)
-                total += run_lifetime(graph, trial_config, policy).lifetime
+                total += _run(graph, trial_config, policy, True, first_view).lifetime
             rows.append((policy, total / random_trials))
         else:
-            rows.append((policy, float(run_lifetime(graph, config, policy).lifetime)))
+            rows.append((policy, float(_run(graph, config, policy, True, first_view).lifetime)))
     return rows
 
 

@@ -148,13 +148,18 @@ class NetworkGraph:
         """
         keep_set = set(keep)
         g = NetworkGraph()
-        for n in self.nodes:
+        new_index: dict[int, int] = {}  # source index -> copy index
+        for i, n in enumerate(self.nodes):
             if n.id in keep_set:
+                new_index[i] = len(g.nodes)
                 e = energies[n.id] if energies is not None else n.energy
                 g.add_vertex(n.id, e, n.position)
-        for link in self.links:
-            if link.u in keep_set and link.v in keep_set:
-                g.add_edge(link.u, link.v, link.distance)
+        # the source links were checked when added, so they are copied as they
+        # are, in the order add_edge would have stored them
+        for i, j in new_index.items():
+            g._adj[j] = {new_index[k]: d for k, d in self._adj[i].items() if k in new_index}
+        g.links = [Link(l.u, l.v, l.distance) for l in self.links
+                   if l.u in keep_set and l.v in keep_set]
         return g
 
     def with_energies(self, energies) -> NetworkGraph:

@@ -6,7 +6,7 @@ import random
 from clmat.errors import NoSpanningCandidate
 from clmat.metrics import TreeMetrics
 from clmat.selection import select_aggregator
-from clmat.simulator import LifetimeResult, SimState, drain_round
+from clmat.simulator import LifetimeResult, SimState, drain_round, round_costs
 from clmat.topology import NetworkGraph, random_topology
 from clmat.trees import AggregationTree, Candidate, oracle_shortest_paths, shortest_path_tree
 
@@ -228,7 +228,9 @@ def reference_run_lifetime(graph, config, policy="clmat",
                 partitioned = True
                 break
             need_select = False
-        report = drain_round(state, state.current_tree, config.radio, graph)
+        # costs recomputed from the tree every round, independent of any cache
+        report = drain_round(state, state.current_tree,
+                             round_costs(state.current_tree, config.radio, graph))
         reports.append(report)
         delivered += len(state.current_tree.dist)
         if report.deaths:

@@ -17,6 +17,7 @@ from clmat.simulator import (
     drain_round,
     reports_csv,
     residual_trace_csv,
+    round_costs,
     run_lifetime,
 )
 from clmat.topology import NetworkGraph, export_json, random_topology
@@ -82,7 +83,7 @@ def test_drain_star():
         g.add_edge("hub", f"leaf{i}", 1.0)
     tree = shortest_path_tree(g, "hub")
     state = _state_for(g)
-    report = drain_round(state, tree, FLAT, g)
+    report = drain_round(state, tree, round_costs(tree, FLAT, g))
     assert report.drained["hub"] == 1.5
     assert all(report.drained[f"leaf{i}"] == 1.0 for i in range(3))
     assert report.total_drained == 4.5
@@ -96,7 +97,7 @@ def test_drain_chain():
     g.add_edge("A", "B", 1.0)
     g.add_edge("B", "C", 1.0)
     tree = shortest_path_tree(g, "A")
-    report = drain_round(_state_for(g), tree, FLAT, g)
+    report = drain_round(_state_for(g), tree, round_costs(tree, FLAT, g))
     assert report.drained == {"A": 0.5, "B": 1.5, "C": 1.0}
 
 
@@ -270,6 +271,35 @@ def test_compare_policies_random_row_is_mean_of_seeded_runs():
     assert len(set(lifetimes)) > 1  # the trials draw different roots
     assert compare_policies(g, cfg, ["random"], random_trials=4) == [
         ("random", sum(lifetimes) / 4)]
+
+
+def test_compare_policies_builds_each_full_network_tree_once(monkeypatch):
+    """Every compare run starts from the whole network, so all policies and
+    random trials share one first view: the input graph, each root's tree
+    built on it at most once."""
+    g = random_topology(12, 100.0, 80.0, 0.1, 0.15, seed=3)
+    cfg = SimConfig(radio=RadioModel(1e-3, 1e-6, 2, 5e-4), seed=2)
+    policies = ["clmat", "max-energy", "random", "fixed:n4"]
+    trial_cfgs = [dataclasses.replace(cfg, seed=cfg.seed * 100003 + t) for t in range(3)]
+    separate = []
+    for policy in policies:
+        cfgs = trial_cfgs if policy == "random" else [cfg]
+        separate.append((policy, sum(run_lifetime(g, c, policy).lifetime for c in cfgs) / len(cfgs)))
+
+    built = []
+    build = simulator.shortest_path_tree
+
+    def spy_build(graph, root):
+        built.append((graph, root))
+        return build(graph, root)
+
+    monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
+    rows = compare_policies(g, cfg, policies, random_trials=len(trial_cfgs))
+    assert rows == separate
+    full = [root for graph, root in built if len(graph) == len(g)]
+    assert all(graph is g for graph, root in built if len(graph) == len(g))
+    # clmat builds every root first; the other runs reuse those trees
+    assert full == g.node_ids()
 
 
 def test_reports_csv_shape():
@@ -449,25 +479,27 @@ def test_energy_aware_policies_repick_at_cadence():
 def _spied_simulate(tmp_path, monkeypatch, g, policy):
     """Run `simulate --until exhaustion` on g, recording views and tree builds.
 
-    Returns the alive set of each restricted view in order, the tree builds
-    as (1-based view number, root), and the round CSV rows.
+    Returns the alive set of each view in order, the tree builds as
+    (1-based view number, root), and the round CSV rows. Views are counted
+    where they are made, not by graph copies: the view over every node is
+    the input graph itself and copies nothing.
     """
     topo = tmp_path / "topo.json"
     topo.write_text(export_json(g), encoding="utf-8")
     rounds_csv = tmp_path / "rounds.csv"
     views, built = [], []
-    restricted = NetworkGraph.restricted
+    make_view = simulator._AliveView.__init__
     build = simulator.shortest_path_tree
 
-    def spy_restricted(self, keep, energies=None):
-        views.append(tuple(keep))
-        return restricted(self, keep, energies)
+    def spy_view(self, graph, alive, radio):
+        views.append(tuple(alive))
+        make_view(self, graph, alive, radio)
 
     def spy_build(graph, root):
         built.append((len(views), root))
         return build(graph, root)
 
-    monkeypatch.setattr(NetworkGraph, "restricted", spy_restricted)
+    monkeypatch.setattr(simulator._AliveView, "__init__", spy_view)
     monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
     code = cli.main(["simulate", str(topo), "--policy", policy, "--reselect-every", "1",
                      "--until", "exhaustion", "--radio", "1e-3,1e-6,2,5e-4",

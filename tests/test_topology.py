@@ -15,7 +15,7 @@ from clmat.topology import (
     random_topology,
 )
 
-from graphgen import f4
+from graphgen import f4, random_connected_graph
 
 
 def test_add_vertex_first_insertion():
@@ -322,6 +322,52 @@ def test_with_energies_keeps_structure():
     assert all(n.energy == 9.0 for n in view.nodes)
     assert view._link_set() == {(u, v, d) for u, v, d in
                                 ((min(l.u, l.v), max(l.u, l.v), l.distance) for l in g.links)}
+
+
+@st.composite
+def _readded_graphs(draw):
+    """A graphgen graph, some of whose links are added again with new distances.
+
+    Returns the graph and its construction history as (u, v, distance) in
+    add_edge order; a re-add is half the time in the reverse orientation.
+    """
+    g = random_connected_graph(random.Random(draw(st.integers(0, 2 ** 32))),
+                               n=draw(st.integers(1, 9)))
+    history = [(l.u, l.v, l.distance) for l in g.links]
+    if history:
+        for u, v, _ in draw(st.lists(st.sampled_from(history), max_size=6)):
+            if draw(st.booleans()):
+                u, v = v, u
+            d = float(draw(st.integers(1, 20)))
+            g.add_edge(u, v, d)
+            history.append((u, v, d))
+    return g, history
+
+
+@given(graph_history=_readded_graphs(), data=st.data())
+def test_restricted_matches_copy_rebuilt_through_add_edge(graph_history, data):
+    g, history = graph_history
+    keep = data.draw(st.lists(st.sampled_from(g.node_ids()), unique=True), label="keep")
+    kept = set(keep)
+    rebuilt = NetworkGraph()
+    for n in g.nodes:
+        if n.id in kept:
+            rebuilt.add_vertex(n.id, n.energy, n.position)
+    for u, v, d in history:
+        if u in kept and v in kept:
+            rebuilt.add_edge(u, v, d)
+    sub = g.restricted(keep)
+    assert sub == rebuilt
+    assert sub._index == rebuilt._index
+    assert [list(a.items()) for a in sub._adj] == [list(a.items()) for a in rebuilt._adj]
+    assert ([(l.u, l.v, l.distance) for l in sub.links]
+            == [(l.u, l.v, l.distance) for l in rebuilt.links])
+    # the copy owns its links, so re-adding a pair on it cannot change the source
+    assert not {id(l) for l in sub.links} & {id(l) for l in g.links}
+    victim = data.draw(st.sampled_from(g.node_ids()), label="victim")
+    for bad in (0.0, math.nan):
+        with pytest.raises(errors.InvalidEnergy):
+            g.with_energies({v: bad if v == victim else 1.0 for v in g.node_ids()})
 
 
 @given(e1=st.floats(0.001, 1e6), e2=st.floats(0.001, 1e6), d=st.floats(0.001, 1e6))
