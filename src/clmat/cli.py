@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -229,7 +230,12 @@ def _add_selection_args(sub) -> None:
                           "(default: 50e-9,100e-12,2,50e-9)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The clmat argument parser, built on first use and kept for the process.
+
+    Parsing leaves the parser as it was, so every main call can share it.
+    """
     parser = _Parser(prog="clmat", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -20,11 +20,12 @@ import io
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 
 from .errors import NoSpanningCandidate
-from .metrics import total_distance
 from .selection import MIN_DEPTH, TIE_RULES, pick_tree
-from .trees import AggregationTree, shortest_path_tree
+from .trees import AggregationTree, ShortestPaths, search_tree, shortest_path_search
 
 
 @dataclass(frozen=True)
@@ -136,16 +137,25 @@ def drain_round(state: SimState, tree: AggregationTree, costs: dict[str, float])
     """Charge one round of traffic on the tree and record deaths.
 
     costs is round_costs of the tree, taken as an argument so that a caller
-    keeping one tree for many rounds computes them once. Nodes finish the
-    round before a residual of <= 0 removes them.
+    keeping one tree for many rounds computes them once. Each node is
+    charged and tested for death in the same pass over costs, and nodes
+    finish the round before a residual of <= 0 removes them. A residual
+    changes only when its node is charged, so the charged nodes are the
+    only ones that can newly die. This relies on costs naming alive nodes
+    only, in insertion order, as round_costs of a tree over the alive
+    nodes does; deaths then come in the order of state.alive.
     """
     state.round += 1
+    initial = state.initial
     drained_cum = state.drained_cum
     total = 0.0
+    deaths = []
     for v, cost in costs.items():
-        drained_cum[v] += cost
+        spent = drained_cum[v] + cost
+        drained_cum[v] = spent
         total += cost
-    deaths = [v for v in state.alive if state.residual(v) <= 0]
+        if initial[v] - spent <= 0:  # SimState.residual, inlined
+            deaths.append(v)
     if deaths:
         dead = set(deaths)
         state.alive = [v for v in state.alive if v not in dead]
@@ -163,43 +173,73 @@ def check_policy(policy: str) -> None:
 
 
 class _AliveView:
-    """What one alive set fixes: the graph restricted to it, each root's tree
-    and each tree's round costs.
+    """What one alive set fixes: each root's search over the alive nodes,
+    the trees of the roots picked and each tree's round costs.
 
-    Trees and costs are computed on first use and kept. None of this reads
-    energy, so a view answers for as long as the alive set stays the same.
-    The alive list keeps the graph's insertion order, so a view over every
-    node is the graph itself and copies nothing.
+    A view keeps the original graph, the alive ids and their insertion
+    indices (both in insertion order) and, unless every node is alive, a
+    mask by insertion index that the searches skip dead nodes by; it copies
+    no graph. Searches are kept by root index, trees and costs by root id,
+    each computed on first use. None of this reads energy, so a view
+    answers for as long as the alive set stays the same.
     """
 
     def __init__(self, graph, alive, radio: RadioModel):
-        self.graph = graph if len(alive) == len(graph) else graph.restricted(alive)
+        self.graph = graph
         self.radio = radio
+        self.ids = alive
+        self.indices = [graph.get_index(v) for v in alive]
+        self.mask = None
+        if len(alive) != len(graph):
+            self.mask = bytearray(len(graph))
+            for i in self.indices:
+                self.mask[i] = 1
+        self._searches: dict[int, ShortestPaths] = {}
         self._trees: dict[str, AggregationTree] = {}
         self._costs: dict[str, dict[str, float]] = {}
 
-    def tree(self, root: str) -> AggregationTree:
-        tree = self._trees.get(root)
-        if tree is None:
-            tree = self._trees[root] = shortest_path_tree(self.graph, root)
-        return tree
+    def is_alive(self, root: str) -> bool:
+        i = self.graph.get_index(root)
+        return i != -1 and (self.mask is None or self.mask[i] == 1)
 
-    def costs(self, root: str) -> dict[str, float]:
-        """round_costs of root's tree."""
-        costs = self._costs.get(root)
-        if costs is None:
-            costs = self._costs[root] = round_costs(self.tree(root), self.radio, self.graph)
-        return costs
+    def search(self, i: int) -> ShortestPaths:
+        """shortest_path_search over the alive nodes from the alive node at index i."""
+        paths = self._searches.get(i)
+        if paths is None:
+            paths = self._searches[i] = shortest_path_search(self.graph, i, self.mask)
+        return paths
 
     def spanning_tree(self, root: str, message: str) -> AggregationTree:
-        """root's tree, or NoSpanningCandidate(message) unless it reaches every alive node.
+        """Alive root's tree, or NoSpanningCandidate(message) unless it reaches every alive node.
 
         Links are undirected, so one root spans exactly when every root does.
         """
-        tree = self.tree(root)
-        if len(tree.dist) != len(self.graph):
-            raise NoSpanningCandidate(message)
+        tree = self._trees.get(root)
+        if tree is None:
+            paths = self.search(self.graph.get_index(root))
+            if paths.reached != len(self.indices):
+                raise NoSpanningCandidate(message)
+            tree = self._trees[root] = search_tree(self.graph, root, paths)
         return tree
+
+    def costs(self, root: str) -> dict[str, float]:
+        """round_costs of root's spanning tree."""
+        costs = self._costs.get(root)
+        if costs is None:
+            costs = self._costs[root] = round_costs(self._trees[root], self.radio, self.graph)
+        return costs
+
+
+def _fold(row: list[float], indices: list[int]) -> float:
+    """Plain left-to-right float sum of row over indices.
+
+    sum() compensates from Python 3.12, so it would not repeat
+    total_distance's fold bit for bit; reduce(add) does. A root's own row
+    entry is 0.0, and adding 0.0 to a nonnegative sum leaves its bits as
+    they are, so folding over every alive index equals total_distance's
+    fold over the non-root nodes.
+    """
+    return reduce(add, map(row.__getitem__, indices), 0.0)
 
 
 def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
@@ -211,60 +251,59 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
     """
     check_policy(policy)
     if policy == "clmat":
-        rows: dict[str, dict[str, float]] = {}  # each root's dist in its latest built tree
+        rows: dict[int, list[float]] = {}  # by root index: best of its latest search
 
         def choose(view, state):
-            """The least-total tree, built only for roots whose bound can still win.
+            """The least-total tree, searched only from roots whose bound can still win.
 
             A death only removes paths, and float rounding is monotone, so no
             distance falls: a root's stored row, which spanned an earlier
             alive set, folded over the alive nodes in the same order as
-            total_distance, is a lower bound on its new total. Roots are built in (bound, index) order until the next
-            bound is strictly above the least total found, so every skipped
-            root totals strictly more than the winner and cannot even tie.
+            total_distance, is a lower bound on its new total. Roots are
+            searched in (bound, index) order until the next bound is
+            strictly above the least total found, so every skipped root
+            totals strictly more than the winner and cannot even tie. Only
+            the picked root's search becomes a tree.
             """
-            ids = view.graph.node_ids()
+            indices = view.indices
             bounds = []
-            for i, root in enumerate(ids):
-                row = rows.get(root)
-                bound = -math.inf
-                if row is not None:
-                    bound = 0.0
-                    for v in ids:  # a plain fold: sum() compensates from Python 3.12
-                        if v != root:
-                            bound += row[v]
-                bounds.append((bound, i))
+            for i in indices:
+                row = rows.get(i)
+                bounds.append((-math.inf if row is None else _fold(row, indices), i))
             bounds.sort()
             entries = []
             least = math.inf
             for bound, i in bounds:
                 if bound > least:
                     break
-                tree = view.spanning_tree(ids[i], "no candidate tree spans every node")
-                rows[tree.root] = tree.dist
-                total = total_distance(tree)
+                paths = view.search(i)
+                if paths.reached != len(indices):
+                    raise NoSpanningCandidate("no candidate tree spans every node")
+                rows[i] = paths.best
+                total = _fold(paths.best, indices)
                 least = min(least, total)
-                entries.append((i, tree, total))
+                entries.append((i, paths, total))  # the tie key reads only .depth
             entries.sort(key=lambda e: e[0])  # the tie key reads index order
-            return pick_tree(entries, tie_rule)[1]
+            i = pick_tree(entries, tie_rule)[0]
+            return view.spanning_tree(view.graph.nodes[i].id, "no candidate tree spans every node")
         return choose, False
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
 
         def choose(view, state):
-            if view.graph.get_index(root) == -1:
+            if not view.is_alive(root):
                 raise NoSpanningCandidate(f"fixed root {root} is not in the alive network")
             return view.spanning_tree(root, f"fixed root {root} no longer spans the network")
         return choose, False
     if policy == "max-energy":
         def choose(view, state):
             # max keeps the first of equal residuals
-            root = max(view.graph.node_ids(), key=state.residual)
+            root = max(view.ids, key=state.residual)
             return view.spanning_tree(root, "no spanning root available")
         return choose, True
 
     def choose(view, state):  # random
-        root = rng.choice(view.graph.node_ids())
+        root = rng.choice(view.ids)
         return view.spanning_tree(root, "no spanning root available")
     return choose, True
 
@@ -274,8 +313,9 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     """Drive rounds until the first death or the horizon.
 
     The shortest-path trees and their round costs depend only on which
-    nodes are alive, so they are computed on the alive subgraph at most
-    once per alive set: in round 1 and after each death. clmat and
+    nodes are alive, so they are computed at most once per alive set: in
+    round 1 and after each death, by searches that skip the dead nodes
+    through an alive mask rather than on a copy of the graph. clmat and
     fixed:<id> pick their tree then and keep it; after a death clmat
     builds only the roots that can still win. max-energy and random also
     re-pick every reselect_every rounds, reading current residuals, so the
@@ -376,19 +416,35 @@ def residual_trace_csv(graph, reports) -> str:
 
     Recomputed from the reports with the same per-node fold the simulator
     used, so the values match the internal state bit for bit. A node's last
-    row is the round it died.
+    row is the round it died. Each row is rendered in one pass, as
+    csv.writer would write it: every id is CSV-quoted once, by csv.writer,
+    and rounds and float reprs never need quoting.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["round", "node", "residual"])
-    initial = {n.id: n.energy for n in graph.nodes}
-    cum = {v: 0.0 for v in initial}
-    alive = list(initial)
+    ids = graph.node_ids()
+    cell = io.StringIO()
+    writer = csv.writer(cell, lineterminator="\n")
+    quoted = []
+    for v in ids:
+        # written as the second of two fields, as in a trace row
+        cell.seek(0)
+        cell.truncate()
+        writer.writerow(("", v))
+        quoted.append(cell.getvalue()[1:-1])
+    initial = [n.energy for n in graph.nodes]
+    cum = [0.0] * len(ids)
+    alive = list(range(len(ids)))
+    buf = io.StringIO()  # holds the text alone, not a string object per row
+    write = buf.write
+    write("round,node,residual\n")
     for rep in reports:
-        for v in alive:
-            if v in rep.drained:
-                cum[v] += rep.drained[v]
-            writer.writerow([rep.round, v, repr(initial[v] - cum[v])])
-        dead = set(rep.deaths)
-        alive = [v for v in alive if v not in dead]
+        drained = rep.drained
+        r = rep.round
+        for i in alive:
+            d = drained.get(ids[i])
+            if d is not None:
+                cum[i] += d
+            write(f"{r},{quoted[i]},{initial[i] - cum[i]!r}\n")
+        if rep.deaths:
+            dead = set(rep.deaths)
+            alive = [i for i in alive if ids[i] not in dead]
     return buf.getvalue()

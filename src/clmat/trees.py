@@ -4,8 +4,9 @@ Tree construction is deterministic: the heap Dijkstra runs on insertion
 indices, over list-held distances, parents and hop counts, and breaks
 distance ties by the lowest index; the relaxation loop sweeps links in
 insertion order, so ties always resolve the same way. The Dijkstra also
-yields each tree's depth in the same pass. Per-root builds are independent
-pure computations over the immutable graph.
+yields each tree's depth in the same pass, and can skip the nodes an
+alive mask excludes instead of searching a copy without them. Per-root
+builds are independent pure computations over the immutable graph.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SingletonTree, UnknownVertex
 from .metrics import (
@@ -50,35 +52,58 @@ class AggregationTree:
         return Counter(self.parent.values())
 
 
-def shortest_path_tree(graph, root: str) -> AggregationTree:
-    """Single-source shortest paths from root, with parent pointers and depth.
+class ShortestPaths(NamedTuple):
+    """One heap Dijkstra's lists, by insertion index, plus its depth and reach.
 
-    Heap Dijkstra over the graph's index-keyed adjacency, O((n + E) log n),
-    with best distance, parent and hop count held in lists by insertion
-    index. Heap entries are (distance, index) and stale entries are skipped,
-    so nodes are finalized in the order of a minimum-distance scan whose
-    ties go to the lowest index. A parent is recorded only on strict
-    improvement, so the first-found parent survives equal-distance
-    alternatives. A node's hop count is set with its parent and is final
-    when the node is popped, so the tree's depth, the largest popped hop
-    count, is known when the search ends. dist and parent list the reached
-    nodes in insertion order.
+    best holds each node's root distance: +inf where the search did not
+    reach, -inf where the alive mask excluded the node. parent holds each
+    reached non-root node's parent index and -1 elsewhere. reached counts
+    the nodes the search settled, the root included.
     """
-    ri = graph.get_index(root)
-    if ri == -1:
-        raise UnknownVertex(f"unknown vertex: {root}")
+
+    best: list[float]
+    parent: list[int]
+    depth: int
+    reached: int
+
+
+def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
+    """Heap Dijkstra from insertion index ri over the graph's index-keyed adjacency.
+
+    O((n + E) log n), with best distance, parent and hop count held in
+    lists by insertion index. Heap entries are (distance, index) and stale
+    entries are skipped, so nodes are finalized in the order of a
+    minimum-distance scan whose ties go to the lowest index. A parent is
+    recorded only on strict improvement, so the first-found parent survives
+    equal-distance alternatives. A node's hop count is set with its parent
+    and is final when the node is popped, so the depth, the largest popped
+    hop count, is known when the search ends.
+
+    alive, when given, is a mask by insertion index (a bytearray, say)
+    whose zero entries the search treats as absent; ri must be alive. Their
+    distances start at -inf, so the strict-improvement test already
+    rejects every link into them and the search does no extra work per
+    link. Rows are visited in the order graph.restricted keeps them, and
+    restricted keeps the index order, so the masked search answers exactly
+    as a search on the restricted copy would.
+    """
     adj = graph._adj
     n = len(adj)
-    best = [math.inf] * n
+    if alive is None:
+        best = [math.inf] * n
+    else:
+        best = [math.inf if a else -math.inf for a in alive]
     parent = [-1] * n
     hop = [0] * n
     best[ri] = 0.0
     depth = 0
+    reached = 0
     heap = [(0.0, ri)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > best[v]:
             continue  # stale: v was pushed again at a shorter distance
+        reached += 1
         h = hop[v]
         if h > depth:
             depth = h
@@ -91,13 +116,36 @@ def shortest_path_tree(graph, root: str) -> AggregationTree:
                 parent[w] = v
                 hop[w] = h
                 heapq.heappush(heap, (through, w))
+    return ShortestPaths(best, parent, depth, reached)
+
+
+def search_tree(graph, root: str, paths: ShortestPaths) -> AggregationTree:
+    """The AggregationTree of a shortest_path_search rooted at root.
+
+    dist and parent list the reached nodes in insertion order.
+    """
     ids = graph.node_ids()
+    inf = math.inf
     return AggregationTree(
         root=root,
-        parent={ids[w]: ids[p] for w, p in enumerate(parent) if p != -1},
-        dist={ids[w]: d for w, d in enumerate(best) if d != math.inf},
-        depth=depth,
+        parent={ids[w]: ids[p] for w, p in enumerate(paths.parent) if p != -1},
+        dist={ids[w]: d for w, d in enumerate(paths.best) if -inf < d < inf},
+        depth=paths.depth,
     )
+
+
+def shortest_path_tree(graph, root: str, alive=None) -> AggregationTree:
+    """Single-source shortest paths from root, with parent pointers and depth.
+
+    shortest_path_search from root's index, as an AggregationTree. alive,
+    when given, is the search's mask by insertion index, and the tree is
+    the one shortest_path_tree builds on graph.restricted to the alive
+    nodes. A root that is absent or masked out raises UnknownVertex.
+    """
+    ri = graph.get_index(root)
+    if ri == -1 or (alive is not None and not alive[ri]):
+        raise UnknownVertex(f"unknown vertex: {root}")
+    return search_tree(graph, root, shortest_path_search(graph, ri, alive))
 
 
 def oracle_shortest_paths(graph, root: str) -> dict[str, float]:

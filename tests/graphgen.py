@@ -6,7 +6,7 @@ import random
 from clmat.errors import NoSpanningCandidate
 from clmat.metrics import TreeMetrics
 from clmat.selection import select_aggregator
-from clmat.simulator import LifetimeResult, SimState, drain_round, round_costs
+from clmat.simulator import LifetimeResult, RoundReport, SimState, round_costs
 from clmat.topology import NetworkGraph, random_topology
 from clmat.trees import AggregationTree, Candidate, oracle_shortest_paths, shortest_path_tree
 
@@ -202,8 +202,10 @@ def reference_run_lifetime(graph, config, policy="clmat",
 
     Every reselection (round 1, each death, and every reselect_every rounds
     for every policy) copies the alive subgraph with residuals as node
-    energies and runs the full scored selection on it. run_lifetime must
-    agree with it on every output and every exception.
+    energies and runs the full scored selection on it. Each round charges
+    every tree node and then scans every alive node for a residual of <= 0,
+    without the simulator's drain_round. run_lifetime must agree with it on
+    every output and every exception.
     """
     config.validate()
     if not graph.nodes:
@@ -229,8 +231,15 @@ def reference_run_lifetime(graph, config, policy="clmat",
                 break
             need_select = False
         # costs recomputed from the tree every round, independent of any cache
-        report = drain_round(state, state.current_tree,
-                             round_costs(state.current_tree, config.radio, graph))
+        costs = round_costs(state.current_tree, config.radio, graph)
+        total = 0.0
+        for v, cost in costs.items():
+            state.drained_cum[v] += cost
+            total += cost
+        deaths = [v for v in state.alive if state.residual(v) <= 0]
+        state.alive = [v for v in state.alive if v not in deaths]
+        report = RoundReport(r, state.current_tree.root, dict(costs), total,
+                             len(state.alive), deaths)
         reports.append(report)
         delivered += len(state.current_tree.dist)
         if report.deaths:

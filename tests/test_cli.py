@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from clmat import cli
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
 from clmat.selection import select_aggregator
 from clmat.topology import NetworkGraph, export_json, load_topology
@@ -205,6 +206,26 @@ def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     assert err.strip().startswith("usage error:")
 
 
+def test_parser_is_built_once_and_reused_after_usage_errors(capsys, tmp_path):
+    """One parser serves every main call in a process, also after a usage
+    error raised inside argparse or by a type converter."""
+    path = _f4_file(tmp_path)
+    argvs = [["select", path, "--tie", "coin"],
+             ["select", path, "--format", "json"],
+             ["simulate", path, "--radio", "1,2"],
+             ["compare", path, "--policies", "clmat,fixed:A", "--format", "csv"],
+             ["trees"]]
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    cli._build_parser.cache_clear()
+    shared = [_run(capsys, argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [1, 0, 1, 0, 1]
+    assert shared == fresh
+
+
 def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
     # a broken invariant deep in the library is a bug, not a user mistake
     def broken(*args, **kwargs):
@@ -213,7 +234,7 @@ def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
     monkeypatch.setattr("clmat.cli.build_all_candidates", broken)
     with pytest.raises(ValueError, match="cycle"):
         main(["select", _f4_file(tmp_path)])
-    monkeypatch.setattr("clmat.simulator.shortest_path_tree", broken)
+    monkeypatch.setattr("clmat.simulator.shortest_path_search", broken)
     with pytest.raises(ValueError, match="cycle"):
         main(["compare", _f4_file(tmp_path)])
 

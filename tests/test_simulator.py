@@ -1,9 +1,11 @@
+import csv
 import dataclasses
+import io
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clmat import cli, errors, simulator
@@ -275,8 +277,8 @@ def test_compare_policies_random_row_is_mean_of_seeded_runs():
 
 def test_compare_policies_builds_each_full_network_tree_once(monkeypatch):
     """Every compare run starts from the whole network, so all policies and
-    random trials share one first view: the input graph, each root's tree
-    built on it at most once."""
+    random trials share one first view: each root's unmasked search on the
+    input graph runs at most once."""
     g = random_topology(12, 100.0, 80.0, 0.1, 0.15, seed=3)
     cfg = SimConfig(radio=RadioModel(1e-3, 1e-6, 2, 5e-4), seed=2)
     policies = ["clmat", "max-energy", "random", "fixed:n4"]
@@ -287,17 +289,17 @@ def test_compare_policies_builds_each_full_network_tree_once(monkeypatch):
         separate.append((policy, sum(run_lifetime(g, c, policy).lifetime for c in cfgs) / len(cfgs)))
 
     built = []
-    build = simulator.shortest_path_tree
+    search = simulator.shortest_path_search
 
-    def spy_build(graph, root):
-        built.append((graph, root))
-        return build(graph, root)
+    def spy_search(graph, ri, alive=None):
+        built.append((graph, ri, alive))
+        return search(graph, ri, alive)
 
-    monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
+    monkeypatch.setattr(simulator, "shortest_path_search", spy_search)
     rows = compare_policies(g, cfg, policies, random_trials=len(trial_cfgs))
     assert rows == separate
-    full = [root for graph, root in built if len(graph) == len(g)]
-    assert all(graph is g for graph, root in built if len(graph) == len(g))
+    full = [graph.nodes[ri].id for graph, ri, alive in built if alive is None]
+    assert all(graph is g for graph, ri, alive in built)
     # clmat builds every root first; the other runs reuse those trees
     assert full == g.node_ids()
 
@@ -325,6 +327,40 @@ def test_residual_trace_matches_reports():
             cum[v] += d
             seen.add((str(report.round), v, repr(g.energy(v) - cum[v])))
     assert {tuple(r) for r in rows} == seen
+
+
+def _trace_by_writer(graph, reports) -> str:
+    """residual_trace_csv's rows, each written by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["round", "node", "residual"])
+    initial = {n.id: n.energy for n in graph.nodes}
+    cum = {v: 0.0 for v in initial}
+    alive = list(initial)
+    for rep in reports:
+        for v in alive:
+            if v in rep.drained:
+                cum[v] += rep.drained[v]
+            writer.writerow([rep.round, v, repr(initial[v] - cum[v])])
+        alive = [v for v in alive if v not in rep.deaths]
+    return buf.getvalue()
+
+
+# characters csv must quote, or that a line-based reader would split on
+_AWKWARD_IDS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\u2028", "a", "b"]),
+                       min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(_AWKWARD_IDS, min_size=1, max_size=6, unique=True), data=st.data())
+def test_residual_trace_matches_csv_writer_rows(ids, data):
+    g = NetworkGraph()
+    for v in ids:
+        g.add_vertex(v, data.draw(st.sampled_from([1.0, 2.0, 3.5])))
+    for i in range(1, len(ids)):
+        g.add_edge(ids[data.draw(st.integers(0, i - 1))], ids[i], 1.0)
+    result = run_lifetime(g, SimConfig(radio=FLAT, max_rounds=8), stop_at_first_death=False)
+    assert residual_trace_csv(g, result.reports) == _trace_by_writer(g, result.reports)
 
 
 @st.composite
@@ -418,6 +454,23 @@ def test_clmat_run_to_exhaustion_matches_reference_on_tie_heavy_graphs(g, tie_ru
             == _outcome(reference_run_lifetime, g, config, "clmat", False))
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=tie_graphs(), data=st.data(), stop_at_first_death=st.booleans())
+def test_fixed_root_death_matches_reference(g, data, stop_at_first_death):
+    """A fixed root that dies leaves no tree to drain on: the run ends as the
+    reference's does, after any deaths that came first."""
+    root = data.draw(st.sampled_from(g.node_ids()))
+    g = g.with_energies({v: data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])) if v == root
+                         else g.energy(v) for v in g.node_ids()})
+    config = SimConfig(radio=RadioModel(0.3, 0.1, 2, 0.2), max_rounds=30,
+                       reselect_every=data.draw(st.sampled_from([1, 3])))
+    policy = f"fixed:{root}"
+    reference = reference_run_lifetime(g, config, policy, stop_at_first_death)
+    assume(any(root in r.deaths for r in reference.reports))
+    assert (_outcome(run_lifetime, g, config, policy, stop_at_first_death)
+            == _outcome(reference_run_lifetime, g, config, policy, stop_at_first_death))
+
+
 @pytest.mark.parametrize("tie_rule, winner", [("first-min", "a"), ("min-depth", "b")])
 def test_clmat_stale_bound_order_does_not_break_ties(monkeypatch, tie_rule, winner):
     """After x dies, a and b tie on total distance but b has the lower bound.
@@ -442,13 +495,14 @@ def test_clmat_stale_bound_order_does_not_break_ties(monkeypatch, tie_rule, winn
     assert shortest_path_tree(view, "a").depth == shortest_path_tree(view, "b").depth
 
     built = []
-    build = simulator.shortest_path_tree
+    search = simulator.shortest_path_search
 
-    def spy_build(graph, root):
-        built.append((len(graph), root))
-        return build(graph, root)
+    def spy_search(graph, ri, alive=None):
+        # (alive count, root) of each search
+        built.append((len(graph) if alive is None else sum(alive), graph.nodes[ri].id))
+        return search(graph, ri, alive)
 
-    monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
+    monkeypatch.setattr(simulator, "shortest_path_search", spy_search)
     config = SimConfig(radio=FLAT, max_rounds=2, tie_rule=tie_rule)
     result = run_lifetime(g, config, stop_at_first_death=False)
     assert [(r.aggregator, r.deaths) for r in result.reports] == [("b", ["x"]), (winner, [])]
@@ -477,34 +531,41 @@ def test_energy_aware_policies_repick_at_cadence():
 
 
 def _spied_simulate(tmp_path, monkeypatch, g, policy):
-    """Run `simulate --until exhaustion` on g, recording views and tree builds.
+    """Run `simulate --until exhaustion` on g, recording views and tree searches.
 
-    Returns the alive set of each view in order, the tree builds as
+    Returns the alive set of each view in order, the searches as
     (1-based view number, root), and the round CSV rows. Views are counted
-    where they are made, not by graph copies: the view over every node is
-    the input graph itself and copies nothing.
+    where they are made: a view masks the dead nodes out of the input
+    graph, so the run makes no graph copy at all.
     """
     topo = tmp_path / "topo.json"
     topo.write_text(export_json(g), encoding="utf-8")
     rounds_csv = tmp_path / "rounds.csv"
-    views, built = [], []
+    views, built, copies = [], [], []
     make_view = simulator._AliveView.__init__
-    build = simulator.shortest_path_tree
+    search = simulator.shortest_path_search
+    restrict = NetworkGraph.restricted
 
     def spy_view(self, graph, alive, radio):
         views.append(tuple(alive))
         make_view(self, graph, alive, radio)
 
-    def spy_build(graph, root):
-        built.append((len(views), root))
-        return build(graph, root)
+    def spy_search(graph, ri, alive=None):
+        built.append((len(views), graph.nodes[ri].id))
+        return search(graph, ri, alive)
+
+    def spy_restrict(self, keep, energies=None):
+        copies.append(tuple(keep))
+        return restrict(self, keep, energies)
 
     monkeypatch.setattr(simulator._AliveView, "__init__", spy_view)
-    monkeypatch.setattr(simulator, "shortest_path_tree", spy_build)
+    monkeypatch.setattr(simulator, "shortest_path_search", spy_search)
+    monkeypatch.setattr(NetworkGraph, "restricted", spy_restrict)
     code = cli.main(["simulate", str(topo), "--policy", policy, "--reselect-every", "1",
                      "--until", "exhaustion", "--radio", "1e-3,1e-6,2,5e-4",
                      "-o", str(rounds_csv)])
     assert code == 0
+    assert copies == []
     rows = [line.split(",") for line in rounds_csv.read_text().splitlines()[1:]]
     return views, built, rows
 

@@ -12,6 +12,7 @@ from clmat.topology import NetworkGraph
 from clmat.trees import (
     build_all_candidates,
     oracle_shortest_paths,
+    shortest_path_search,
     shortest_path_tree,
 )
 
@@ -139,6 +140,27 @@ def test_heap_build_matches_scan_on_every_root(g):
         assert tree.parent == scan.parent
         assert list(tree.dist.items()) == list(scan.dist.items())
         assert tree.depth == scan.depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=tie_heavy_graphs(), data=st.data())
+def test_masked_search_matches_search_on_restricted_copy(g, data):
+    """A search that skips the nodes an alive mask excludes builds the tree a
+    search on the graph restricted to the alive nodes builds."""
+    keep = data.draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g)))
+    alive = bytearray(keep)
+    copy = g.restricted([v for v, k in zip(g.node_ids(), keep) if k])
+    for ri, root in enumerate(g.node_ids()):
+        if not keep[ri]:
+            with pytest.raises(errors.UnknownVertex):
+                shortest_path_tree(g, root, alive)
+            continue
+        tree = shortest_path_tree(g, root, alive)
+        want = shortest_path_tree(copy, root)
+        assert list(tree.parent.items()) == list(want.parent.items())
+        assert list(tree.dist.items()) == list(want.dist.items())
+        assert tree.depth == want.depth
+        assert shortest_path_search(g, ri, alive).reached == len(want.dist)
 
 
 def test_oracle_f4():
