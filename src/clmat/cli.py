@@ -235,6 +235,9 @@ def _build_parser() -> _Parser:
     """The clmat argument parser, built on first use and kept for the process.
 
     Parsing leaves the parser as it was, so every main call can share it.
+    This saves time only in a process that calls main more than once, such
+    as a test run or an in-process benchmark loop; the installed clmat
+    command calls main once per process and builds the parser once anyway.
     """
     parser = _Parser(prog="clmat", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)

@@ -137,25 +137,27 @@ def drain_round(state: SimState, tree: AggregationTree, costs: dict[str, float])
     """Charge one round of traffic on the tree and record deaths.
 
     costs is round_costs of the tree, taken as an argument so that a caller
-    keeping one tree for many rounds computes them once. Each node is
-    charged and tested for death in the same pass over costs, and nodes
-    finish the round before a residual of <= 0 removes them. A residual
-    changes only when its node is charged, so the charged nodes are the
-    only ones that can newly die. This relies on costs naming alive nodes
-    only, in insertion order, as round_costs of a tree over the alive
-    nodes does; deaths then come in the order of state.alive.
+    keeping one tree for many rounds computes them once. Nodes finish the
+    round before a residual of <= 0 removes them, and deaths come in the
+    order of state.alive. A residual changes only when its node is charged,
+    so each node is tested for death in the same pass that charges it, and
+    state.alive is scanned only in a round where a charged node is at or
+    below 0.
+    Every alive node of a state that starts from positive energies and is
+    only ever drained here starts each round above 0, so no death is missed.
     """
     state.round += 1
     initial = state.initial
     drained_cum = state.drained_cum
     total = 0.0
-    deaths = []
+    died = False
     for v, cost in costs.items():
         spent = drained_cum[v] + cost
         drained_cum[v] = spent
         total += cost
         if initial[v] - spent <= 0:  # SimState.residual, inlined
-            deaths.append(v)
+            died = True
+    deaths = [v for v in state.alive if state.residual(v) <= 0] if died else []
     if deaths:
         dead = set(deaths)
         state.alive = [v for v in state.alive if v not in dead]

@@ -134,18 +134,16 @@ def search_tree(graph, root: str, paths: ShortestPaths) -> AggregationTree:
     )
 
 
-def shortest_path_tree(graph, root: str, alive=None) -> AggregationTree:
+def shortest_path_tree(graph, root: str) -> AggregationTree:
     """Single-source shortest paths from root, with parent pointers and depth.
 
-    shortest_path_search from root's index, as an AggregationTree. alive,
-    when given, is the search's mask by insertion index, and the tree is
-    the one shortest_path_tree builds on graph.restricted to the alive
-    nodes. A root that is absent or masked out raises UnknownVertex.
+    shortest_path_search from root's index, as an AggregationTree whose dist
+    and parent list the reached nodes in insertion order.
     """
     ri = graph.get_index(root)
-    if ri == -1 or (alive is not None and not alive[ri]):
+    if ri == -1:
         raise UnknownVertex(f"unknown vertex: {root}")
-    return search_tree(graph, root, shortest_path_search(graph, ri, alive))
+    return search_tree(graph, root, shortest_path_search(graph, ri))
 
 
 def oracle_shortest_paths(graph, root: str) -> dict[str, float]:

@@ -103,6 +103,35 @@ def test_drain_chain():
     assert report.drained == {"A": 0.5, "B": 1.5, "C": 1.0}
 
 
+def test_drain_on_a_kept_tree_reports_each_death_once_in_alive_order():
+    """A caller may keep a tree after a death and list its costs in any order:
+    deaths are the alive nodes at or below 0, in the order of state.alive."""
+    g = NetworkGraph()
+    for name, energy in [("A", 10.0), ("B", 1.5), ("C", 1.0)]:
+        g.add_vertex(name, energy)
+    g.add_edge("A", "B", 1.0)
+    g.add_edge("B", "C", 1.0)
+    tree = shortest_path_tree(g, "A")
+    costs = round_costs(tree, FLAT, g)
+    backwards = dict(reversed(list(costs.items())))
+    state = _state_for(g)
+    assert drain_round(state, tree, backwards).deaths == ["B", "C"]
+    assert state.alive == ["A"]
+    report = drain_round(state, tree, backwards)  # B and C are charged again
+    assert report.deaths == []
+    assert state.alive == ["A"]
+    assert report.drained == costs
+
+
+def test_alive_view_knows_dead_and_unknown_roots():
+    g = f4()
+    view = simulator._AliveView(g, ["A", "C", "D"], FLAT)
+    assert [view.is_alive(v) for v in ("A", "B", "C", "D", "Z")] == [True, False, True, True, False]
+    full = simulator._AliveView(g, g.node_ids(), FLAT)
+    assert full.mask is None
+    assert [full.is_alive(v) for v in ("A", "B", "Z")] == [True, True, False]
+
+
 def test_zero_radio_never_kills():
     g = f4()
     cfg = SimConfig(radio=RadioModel(0.0, 0.0, 2, 0.0), max_rounds=5)
