@@ -221,7 +221,7 @@ class _AliveView:
             paths = self.search(self.graph.get_index(root))
             if paths.reached != len(self.indices):
                 raise NoSpanningCandidate(message)
-            tree = self._trees[root] = search_tree(self.graph, root, paths)
+            tree = self._trees[root] = search_tree(self.graph.node_ids(), root, paths)
         return tree
 
     def costs(self, root: str) -> dict[str, float]:
@@ -386,8 +386,13 @@ def compare_policies(graph, config: SimConfig, policies,
     other policy is deterministic, so a single run suffices. Every run
     starts from the full alive set with the same radio, so all of them
     share one first view and build each root's full-network tree at most
-    once.
+    once. random_trials below 1 or an unknown policy name raises ValueError
+    before any run.
     """
+    if random_trials < 1:
+        raise ValueError(f"random_trials must be at least 1, got {random_trials}")
+    for policy in policies:
+        check_policy(policy)
     first_view = _AliveView(graph, graph.node_ids(), config.radio)
     rows: list[tuple[str, float]] = []
     for policy in policies:

@@ -8,6 +8,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     DuplicateVertex,
@@ -188,28 +189,53 @@ def random_topology(n: int, side: float, radio_range: float,
         y = rng.uniform(0, side)
         energy = rng.uniform(energy_lo, energy_hi)
         g.add_vertex(f"n{i}", energy, (x, y))
+    ids = g.node_ids()
+    positions = [node.position for node in g.nodes]
+    dist, add_edge = math.dist, g.add_edge
     for i in range(n):
+        a, pa = ids[i], positions[i]
         for j in range(i + 1, n):
-            a, b = g.nodes[i], g.nodes[j]
-            d = math.dist(a.position, b.position)
+            d = dist(pa, positions[j])
             if d <= radio_range:
-                g.add_edge(a.id, b.id, d)
+                add_edge(a, ids[j], d)
     return g
 
 
 def export_json(graph: NetworkGraph) -> str:
-    """Canonical topology document: nodes in insertion order, edges sorted by (u, v)."""
+    """Canonical topology document: nodes in insertion order, edges sorted by (u, v).
+
+    The text is exactly json.dumps(doc, indent=2) plus a newline, where doc
+    is {"mode": "undirected", "nodes": [...], "edges": [...]}, each node
+    {"id", "energy"} followed by "x", "y" when it has a position and each
+    edge {"u", "v", "distance"}. It is written from templates because
+    json.dumps never uses its C encoder when indent is set: it walks every
+    node and edge through Python generators, several times slower. Byte
+    identity relies on two facts: ids are quoted by encode_basestring_ascii,
+    the function json.dumps itself uses, and add_vertex and add_edge store
+    every energy, coordinate and distance as a finite float, whose repr is
+    how json writes it.
+    """
+    quote = encode_basestring_ascii
     nodes = []
     for n in graph.nodes:
-        rec: dict = {"id": n.id, "energy": n.energy}
-        if n.position is not None:
-            rec["x"], rec["y"] = n.position
-        nodes.append(rec)
+        if n.position is None:
+            nodes.append(f'    {{\n      "id": {quote(n.id)},\n      "energy": {n.energy!r}\n    }}')
+        else:
+            x, y = n.position
+            nodes.append(f'    {{\n      "id": {quote(n.id)},\n      "energy": {n.energy!r},\n'
+                         f'      "x": {x!r},\n      "y": {y!r}\n    }}')
     edges = [
-        {"u": link.u, "v": link.v, "distance": link.distance}
+        f'    {{\n      "u": {quote(link.u)},\n      "v": {quote(link.v)},\n'
+        f'      "distance": {link.distance!r}\n    }}'
         for link in sorted(graph.links, key=lambda l: (l.u, l.v))
     ]
-    return json.dumps({"mode": "undirected", "nodes": nodes, "edges": edges}, indent=2) + "\n"
+    return (f'{{\n  "mode": "undirected",\n  "nodes": {_json_list(nodes)},\n'
+            f'  "edges": {_json_list(edges)}\n}}\n')
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of rendered items at the second indent level, as indent=2 writes it."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def _require(cond, msg: str) -> None:

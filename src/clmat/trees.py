@@ -119,12 +119,12 @@ def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
     return ShortestPaths(best, parent, depth, reached)
 
 
-def search_tree(graph, root: str, paths: ShortestPaths) -> AggregationTree:
+def search_tree(ids: list[str], root: str, paths: ShortestPaths) -> AggregationTree:
     """The AggregationTree of a shortest_path_search rooted at root.
 
-    dist and parent list the reached nodes in insertion order.
+    ids is the searched graph's node_ids(); dist and parent list the
+    reached nodes in insertion order.
     """
-    ids = graph.node_ids()
     inf = math.inf
     return AggregationTree(
         root=root,
@@ -143,7 +143,7 @@ def shortest_path_tree(graph, root: str) -> AggregationTree:
     ri = graph.get_index(root)
     if ri == -1:
         raise UnknownVertex(f"unknown vertex: {root}")
-    return search_tree(graph, root, shortest_path_search(graph, ri))
+    return search_tree(graph.node_ids(), root, shortest_path_search(graph, ri))
 
 
 def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
@@ -193,9 +193,10 @@ def build_all_candidates(graph, cost_variant: str = CLMAT,
     is read from the node table, in closed form.
     """
     spanning_energies = spanning_tree_energies(graph, energy_variant) if len(graph) > 1 else []
+    ids = graph.node_ids()
     candidates = []
-    for i, node in enumerate(graph.nodes):
-        tree = shortest_path_tree(graph, node.id)
+    for i, root in enumerate(ids):
+        tree = search_tree(ids, root, shortest_path_search(graph, i))
         spanning = len(tree.dist) == len(graph)
         if spanning and spanning_energies:
             energy = spanning_energies[i]
@@ -206,5 +207,5 @@ def build_all_candidates(graph, cost_variant: str = CLMAT,
                 energy = None
         cost = tree_cost(tree, graph, cost_variant, tx_energy=tx_energy)
         metrics = TreeMetrics(energy, cost, total_distance(tree))
-        candidates.append(Candidate(node.id, tree, metrics, spanning))
+        candidates.append(Candidate(root, tree, metrics, spanning))
     return candidates

@@ -304,6 +304,23 @@ def test_compare_policies_random_row_is_mean_of_seeded_runs():
         ("random", sum(lifetimes) / 4)]
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_compare_policies_rejects_fewer_than_one_random_trial(trials):
+    cfg = SimConfig(radio=FLAT, max_rounds=20)
+    with pytest.raises(ValueError, match="random_trials"):
+        compare_policies(f4(), cfg, ["clmat", "random"], random_trials=trials)
+
+
+def test_compare_policies_checks_every_name_before_any_run(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a policy ran before the names were checked")
+
+    monkeypatch.setattr(simulator, "_run", no_run)
+    cfg = SimConfig(radio=FLAT, max_rounds=20)
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        compare_policies(f4(), cfg, ["clmat", "max-energy", "nope"])
+
+
 def test_compare_policies_builds_each_full_network_tree_once(monkeypatch):
     """Every compare run starts from the whole network, so all policies and
     random trials share one first view: each root's unmasked search on the

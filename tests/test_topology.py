@@ -450,11 +450,11 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
-def _exportable_graphs(draw):
+def _exportable_graphs(draw, ids=st.text(min_size=1, max_size=4), energies=_positive):
     g = NetworkGraph()
-    names = draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=6))
+    names = draw(st.lists(ids, unique=True, max_size=6))
     for name in names:
-        g.add_vertex(name, draw(_positive), draw(st.none() | st.tuples(_finite, _finite)))
+        g.add_vertex(name, draw(energies), draw(st.none() | st.tuples(_finite, _finite)))
     for _ in range(draw(st.integers(0, 2 * len(names))) if len(names) > 1 else 0):
         u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
         g.add_edge(u, v, draw(_positive))
@@ -467,3 +467,72 @@ def test_export_load_export_is_byte_identical(g):
     again = load_topology(text)
     assert again == g
     assert export_json(again) == text
+
+
+def _export_json_via_dumps(graph):
+    """The canonical document as json.dumps(indent=2) writes it: the referee for export_json."""
+    nodes = []
+    for n in graph.nodes:
+        rec: dict = {"id": n.id, "energy": n.energy}
+        if n.position is not None:
+            rec["x"], rec["y"] = n.position
+        nodes.append(rec)
+    edges = [
+        {"u": link.u, "v": link.v, "distance": link.distance}
+        for link in sorted(graph.links, key=lambda l: (l.u, l.v))
+    ]
+    return json.dumps({"mode": "undirected", "nodes": nodes, "edges": edges}, indent=2) + "\n"
+
+
+# characters json escapes, or writes as they are where a hand-made writer might not:
+# quote, backslash, slash, DEL, the two line separators, C0 and C1 controls, lone
+# surrogates, astral characters and any other code point
+_hostile_ids = st.text(
+    st.sampled_from('"\\/\x7f\u2028\u2029')
+    | st.characters(max_codepoint=0x1F)
+    | st.characters(min_codepoint=0x80, max_codepoint=0x9F)
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+    | st.characters(min_codepoint=0x10000)
+    | st.characters(),
+    min_size=1, max_size=4)
+
+
+def _edgeless_graph():
+    g = NetworkGraph()
+    g.add_vertex("\ud800\u2028", 1)
+    g.add_vertex('"\\', 2.5, (-0.0, 1e-320))
+    return g
+
+
+@given(g=_exportable_graphs(_hostile_ids, energies=_positive | st.integers(1, 2 ** 70)))
+@example(g=NetworkGraph())
+@example(g=_edgeless_graph())
+def test_export_json_matches_json_dumps(g):
+    assert export_json(g) == _export_json_via_dumps(g)
+
+
+def _pair_loop_links(g, radio_range):
+    """(u, v, distance) in the order random_topology's pair loop adds them,
+    read through g.nodes for every pair."""
+    links = []
+    for i in range(len(g)):
+        for j in range(i + 1, len(g)):
+            a, b = g.nodes[i], g.nodes[j]
+            d = math.dist(a.position, b.position)
+            if d <= radio_range:
+                links.append((a.id, b.id, d))
+    return links
+
+
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 40),
+       radio_range=st.floats(1.0, 150.0) | st.just(math.inf) | st.none())
+@example(seed=1, n=40, radio_range=math.inf)
+@example(seed=2, n=40, radio_range=20.0)
+@example(seed=3, n=40, radio_range=None)
+def test_random_topology_links_match_pair_loop(seed, n, radio_range):
+    if radio_range is None:
+        # exactly one pair's separation, which the range includes
+        complete = random_topology(n, 100.0, math.inf, 2.0, 5.0, seed)
+        radio_range = complete.links[len(complete.links) // 2].distance if complete.links else 1.0
+    g = random_topology(n, 100.0, radio_range, 2.0, 5.0, seed)
+    assert [(l.u, l.v, l.distance) for l in g.links] == _pair_loop_links(g, radio_range)

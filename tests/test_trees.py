@@ -155,7 +155,7 @@ def test_masked_search_matches_search_on_restricted_copy(g, data):
         if not keep[ri]:
             continue  # a search must start at an alive node
         paths = shortest_path_search(g, ri, alive)
-        tree = search_tree(g, root, paths)
+        tree = search_tree(g.node_ids(), root, paths)
         want = shortest_path_tree(copy, root)
         assert list(tree.parent.items()) == list(want.parent.items())
         assert list(tree.dist.items()) == list(want.dist.items())
