@@ -73,7 +73,7 @@ _COLUMNS = ("root", "energy_J", "cost", "distance", "depth", "spanning")
 def _record(c) -> dict:
     """One candidate's output fields, keyed by _FIELDS, as JSON values."""
     m = c.metrics
-    values = (c.root, m.tree_energy, m.tree_cost, m.total_distance, c.tree.depth, c.spanning)
+    values = (c.root, m.tree_energy, m.tree_cost, m.total_distance, c.depth, c.spanning)
     return {name: _jsonable(x) for name, x in zip(_FIELDS, values)}
 
 
@@ -346,7 +346,12 @@ def _cmd_trees(args) -> int:
 
 def _cmd_select(args) -> int:
     graph = _load_input(args)
-    result = compare_trees(_candidates_for(args, graph), args.tie)
+    if args.format == "dot":
+        # only the drawing needs the chosen root's tree
+        result = select_aggregator(graph, args.cost, args.energy, args.tie,
+                                   tx_energy=args.radio.tx_energy)
+    else:
+        result = compare_trees(_candidates_for(args, graph), args.tie)
     if args.format == "table":
         out = render_ranking(result)
     elif args.format == "json":

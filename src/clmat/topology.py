@@ -56,6 +56,8 @@ class NetworkGraph:
         self.links: list[Link] = []
         self._index: dict[str, int] = {}
         self._adj: list[dict[int, float]] = []
+        # stored Link by (lower, higher) endpoint index, built on the first re-add
+        self._pair_links: dict[tuple[int, int], Link] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -102,6 +104,8 @@ class NetworkGraph:
         return min(self.energy(u), self.energy(v))
 
     def add_vertex(self, name: str, energy: float, position=None) -> None:
+        if not isinstance(name, str):
+            raise ValueError(f"vertex name must be a string, got {name!r}")
         if not name:
             raise ValueError("vertex name must be nonempty")
         if self.get_index(name) != -1:
@@ -120,7 +124,10 @@ class NetworkGraph:
         """Store a link between existing vertices.
 
         Re-adding an existing pair, in either order, overwrites its distance
-        in the stored Link and in both adjacency entries.
+        in the stored Link and in both adjacency entries; links keeps its
+        order. The first re-add indexes the links by endpoint pair, so a
+        re-add finds its Link in O(1), and a graph never re-added to, such
+        as every generated one, builds no index.
         """
         i, j = self._index.get(u), self._index.get(v)
         if i is None:
@@ -133,13 +140,21 @@ class NetworkGraph:
             raise NonPositiveDistance(f"distance must be a positive finite number, got {distance!r}")
         distance = float(distance)
         if j not in self._adj[i]:
-            self.links.append(Link(u, v, distance))
+            link = Link(u, v, distance)
+            self.links.append(link)
+            if self._pair_links is not None:
+                self._pair_links[_pair(i, j)] = link
         else:
-            # a re-added pair is rare, so its Link is found by a scan
-            link = next(l for l in self.links if {l.u, l.v} == {u, v})
-            link.distance = distance
+            self._links_by_pair()[_pair(i, j)].distance = distance
         self._adj[i][j] = distance
         self._adj[j][i] = distance
+
+    def _links_by_pair(self) -> dict[tuple[int, int], Link]:
+        """Each stored Link by its endpoint pair, indexed on first use."""
+        if self._pair_links is None:
+            index = self._index
+            self._pair_links = {_pair(index[l.u], index[l.v]): l for l in self.links}
+        return self._pair_links
 
     def restricted(self, keep, energies=None) -> NetworkGraph:
         """Copy containing only the kept nodes and links among them.
@@ -165,6 +180,11 @@ class NetworkGraph:
 
     def with_energies(self, energies) -> NetworkGraph:
         return self.restricted(self.node_ids(), energies)
+
+
+def _pair(i: int, j: int) -> tuple[int, int]:
+    """An unordered pair of node indices as (lower, higher)."""
+    return (i, j) if i < j else (j, i)
 
 
 def random_topology(n: int, side: float, radio_range: float,

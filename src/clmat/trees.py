@@ -14,18 +14,22 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
-from .errors import SingletonTree, UnknownVertex
+from .errors import UnknownVertex
 from .metrics import (
     CLMAT,
+    COST_VARIANTS,
+    EDGE_MIN,
+    ENERGY_VARIANTS,
     NODE_MIN,
     TreeMetrics,
+    residual_edge_cost,
     spanning_tree_energies,
-    total_distance,
-    tree_cost,
-    tree_energy,
 )
 
 
@@ -175,12 +179,71 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One candidate aggregator: its tree, its metric triple, whether it spans."""
+    """One candidate aggregator: its tree's depth, its metric triple, whether it spans.
+
+    Only scores are kept, not the tree: the tree of any root is
+    shortest_path_tree(graph, root), and select_aggregator builds the
+    chosen root's.
+    """
 
     root: str
-    tree: AggregationTree
+    depth: int
     metrics: TreeMetrics
     spanning: bool
+
+
+def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MIN,
+                 tx_energy=None) -> Iterator[tuple[Candidate, ShortestPaths]]:
+    """Each root's Candidate with the search it was scored from, in insertion order.
+
+    Every score is read straight off the search's lists and equals the
+    metrics function's on search_tree of that search, bit for bit:
+    - total distance: the plain left fold of the reached distances in
+      index order. The root's 0.0 leaves a nonnegative sum unchanged, so
+      this is total_distance's fold over the non-root nodes.
+    - energy: a spanning tree's is read from the node table in closed
+      form; a partial tree's is the least energy of its reached nodes, the
+      root excluded under node-min; a single-node tree has none.
+    - cost: 0 for a single-node tree, +inf under clmat for any other, and
+      under residual the sum over (parent, child) links in child index
+      order, the order of AggregationTree.edges().
+    Entries whose tree fails to reach every node are flagged non-spanning;
+    their metrics still describe the partial tree.
+    """
+    if energy_variant not in ENERGY_VARIANTS:
+        raise ValueError(f"unknown energy variant {energy_variant!r}")
+    if cost_variant not in COST_VARIANTS:
+        raise ValueError(f"unknown cost variant {cost_variant!r}")
+    n = len(graph)
+    spanning_energies = spanning_tree_energies(graph, energy_variant) if n > 1 else []
+    energies = [node.energy for node in graph.nodes]
+    adj = graph._adj
+    inf = math.inf
+    for i, root in enumerate(graph.node_ids()):
+        paths = shortest_path_search(graph, i)
+        spanning = paths.reached == n
+        best = paths.best if spanning else [d for d in paths.best if d < inf]
+        total = reduce(add, best, 0.0)
+        if paths.reached == 1:
+            energy, cost = None, 0.0
+        else:
+            energy = spanning_energies[i] if spanning else min(
+                e for w, e in enumerate(energies)
+                if paths.best[w] < inf and (energy_variant == EDGE_MIN or w != i))
+            cost = inf if cost_variant == CLMAT else _residual_cost(paths, adj, energies, tx_energy)
+        yield Candidate(root, paths.depth, TreeMetrics(energy, cost, total), spanning), paths
+
+
+def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:
+    """tree_cost's residual variant, over the links of a search's tree."""
+    if tx_energy is None:
+        raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
+    total = 0.0
+    for w, p in enumerate(paths.parent):
+        if p != -1:
+            tx = tx_energy(adj[p][w])
+            total += residual_edge_cost(tx, tx, energies[p], energies[w])
+    return total
 
 
 def build_all_candidates(graph, cost_variant: str = CLMAT,
@@ -188,24 +251,6 @@ def build_all_candidates(graph, cost_variant: str = CLMAT,
                          tx_energy=None) -> list[Candidate]:
     """Score the shortest-path tree rooted at every node, in insertion order.
 
-    Entries whose tree fails to reach every node are flagged non-spanning;
-    their metrics still describe the partial tree. A spanning tree's energy
-    is read from the node table, in closed form.
+    One search per root and no AggregationTree: see scored_roots.
     """
-    spanning_energies = spanning_tree_energies(graph, energy_variant) if len(graph) > 1 else []
-    ids = graph.node_ids()
-    candidates = []
-    for i, root in enumerate(ids):
-        tree = search_tree(ids, root, shortest_path_search(graph, i))
-        spanning = len(tree.dist) == len(graph)
-        if spanning and spanning_energies:
-            energy = spanning_energies[i]
-        else:
-            try:
-                energy = tree_energy(tree, graph, energy_variant)
-            except SingletonTree:
-                energy = None
-        cost = tree_cost(tree, graph, cost_variant, tx_energy=tx_energy)
-        metrics = TreeMetrics(energy, cost, total_distance(tree))
-        candidates.append(Candidate(root, tree, metrics, spanning))
-    return candidates
+    return [c for c, _ in scored_roots(graph, cost_variant, energy_variant, tx_energy)]

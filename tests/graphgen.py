@@ -49,6 +49,18 @@ def random_connected_graph(rng: random.Random, n=None, weight_lo=1, weight_hi=20
     return g
 
 
+def tie_heavy_graph(rng: random.Random, n: int, isolated: bool) -> NetworkGraph:
+    """A random_connected_graph with weights 1-3, so equal-distance paths are common.
+
+    With isolated, one more node is added with no link, so no root spans;
+    n=1 without it is a singleton graph.
+    """
+    g = random_connected_graph(rng, n=n, weight_lo=1, weight_hi=3, extra_edge_prob=0.4)
+    if isolated:
+        g.add_vertex("isolated", rng.uniform(1.0, 10.0))
+    return g
+
+
 def scan_shortest_path_tree(graph, root: str) -> AggregationTree:
     """Reference tree builder: the quadratic minimum-distance scan.
 
@@ -100,22 +112,9 @@ def depth_by_walk(root: str, parent: dict[str, str], dist: dict[str, float]) -> 
     return worst
 
 
-def chain_tree(root: str, depth: int) -> AggregationTree:
-    """Synthetic chain of `depth` hops hanging under `root` (unit distances)."""
-    parent = {}
-    dist = {root: 0.0}
-    prev = root
-    for k in range(1, depth + 1):
-        name = f"{root}x{k}"
-        parent[name] = prev
-        dist[name] = float(k)
-        prev = name
-    return AggregationTree(root=root, parent=parent, dist=dist, depth=depth)
-
-
 # The eight-candidate selection fixture: (root, cost, total distance), all at
 # 3 J tree energy. Tree depths are injectable because only the G/H tie needs
-# depth data at all.
+# depth data at all; every other root's tree is 2 hops deep.
 EIGHT_ROWS = [
     ("A", 22.056, 25.0),
     ("B", 21.978, 27.0),
@@ -132,8 +131,7 @@ def eight_candidates(g_depth=2, h_depth=2) -> list[Candidate]:
     out = []
     for root, cost, distance in EIGHT_ROWS:
         depth = {"G": g_depth, "H": h_depth}.get(root, 2)
-        tree = chain_tree(root, depth)
-        out.append(Candidate(root, tree, TreeMetrics(3.0, cost, distance), True))
+        out.append(Candidate(root, depth, TreeMetrics(3.0, cost, distance), True))
     return out
 
 

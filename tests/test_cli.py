@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clmat import cli
+from clmat import cli, trees
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
 from clmat.selection import select_aggregator
+from clmat.simulator import RadioModel
 from clmat.topology import NetworkGraph, export_json, load_topology
-from clmat.trees import shortest_path_tree
+from clmat.trees import AggregationTree, shortest_path_tree
 
-from graphgen import f4, two_node
+from graphgen import f4, spanning_topologies, two_node
 
 
 def _run(capsys, argv):
@@ -551,3 +552,57 @@ def test_render_ranking_single_candidate():
     text = render_ranking(compare_trees(eight_candidates()[:1]))
     assert len(text.splitlines()) == 3
     assert "*" in text
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts of shortest_path_search calls and AggregationTree constructions."""
+    made = {"searches": 0, "trees": 0}
+    search, init = trees.shortest_path_search, AggregationTree.__init__
+
+    def counted_search(*args, **kwargs):
+        made["searches"] += 1
+        return search(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        made["trees"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(trees, "shortest_path_search", counted_search)
+    monkeypatch.setattr(AggregationTree, "__init__", counted_init)
+    return made
+
+
+@pytest.mark.parametrize("scoring", [("clmat", "node-min"), ("clmat", "edge-min"),
+                                     ("residual", "node-min"), ("residual", "edge-min")])
+def test_scoring_searches_each_root_once_and_builds_only_the_chosen_tree(
+        tmp_path, capsys, counts, scoring):
+    g = spanning_topologies(1, n=12)[0]
+    path = tmp_path / "topo.json"
+    path.write_text(export_json(g), encoding="utf-8")
+    cost, energy = scoring
+    flags = ["--cost", cost, "--energy", energy, "--radio", "1e-3,1e-6,2,5e-4"]
+    built = {("select", "table"): 0, ("select", "json"): 0, ("select", "dot"): 1,
+             ("trees", "table"): 0, ("trees", "csv"): 0, ("trees", "json"): 0}
+    for (command, fmt), trees_built in built.items():
+        counts.update(searches=0, trees=0)
+        assert main([command, str(path), "--format", fmt, *flags]) == 0
+        assert counts == {"searches": len(g), "trees": trees_built}, (command, fmt)
+    capsys.readouterr()
+    counts.update(searches=0, trees=0)
+    result = select_aggregator(g, cost, energy,
+                               tx_energy=RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy)
+    assert counts == {"searches": len(g), "trees": 1}
+    assert result.tree == shortest_path_tree(g, result.chosen_root)
+
+
+def test_menu_listings_build_at_most_the_chosen_tree(counts):
+    session = "".join(f"1\nn{i}\n{i + 1}\n" for i in range(4))
+    session += "".join(f"2\nn{i}\nn{i + 1}\n1\n" for i in range(3))
+    _menu(session + "6\n")
+    counts.update(searches=0, trees=0)
+    _menu(session + "4\n6\n")
+    assert counts == {"searches": 4, "trees": 0}
+    counts.update(searches=0, trees=0)
+    _menu(session + "5\n6\n")
+    assert counts == {"searches": 4, "trees": 1}

@@ -1,14 +1,19 @@
 """Byte-level regression gate: CLI outputs must match files recorded earlier.
 
 Each case generates a small topology with `clmat gen` and runs `trees` and
-`select` in every output format, `simulate --trace` and `compare` on it. The recorded files
-live in tests/golden/. After a deliberate output change, re-record with
+`select` in every output format, `simulate --trace` and `compare` on it. A
+further case generates a topology that no root spans (an isolated node, a
+4-node and a 9-node component) and records the `trees` rows of its partial
+trees. The recorded files live in tests/golden/. After a deliberate output
+change, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import functools
 import io
+import json
 import os
 import sys
 import tempfile
@@ -68,6 +73,22 @@ def outputs(seed: int) -> dict[str, str]:
         }
 
 
+def partial_outputs() -> dict[str, str]:
+    """trees rows on a topology that no root spans, under both scoring variants."""
+    with tempfile.TemporaryDirectory() as tmp:
+        topo = os.path.join(tmp, "topo.json")
+        _invoke(["gen", "--nodes", "14", "--side", "100", "--range", "30",
+                 "--energy-lo", "0.1", "--energy-hi", "0.15", "--seed", "19", "-o", topo])
+        trees, _ = _invoke(["trees", topo, "--format", "json"])
+        residual, _ = _invoke(["trees", topo, "--format", "json", "--cost", "residual",
+                               "--energy", "edge-min", "--radio", RADIO])
+        return {
+            "topo.json": Path(topo).read_text(encoding="utf-8"),
+            "trees.json": trees,
+            "trees-residual.json": residual,
+        }
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cli_outputs_match_golden(seed):
     recorded = GOLDEN / f"seed{seed}"
@@ -75,10 +96,27 @@ def test_cli_outputs_match_golden(seed):
         assert text == (recorded / name).read_text(encoding="utf-8"), name
 
 
+def test_partial_tree_outputs_match_golden():
+    recorded = GOLDEN / "partial"
+    for name, text in partial_outputs().items():
+        assert text == (recorded / name).read_text(encoding="utf-8"), name
+
+
+def test_partial_case_has_no_spanning_root_and_an_isolated_node():
+    rows = json.loads((GOLDEN / "partial" / "trees.json").read_text(encoding="utf-8"))
+    rows = rows["candidates"]
+    assert not any(row["spanning"] for row in rows)
+    isolated = [row for row in rows if row["distance"] == 0.0]
+    assert len(isolated) == 1 and isolated[0]["energy"] is None
+    assert {row["depth"] for row in rows} > {0}
+
+
 if __name__ == "__main__":
-    for seed in SEEDS:
-        target = GOLDEN / f"seed{seed}"
+    cases = {f"seed{seed}": functools.partial(outputs, seed) for seed in SEEDS}
+    cases["partial"] = partial_outputs
+    for case, record in cases.items():
+        target = GOLDEN / case
         target.mkdir(parents=True, exist_ok=True)
-        for name, text in outputs(seed).items():
+        for name, text in record().items():
             (target / name).write_text(text, encoding="utf-8")
     sys.exit(0)

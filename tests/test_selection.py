@@ -2,19 +2,30 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clmat import errors
-from clmat.metrics import TreeMetrics
+from clmat.metrics import (
+    CLMAT,
+    EDGE_MIN,
+    NODE_MIN,
+    RESIDUAL,
+    TreeMetrics,
+    total_distance,
+    tree_cost,
+    tree_energy,
+)
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
+from clmat.simulator import RadioModel
 from clmat.topology import NetworkGraph
 from clmat.trees import Candidate, build_all_candidates, oracle_shortest_paths, shortest_path_tree
 
-from graphgen import chain_tree, depth_by_walk, eight_candidates, f4, random_connected_graph
+from graphgen import depth_by_walk, eight_candidates, f4, random_connected_graph, tie_heavy_graph
 
 
 def _candidate(root, distance, depth=1, energy=1.0, cost=0.0, spanning=True):
-    return Candidate(root, chain_tree(root, depth),
-                     TreeMetrics(energy, cost, float(distance)), spanning)
+    return Candidate(root, depth, TreeMetrics(energy, cost, float(distance)), spanning)
 
 
 def test_eight_candidate_fixture_min_depth_chooses_h():
@@ -122,7 +133,7 @@ def test_ranking_puts_non_spanning_last():
     with pytest.raises(errors.NoSpanningCandidate):
         compare_trees(cands)
     # force one spanning entry to check ordering of the rest
-    cands = [Candidate(c.root, c.tree, c.metrics, c.root == "A") for c in cands]
+    cands = [Candidate(c.root, c.depth, c.metrics, c.root == "A") for c in cands]
     result = compare_trees(cands)
     assert result.ranking[0].root == "A"
     assert all(not c.spanning for c in result.ranking[1:])
@@ -195,3 +206,45 @@ def test_brute_force_oracle_agreement():
         g = random_connected_graph(rng)
         for rule in (MIN_DEPTH, FIRST_MIN):
             assert select_aggregator(g, tie_rule=rule).chosen_root == brute_choice(g, rule)
+
+
+TX_ENERGY = RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy
+
+
+def _reference_candidate(g, root, cost_variant, energy_variant):
+    """A candidate scored through an AggregationTree built on its own."""
+    tree = shortest_path_tree(g, root)
+    try:
+        energy = tree_energy(tree, g, energy_variant)
+    except errors.SingletonTree:
+        energy = None
+    cost = tree_cost(tree, g, cost_variant, tx_energy=TX_ENERGY)
+    metrics = TreeMetrics(energy, cost, total_distance(tree))
+    return Candidate(root, tree.depth, metrics, len(tree.dist) == len(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 9), isolated=st.booleans())
+def test_scores_match_trees_built_independently(seed, n, isolated):
+    """Every score read off the search lists equals the tree-built one, bit for bit,
+    and both rank and choose alike."""
+    g = tie_heavy_graph(random.Random(seed), n, isolated)
+    for cost_variant in (CLMAT, RESIDUAL):
+        for energy_variant in (NODE_MIN, EDGE_MIN):
+            got = build_all_candidates(g, cost_variant, energy_variant, TX_ENERGY)
+            want = [_reference_candidate(g, root, cost_variant, energy_variant)
+                    for root in g.node_ids()]
+            assert got == want
+            for rule in (MIN_DEPTH, FIRST_MIN):
+                if not any(c.spanning for c in want):
+                    with pytest.raises(errors.NoSpanningCandidate):
+                        compare_trees(got, rule)
+                    with pytest.raises(errors.NoSpanningCandidate):
+                        select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
+                    continue
+                ranked = compare_trees(got, rule)
+                assert ranked.ranking == compare_trees(want, rule).ranking
+                result = select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
+                assert result.chosen_root == ranked.chosen_root == brute_choice(g, rule)
+                assert result.ranking == ranked.ranking
+                assert result.tree == shortest_path_tree(g, result.chosen_root)

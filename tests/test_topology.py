@@ -54,6 +54,15 @@ def test_add_vertex_empty_name():
         g.add_vertex("", 1.0)
 
 
+@pytest.mark.parametrize("name", [5, 1.5, None, b"n0", ("n", 0)])
+def test_add_vertex_rejects_non_string_name(name):
+    # export_json and the renderers take every id for a str
+    g = NetworkGraph()
+    with pytest.raises(ValueError, match="string"):
+        g.add_vertex(name, 1.0)
+    assert len(g) == 0 and export_json(g).endswith("[]\n}\n")
+
+
 def test_add_edge_link_energy_min_rule():
     g = NetworkGraph()
     g.add_vertex("u", 5.0)
@@ -118,6 +127,68 @@ def test_add_edge_overwrites_existing_pair():
     g.add_edge("B", "A", 7.0)
     assert len(g.links) == 1
     assert g.distance("A", "B") == 7.0
+
+
+def test_readd_overwrites_in_place_in_both_orders_and_keeps_link_order():
+    g = NetworkGraph()
+    for name in "ABCD":
+        g.add_vertex(name, 1.0)
+    g.add_edge("A", "B", 1.0)
+    g.add_edge("C", "B", 2.0)
+    first = list(g.links)
+    g.add_edge("B", "A", 3.0)  # reversed order: builds the pair index
+    g.add_edge("C", "D", 4.0)  # a fresh pair after the index exists
+    g.add_edge("B", "C", 5.0)
+    g.add_edge("D", "C", 6.0)
+    g.add_edge("A", "B", 7.0)
+    assert [(l.u, l.v, l.distance) for l in g.links] == [
+        ("A", "B", 7.0), ("C", "B", 5.0), ("C", "D", 6.0)]
+    assert g.links[:2] == first and all(a is b for a, b in zip(g.links, first))
+    assert (g.distance("A", "B"), g.distance("B", "C"), g.distance("D", "C")) == (7.0, 5.0, 6.0)
+
+
+def test_readd_does_not_scan_links():
+    class Unscannable(list):
+        def __iter__(self):
+            raise AssertionError("add_edge scanned links")
+
+    g = NetworkGraph()
+    for i in range(50):
+        g.add_vertex(f"n{i}", 1.0)
+    for i in range(49):
+        g.add_edge(f"n{i}", f"n{i + 1}", 1.0)
+    g.add_edge("n1", "n0", 2.0)  # the first re-add indexes the links once
+    g.links = Unscannable(g.links)
+    for k in range(100):
+        g.add_edge("n48", "n49", float(k + 1))
+        g.add_edge("n49", "n48", float(k + 2))
+    g.add_edge("n0", "n49", 1.0)
+    g.add_edge("n49", "n0", 9.0)
+    assert list.__getitem__(g.links, 48).distance == 101.0
+    assert list.__getitem__(g.links, -1).distance == 9.0
+
+
+@given(adds=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 9)),
+                     max_size=30))
+def test_add_edge_matches_scan_reference(adds):
+    """Every add_edge sequence stores what a scan for the pair's Link would."""
+    g = NetworkGraph()
+    for i in range(5):
+        g.add_vertex(f"v{i}", 1.0)
+    want = []  # [u, v, distance] in first-add order
+    for i, j, d in adds:
+        if i == j:
+            continue
+        u, v = f"v{i}", f"v{j}"
+        g.add_edge(u, v, float(d))
+        stored = next((w for w in want if {w[0], w[1]} == {u, v}), None)
+        if stored is None:
+            want.append([u, v, float(d)])
+        else:
+            stored[2] = float(d)
+    assert [[l.u, l.v, l.distance] for l in g.links] == want
+    for u, v, d in want:
+        assert g.distance(u, v) == g.distance(v, u) == d
 
 
 def test_get_index():

@@ -220,9 +220,11 @@ def test_build_all_candidates_metrics_recompute():
     for _ in range(20):
         g = random_connected_graph(rng)
         for c in build_all_candidates(g):
-            assert c.metrics.tree_energy == tree_energy(c.tree, g, NODE_MIN)
-            assert c.metrics.tree_cost == tree_cost(c.tree, g)
-            assert c.metrics.total_distance == total_distance(c.tree)
+            tree = shortest_path_tree(g, c.root)
+            assert c.metrics.tree_energy == tree_energy(tree, g, NODE_MIN)
+            assert c.metrics.tree_cost == tree_cost(tree, g)
+            assert c.metrics.total_distance == total_distance(tree)
+            assert c.depth == tree.depth
 
 
 def test_build_all_candidates_singleton():
