@@ -47,8 +47,14 @@ class NetworkGraph:
     tree searched outward from its root also carries the readings back up
     to it. _adj[i] maps the insertion index of each neighbour of node i to
     the link distance; names map to indices through _index.
+    The searches read each row as a stored list of (neighbour, distance)
+    pairs in the row's order, built from _adj on first use. Code that
+    writes _adj resets those lists to None: add_vertex and add_edge do,
+    and restricted writes the rows only of a fresh copy, whose lists are
+    still unbuilt.
     Construction is single-writer; a fully built graph is treated as
-    immutable and may be read from many computations at once.
+    immutable and may be read from many computations at once (two
+    computations that both build the lists first build equal ones).
     """
 
     def __init__(self):
@@ -58,6 +64,8 @@ class NetworkGraph:
         self._adj: list[dict[int, float]] = []
         # stored Link by (lower, higher) endpoint index, built on the first re-add
         self._pair_links: dict[tuple[int, int], Link] | None = None
+        # list(_adj[i].items()) by index, built on the first search
+        self._lists: list[list[tuple[int, float]]] | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -110,15 +118,17 @@ class NetworkGraph:
             raise ValueError("vertex name must be nonempty")
         if self.get_index(name) != -1:
             raise DuplicateVertex(f"vertex already exists: {name}")
-        if not (isinstance(energy, (int, float)) and math.isfinite(energy) and energy > 0):
+        if not (_is_number(energy) and math.isfinite(energy) and energy > 0):
             raise InvalidEnergy(f"energy must be a positive finite Joule value, got {energy!r}")
         if position is not None:
+            if not (len(position) == 2
+                    and all(_is_number(c) and math.isfinite(c) for c in position)):
+                raise ValueError(f"position must be two finite numbers, got {position!r}")
             position = (float(position[0]), float(position[1]))
-            if not all(map(math.isfinite, position)):
-                raise ValueError(f"position must be finite, got {position!r}")
         self._index[name] = len(self.nodes)
         self.nodes.append(Node(name, float(energy), position))
         self._adj.append({})
+        self._lists = None
 
     def add_edge(self, u: str, v: str, distance: float) -> None:
         """Store a link between existing vertices.
@@ -136,7 +146,7 @@ class NetworkGraph:
             raise UnknownVertex(f"destination vertex does not exist: {v}")
         if u == v:
             raise SelfLoop(f"self loop on {u}")
-        if not (isinstance(distance, (int, float)) and math.isfinite(distance) and distance > 0):
+        if not (_is_number(distance) and math.isfinite(distance) and distance > 0):
             raise NonPositiveDistance(f"distance must be a positive finite number, got {distance!r}")
         distance = float(distance)
         if j not in self._adj[i]:
@@ -148,6 +158,14 @@ class NetworkGraph:
             self._links_by_pair()[_pair(i, j)].distance = distance
         self._adj[i][j] = distance
         self._adj[j][i] = distance
+        self._lists = None  # a re-added pair's stored tuple holds its old distance
+
+    def _neighbour_lists(self) -> list[list[tuple[int, float]]]:
+        """Each node's (neighbour index, distance) pairs in adjacency order, built on first use."""
+        lists = self._lists
+        if lists is None:
+            lists = self._lists = [list(a.items()) for a in self._adj]
+        return lists
 
     def _links_by_pair(self) -> dict[tuple[int, int], Link]:
         """Each stored Link by its endpoint pair, indexed on first use."""
@@ -171,7 +189,8 @@ class NetworkGraph:
                 e = energies[n.id] if energies is not None else n.energy
                 g.add_vertex(n.id, e, n.position)
         # the source links were checked when added, so they are copied as they
-        # are, in the order add_edge would have stored them
+        # are, in the order add_edge would have stored them; the copy's
+        # neighbour lists are still unbuilt, so its rows are written directly
         for i, j in new_index.items():
             g._adj[j] = {new_index[k]: d for k, d in self._adj[i].items() if k in new_index}
         g.links = [Link(l.u, l.v, l.distance) for l in self.links

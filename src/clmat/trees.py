@@ -72,10 +72,12 @@ class ShortestPaths(NamedTuple):
 
 
 def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
-    """Heap Dijkstra from insertion index ri over the graph's index-keyed adjacency.
+    """Heap Dijkstra from insertion index ri over the graph's neighbour lists.
 
     O((n + E) log n), with best distance, parent and hop count held in
-    lists by insertion index. Heap entries are (distance, index) and stale
+    lists by insertion index. Each node's links are relaxed from the
+    graph's stored (neighbour, distance) list of its adjacency row, in the
+    row's order. Heap entries are (distance, index) and stale
     entries are skipped, so nodes are finalized in the order of a
     minimum-distance scan whose ties go to the lowest index. A parent is
     recorded only on strict improvement, so the first-found parent survives
@@ -91,8 +93,8 @@ def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
     restricted keeps the index order, so the masked search answers exactly
     as a search on the restricted copy would.
     """
-    adj = graph._adj
-    n = len(adj)
+    lists = graph._neighbour_lists()
+    n = len(lists)
     if alive is None:
         best = [math.inf] * n
     else:
@@ -103,8 +105,9 @@ def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
     depth = 0
     reached = 0
     heap = [(0.0, ri)]
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = heappop(heap)
         if d > best[v]:
             continue  # stale: v was pushed again at a shorter distance
         reached += 1
@@ -113,13 +116,13 @@ def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
             depth = h
         h += 1
         # distances are positive, so no finalized node can strictly improve
-        for w, step in adj[v].items():
+        for w, step in lists[v]:
             through = d + step
             if through < best[w]:
                 best[w] = through
                 parent[w] = v
                 hop[w] = h
-                heapq.heappush(heap, (through, w))
+                heappush(heap, (through, w))
     return ShortestPaths(best, parent, depth, reached)
 
 

@@ -502,6 +502,23 @@ def test_menu_matches_batch_select(capsys, tmp_path):
     assert "chosen aggregator: B" in batch_out
 
 
+def test_menu_ranking_after_a_readd_matches_a_fresh_session():
+    # A-B 1, B-C 4, A-C 3 picks A; B-C re-added at 1 picks B
+    build = "".join(f"1\n{v}\n5\n" for v in "ABC")
+    build += "2\nA\nB\n1\n2\nB\nC\n4\n2\nA\nC\n3\n"
+    readd = "2\nC\nB\n1\n"
+
+    def rankings(session):
+        # the text after each "choice: " prompt that answered 5
+        chunks = _menu(session).split("choice: ")
+        return [chunk for chunk in chunks if "chosen aggregator:" in chunk]
+
+    first, second = rankings(build + "5\n" + readd + "5\n6\n")
+    assert "chosen aggregator: A" in first
+    assert rankings(build + readd + "5\n6\n") == [second]
+    assert "chosen aggregator: B" in second
+
+
 def test_menu_subcommand_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("6\n"))
     code, out, _ = _run(capsys, ["menu"])
@@ -606,3 +623,40 @@ def test_menu_listings_build_at_most_the_chosen_tree(counts):
     counts.update(searches=0, trees=0)
     _menu(session + "5\n6\n")
     assert counts == {"searches": 4, "trees": 1}
+
+
+@pytest.fixture
+def list_builds(monkeypatch):
+    """Counts neighbour-list reads (one per search) and builds (reads that found none)."""
+    made = {"reads": 0, "builds": 0}
+    lists = NetworkGraph._neighbour_lists
+
+    def counted(self):
+        made["reads"] += 1
+        made["builds"] += self._lists is None
+        return lists(self)
+
+    monkeypatch.setattr(NetworkGraph, "_neighbour_lists", counted)
+    return made
+
+
+def test_each_op_builds_the_neighbour_lists_once(tmp_path, capsys, list_builds):
+    g = spanning_topologies(1, n=12)[0]
+    path = tmp_path / "topo.json"
+    path.write_text(export_json(g), encoding="utf-8")
+    radio = ["--radio", "1e-3,1e-6,2,5e-4"]
+    ops = [["select", str(path), "--format", fmt] for fmt in ("table", "json", "dot")]
+    ops.append(["simulate", str(path), "--until", "exhaustion", *radio])
+    ops.append(["compare", str(path), "--policies", "clmat,max-energy,random,fixed:n0",
+                "--trials", "3", *radio])
+    for argv in ops:
+        list_builds.update(reads=0, builds=0)
+        assert main(argv) == 0
+        assert list_builds["builds"] == 1, argv
+        assert list_builds["reads"] >= len(g), argv
+        if argv[0] == "select":
+            assert list_builds["reads"] == len(g)
+    list_builds.update(reads=0, builds=0)
+    assert main(["gen", "--nodes", "40", "--seed", "1"]) == 0
+    assert list_builds == {"reads": 0, "builds": 0}
+    capsys.readouterr()

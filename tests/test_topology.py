@@ -41,7 +41,8 @@ def test_add_vertex_independent_insertion():
     assert not g.links
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+# a bool is not a number, as load_topology holds for JSON true
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, False])
 def test_add_vertex_bad_energy(bad):
     g = NetworkGraph()
     with pytest.raises(errors.InvalidEnergy):
@@ -94,7 +95,7 @@ def test_add_edge_self_loop():
         g.add_edge("A", "A", 1.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -2.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("bad", [0.0, -2.0, float("inf"), float("nan"), True, False])
 def test_add_edge_nonpositive_distance(bad):
     g = NetworkGraph()
     g.add_vertex("A", 5.0)
@@ -325,6 +326,15 @@ def test_load_semantic_errors(doc):
 def test_add_vertex_rejects_non_finite_position(position):
     g = NetworkGraph()
     with pytest.raises(ValueError):
+        g.add_vertex("a", 1.0, position)
+    assert len(g) == 0
+
+
+@pytest.mark.parametrize("position", [(True, 0.0), (0.0, False), ("1", 2.0), (None, 1.0),
+                                      (), (1.0,), (1.0, 2.0, 3.0), [1.0, 2.0, 3.0, 4.0]])
+def test_add_vertex_rejects_anything_but_two_numbers_as_position(position):
+    g = NetworkGraph()
+    with pytest.raises(ValueError, match="position"):
         g.add_vertex("a", 1.0, position)
     assert len(g) == 0
 

@@ -17,7 +17,14 @@ from clmat.trees import (
     shortest_path_tree,
 )
 
-from graphgen import depth_by_walk, f4, random_connected_graph, scan_shortest_path_tree, two_node
+from graphgen import (
+    depth_by_walk,
+    f4,
+    random_connected_graph,
+    scan_shortest_path_tree,
+    tie_heavy_graph,
+    two_node,
+)
 
 
 def test_f4_root_a():
@@ -161,6 +168,55 @@ def test_masked_search_matches_search_on_restricted_copy(g, data):
         assert list(tree.dist.items()) == list(want.dist.items())
         assert tree.depth == want.depth
         assert paths.reached == len(want.dist)
+
+
+def _rebuilt(g: NetworkGraph) -> NetworkGraph:
+    """A fresh graph with g's nodes and g's links, at their current distances, in g's order."""
+    fresh = NetworkGraph()
+    for n in g.nodes:
+        fresh.add_vertex(n.id, n.energy, n.position)
+    for link in g.links:
+        fresh.add_edge(link.u, link.v, link.distance)
+    return fresh
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 6), data=st.data())
+def test_search_after_each_mutation_matches_oracle_and_rebuilt_graph(seed, n, data):
+    """Searches after every add_vertex, fresh add_edge and re-add read the graph as it now is.
+
+    The searches from every root build the graph's neighbour lists before
+    each step, so a step that left them stale would show: a re-add with a
+    new distance, in either argument order, would still search the old one.
+    """
+    g = tie_heavy_graph(random.Random(seed), n, isolated=False)
+    weight = st.integers(1, 3).map(float)
+    for k in range(data.draw(st.integers(1, 8), label="steps")):
+        ids = g.node_ids()
+        absent = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                  if math.isinf(g.distance(u, v))]
+        kinds = ["vertex"] + ["fresh"] * bool(absent) + ["readd"] * bool(g.links)
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        if kind == "vertex":
+            g.add_vertex(f"x{k}", 1.0)
+        else:
+            if kind == "fresh":
+                u, v = data.draw(st.sampled_from(absent), label="pair")
+                d = data.draw(weight, label="distance")
+            else:
+                link = data.draw(st.sampled_from(g.links), label="link")
+                u, v = link.u, link.v
+                d = data.draw(weight.filter(lambda w: w != link.distance), label="distance")
+            if data.draw(st.booleans(), label="reversed"):
+                u, v = v, u
+            g.add_edge(u, v, d)
+        fresh = _rebuilt(g)
+        ids = g.node_ids()
+        for ri, root in enumerate(ids):
+            paths = shortest_path_search(g, ri)
+            oracle = oracle_shortest_paths(g, root)
+            assert paths.best == [oracle[v] for v in ids]
+            assert paths == shortest_path_search(fresh, ri)
 
 
 def test_oracle_f4():
