@@ -458,17 +458,14 @@ def run_menu(in_stream, out_stream) -> None:
                 _menu_add_edge(graph, ask, say)
             elif choice == "3":
                 say(display_graph(graph))
-            elif choice == "4":
+            elif choice in ("4", "5"):
                 if len(graph) == 0:
                     say("Graph does not exist.\n")
-                else:
+                elif choice == "4":
                     say(render_candidates(build_all_candidates(graph)))
-            elif choice == "5":
-                if len(graph) == 0:
-                    say("Graph does not exist.\n")
                 else:
                     try:
-                        say(render_ranking(select_aggregator(graph)))
+                        say(render_ranking(compare_trees(build_all_candidates(graph))))
                     except NoSpanningCandidate:
                         say("No spanning candidate.\n")
             else:

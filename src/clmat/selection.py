@@ -37,19 +37,17 @@ def _tie_key(tie_rule: str):
     The index is the root's insertion position, and searched is anything
     that holds the tree's depth: a Candidate or a ShortestPaths. min-depth
     resolves distance ties toward the shallower tree, and any remaining tie
-    toward the later index. first-min keys on distance alone: min and a
-    stable sort both keep the earliest of equal keys, which is the plain
-    strict-less-than scan.
+    toward the later index. first-min resolves distance ties toward the
+    earlier index, as a plain strict-less-than scan does. Each key ends in
+    the index, so no two entries tie and the entries' order never matters.
     """
     if tie_rule == MIN_DEPTH:
         return lambda e: (e[2], e[1].depth, -e[0])
-    return lambda e: (e[2],)
+    return lambda e: (e[2], e[0])
 
 
 def pick_tree(entries, tie_rule: str = MIN_DEPTH):
     """The chosen entry among (index, searched, total_distance) spanning candidates."""
-    if not entries:
-        raise NoSpanningCandidate("no candidate tree spans every node")
     return min(entries, key=_tie_key(tie_rule))
 
 

@@ -176,14 +176,14 @@ def check_policy(policy: str) -> None:
 
 class _AliveView:
     """What one alive set fixes: each root's search over the alive nodes,
-    the trees of the roots picked and each tree's round costs.
+    and the trees of the roots picked, each with its round costs.
 
     A view keeps the original graph, the alive ids and their insertion
     indices (both in insertion order) and, unless every node is alive, a
     mask by insertion index that the searches skip dead nodes by; it copies
-    no graph. Searches are kept by root index, trees and costs by root id,
-    each computed on first use. None of this reads energy, so a view
-    answers for as long as the alive set stays the same.
+    no graph. Searches are kept by root index, trees with their costs by
+    root id, each computed on first use. None of this reads energy, so a
+    view answers for as long as the alive set stays the same.
     """
 
     def __init__(self, graph, alive, radio: RadioModel):
@@ -197,8 +197,7 @@ class _AliveView:
             for i in self.indices:
                 self.mask[i] = 1
         self._searches: dict[int, ShortestPaths] = {}
-        self._trees: dict[str, AggregationTree] = {}
-        self._costs: dict[str, dict[str, float]] = {}
+        self._trees: dict[str, tuple[AggregationTree, dict[str, float]]] = {}
 
     def is_alive(self, root: str) -> bool:
         i = self.graph.get_index(root)
@@ -211,25 +210,20 @@ class _AliveView:
             paths = self._searches[i] = shortest_path_search(self.graph, i, self.mask)
         return paths
 
-    def spanning_tree(self, root: str, message: str) -> AggregationTree:
-        """Alive root's tree, or NoSpanningCandidate(message) unless it reaches every alive node.
+    def tree(self, root: str, message: str) -> tuple[AggregationTree, dict[str, float]]:
+        """Alive root's tree and its round_costs, or NoSpanningCandidate(message)
+        unless the tree reaches every alive node.
 
         Links are undirected, so one root spans exactly when every root does.
         """
-        tree = self._trees.get(root)
-        if tree is None:
+        built = self._trees.get(root)
+        if built is None:
             paths = self.search(self.graph.get_index(root))
             if paths.reached != len(self.indices):
                 raise NoSpanningCandidate(message)
-            tree = self._trees[root] = search_tree(self.graph.node_ids(), root, paths)
-        return tree
-
-    def costs(self, root: str) -> dict[str, float]:
-        """round_costs of root's spanning tree."""
-        costs = self._costs.get(root)
-        if costs is None:
-            costs = self._costs[root] = round_costs(self._trees[root], self.radio, self.graph)
-        return costs
+            tree = search_tree(self.graph.node_ids(), root, paths)
+            built = self._trees[root] = (tree, round_costs(tree, self.radio, self.graph))
+        return built
 
 
 def _fold(row: list[float], indices: list[int]) -> float:
@@ -245,18 +239,19 @@ def _fold(row: list[float], indices: list[int]) -> float:
 
 
 def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
-    """Resolve a policy name into (choose(view, state) -> tree, reads_residuals).
+    """Resolve a policy name into (pick(view, state) -> root, reads_residuals, message).
 
-    Each chooser names a root among the alive nodes and returns its tree if
-    that tree spans them. A chooser that does not read residuals depends on
-    the alive set alone, so its answer is fixed for the life of a view.
+    Each pick names a root among the alive nodes; message is the
+    NoSpanningCandidate text for when that root's tree does not span them.
+    A pick that does not read residuals depends on the alive set alone, so
+    its answer is fixed for the life of a view.
     """
     check_policy(policy)
     if policy == "clmat":
         rows: dict[int, list[float]] = {}  # by root index: best of its latest search
 
-        def choose(view, state):
-            """The least-total tree, searched only from roots whose bound can still win.
+        def pick(view, state):
+            """The least-total root, searched only from roots whose bound can still win.
 
             A death only removes paths, and float rounding is monotone, so no
             distance falls: a root's stored row, which spanned an earlier
@@ -264,8 +259,7 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
             total_distance, is a lower bound on its new total. Roots are
             searched in (bound, index) order until the next bound is
             strictly above the least total found, so every skipped root
-            totals strictly more than the winner and cannot even tie. Only
-            the picked root's search becomes a tree.
+            totals strictly more than the winner and cannot even tie.
             """
             indices = view.indices
             bounds = []
@@ -280,34 +274,26 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
                     break
                 paths = view.search(i)
                 if paths.reached != len(indices):
-                    raise NoSpanningCandidate("no candidate tree spans every node")
+                    return view.graph.nodes[i].id  # no root spans, so its tree raises
                 rows[i] = paths.best
                 total = _fold(paths.best, indices)
                 least = min(least, total)
                 entries.append((i, paths, total))  # the tie key reads only .depth
-            entries.sort(key=lambda e: e[0])  # the tie key reads index order
-            i = pick_tree(entries, tie_rule)[0]
-            return view.spanning_tree(view.graph.nodes[i].id, "no candidate tree spans every node")
-        return choose, False
+            return view.graph.nodes[pick_tree(entries, tie_rule)[0]].id
+        return pick, False, "no candidate tree spans every node"
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
 
-        def choose(view, state):
+        def pick(view, state):
             if not view.is_alive(root):
                 raise NoSpanningCandidate(f"fixed root {root} is not in the alive network")
-            return view.spanning_tree(root, f"fixed root {root} no longer spans the network")
-        return choose, False
+            return root
+        return pick, False, f"fixed root {root} no longer spans the network"
+    message = "no spanning root available"
     if policy == "max-energy":
-        def choose(view, state):
-            # max keeps the first of equal residuals
-            root = max(view.ids, key=state.residual)
-            return view.spanning_tree(root, "no spanning root available")
-        return choose, True
-
-    def choose(view, state):  # random
-        root = rng.choice(view.ids)
-        return view.spanning_tree(root, "no spanning root available")
-    return choose, True
+        # max keeps the first of equal residuals
+        return (lambda view, state: max(view.ids, key=state.residual)), True, message
+    return (lambda view, state: rng.choice(view.ids)), True, message
 
 
 def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
@@ -337,8 +323,8 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
     config.validate()
     if not graph.nodes:
         raise NoSpanningCandidate("empty graph")
-    choose, reads_residuals = _policy_chooser(policy, config.tie_rule,
-                                              random.Random(config.seed))
+    pick, reads_residuals, message = _policy_chooser(policy, config.tie_rule,
+                                                     random.Random(config.seed))
     state = SimState(
         initial={n.id: n.energy for n in graph.nodes},
         drained_cum={n.id: 0.0 for n in graph.nodes},
@@ -357,16 +343,15 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
             if view is None:
                 view = _AliveView(graph, state.alive, config.radio)
             try:
-                state.current_tree = choose(view, state)
+                state.current_tree, costs = view.tree(pick(view, state), message)
             except NoSpanningCandidate:
                 if r == 1:
                     raise
                 partitioned = True
                 break
-        tree = state.current_tree
-        report = drain_round(state, tree, view.costs(tree.root))
+        report = drain_round(state, state.current_tree, costs)
         reports.append(report)
-        delivered += len(tree.dist)
+        delivered += len(state.current_tree.dist)
         if report.deaths:
             if first_death is None:
                 first_death = r

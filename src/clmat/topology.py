@@ -48,10 +48,9 @@ class NetworkGraph:
     to it. _adj[i] maps the insertion index of each neighbour of node i to
     the link distance; names map to indices through _index.
     The searches read each row as a stored list of (neighbour, distance)
-    pairs in the row's order, built from _adj on first use. Code that
-    writes _adj resets those lists to None: add_vertex and add_edge do,
-    and restricted writes the rows only of a fresh copy, whose lists are
-    still unbuilt.
+    pairs in the row's order, built from _adj on first use. add_vertex and
+    add_edge are the only writers of _adj, links and those lists, and each
+    resets the lists to None.
     Construction is single-writer; a fully built graph is treated as
     immutable and may be read from many computations at once (two
     computations that both build the lists first build equal ones).
@@ -118,12 +117,12 @@ class NetworkGraph:
             raise ValueError("vertex name must be nonempty")
         if self.get_index(name) != -1:
             raise DuplicateVertex(f"vertex already exists: {name}")
-        if not (_is_number(energy) and math.isfinite(energy) and energy > 0):
-            raise InvalidEnergy(f"energy must be a positive finite Joule value, got {energy!r}")
+        if not (_is_finite(energy) and energy > 0):
+            raise InvalidEnergy(
+                f"energy must be a positive finite Joule value, got {_shown(energy)}")
         if position is not None:
-            if not (len(position) == 2
-                    and all(_is_number(c) and math.isfinite(c) for c in position)):
-                raise ValueError(f"position must be two finite numbers, got {position!r}")
+            if not (len(position) == 2 and all(_is_finite(c) for c in position)):
+                raise ValueError(f"position must be two finite numbers, got {_shown(position)}")
             position = (float(position[0]), float(position[1]))
         self._index[name] = len(self.nodes)
         self.nodes.append(Node(name, float(energy), position))
@@ -146,8 +145,9 @@ class NetworkGraph:
             raise UnknownVertex(f"destination vertex does not exist: {v}")
         if u == v:
             raise SelfLoop(f"self loop on {u}")
-        if not (_is_number(distance) and math.isfinite(distance) and distance > 0):
-            raise NonPositiveDistance(f"distance must be a positive finite number, got {distance!r}")
+        if not (_is_finite(distance) and distance > 0):
+            raise NonPositiveDistance(
+                f"distance must be a positive finite number, got {_shown(distance)}")
         distance = float(distance)
         if j not in self._adj[i]:
             link = Link(u, v, distance)
@@ -177,24 +177,21 @@ class NetworkGraph:
     def restricted(self, keep, energies=None) -> NetworkGraph:
         """Copy containing only the kept nodes and links among them.
 
-        energies, when given, maps node id to the energy the copy should
-        carry (used to feed residual energies back in as node energies).
+        The copy is built through add_vertex and add_edge in the source's
+        node and link order, so its adjacency rows, links and distances
+        keep the source's order. energies, when given, maps node id to the
+        energy the copy should carry (used to feed residual energies back
+        in as node energies).
         """
         keep_set = set(keep)
         g = NetworkGraph()
-        new_index: dict[int, int] = {}  # source index -> copy index
-        for i, n in enumerate(self.nodes):
+        for n in self.nodes:
             if n.id in keep_set:
-                new_index[i] = len(g.nodes)
                 e = energies[n.id] if energies is not None else n.energy
                 g.add_vertex(n.id, e, n.position)
-        # the source links were checked when added, so they are copied as they
-        # are, in the order add_edge would have stored them; the copy's
-        # neighbour lists are still unbuilt, so its rows are written directly
-        for i, j in new_index.items():
-            g._adj[j] = {new_index[k]: d for k, d in self._adj[i].items() if k in new_index}
-        g.links = [Link(l.u, l.v, l.distance) for l in self.links
-                   if l.u in keep_set and l.v in keep_set]
+        for l in self.links:
+            if l.u in keep_set and l.v in keep_set:
+                g.add_edge(l.u, l.v, l.distance)
         return g
 
     def with_energies(self, energies) -> NetworkGraph:
@@ -287,10 +284,25 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-# OverflowError: a JSON integer too large to convert to a float
+def _is_finite(x) -> bool:
+    """A number that converts to a finite float; an int too large for one does not."""
+    try:
+        return _is_number(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _shown(x) -> str:
+    """repr(x) for an error message, or a stand-in when x is or holds an int
+    with more digits than repr will write (sys.get_int_max_str_digits())."""
+    try:
+        return repr(x)
+    except ValueError:
+        return "an int too long to write"
+
+
 _CONSTRUCTION_ERRORS = (
     DuplicateVertex, InvalidEnergy, UnknownVertex, SelfLoop, NonPositiveDistance, ValueError,
-    OverflowError,
 )
 
 

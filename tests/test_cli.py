@@ -118,6 +118,21 @@ def test_trees_formats(capsys, tmp_path):
     assert doc["candidates"][0]["distance"] == 10.0
 
 
+def test_single_node_energy_cell_is_a_dash(capsys, tmp_path):
+    g = NetworkGraph()
+    g.add_vertex("only", 2.0)
+    path = tmp_path / "one.json"
+    path.write_text(export_json(g), encoding="utf-8")
+    rows = {}
+    for command, fmt in (("trees", "table"), ("trees", "csv"), ("select", "table")):
+        code, out, _ = _run(capsys, [command, str(path), "--format", fmt])
+        assert code == 0
+        rows[command, fmt] = out.splitlines()[1]
+    assert rows["trees", "table"].split() == ["only", "-", "0.000", "0.000", "0", "yes"]
+    assert rows["trees", "csv"] == "only,-,0.000,0.000,0,yes"
+    assert rows["select", "table"].split() == ["only", "-", "0.000", "0.000", "0", "yes", "*"]
+
+
 def test_trees_csv_input(capsys, tmp_path):
     nodes = tmp_path / "nodes.csv"
     edges = tmp_path / "edges.csv"
@@ -198,6 +213,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     ["simulate", "{topo}", "--rounds", "0"],
     ["compare", "{topo}", "--policies", "clmat,bogus"],
     ["compare", "{topo}", "--policies", "random", "--trials", "0"],
+    ["compare", "{topo}", "--policies", ","],
+    ["trees", "{topo}", "--nodes-csv", "nodes.csv", "--edges-csv", "edges.csv"],
 ])
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     topo = _f4_file(tmp_path)
@@ -470,6 +487,9 @@ def test_menu_vertex_and_edge_errors():
     assert "vertex name must be nonempty" in _menu("1\n\n5\n6\n")
     assert "energy must be a positive finite Joule value, got -1.0" in _menu("1\nA\n-1\n6\n")
     assert "Invalid distance." in _menu("1\nA\n5\n1\nB\n4\n2\nA\nB\nfar\n6\n")
+    assert "self loop on A" in _menu("1\nA\n5\n2\nA\nA\n1\n6\n")
+    for choice in ("4", "5"):
+        assert _menu(f"{choice}\n6\n").count("Graph does not exist.") == 1
 
 
 def test_menu_display_lists_links():
@@ -622,7 +642,7 @@ def test_menu_listings_build_at_most_the_chosen_tree(counts):
     assert counts == {"searches": 4, "trees": 0}
     counts.update(searches=0, trees=0)
     _menu(session + "5\n6\n")
-    assert counts == {"searches": 4, "trees": 1}
+    assert counts == {"searches": 4, "trees": 0}
 
 
 @pytest.fixture

@@ -223,6 +223,7 @@ def _reference_candidate(g, root, cost_variant, energy_variant):
     return Candidate(root, tree.depth, metrics, len(tree.dist) == len(g))
 
 
+@pytest.mark.referee
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 9), isolated=st.booleans())
 def test_scores_match_trees_built_independently(seed, n, isolated):

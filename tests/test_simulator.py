@@ -397,6 +397,7 @@ _AWKWARD_IDS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\u2028", "a"
                        min_size=1, max_size=4)
 
 
+@pytest.mark.referee
 @settings(max_examples=200, deadline=None)
 @given(ids=st.lists(_AWKWARD_IDS, min_size=1, max_size=6, unique=True), data=st.data())
 def test_residual_trace_matches_csv_writer_rows(ids, data):
@@ -450,6 +451,7 @@ def _outcome(run, graph, config, policy, stop_at_first_death):
             result.final_residuals)
 
 
+@pytest.mark.referee
 @settings(max_examples=300, deadline=None)
 @given(g=drain_graphs(),
        policy=st.sampled_from(["clmat", "max-energy", "random", "fixed:v1", "fixed:v3",
@@ -492,6 +494,7 @@ def tie_graphs(draw):
     return g
 
 
+@pytest.mark.referee
 @settings(max_examples=300, deadline=None)
 @given(g=tie_graphs(), tie_rule=st.sampled_from(["min-depth", "first-min"]))
 def test_clmat_run_to_exhaustion_matches_reference_on_tie_heavy_graphs(g, tie_rule):
@@ -500,6 +503,7 @@ def test_clmat_run_to_exhaustion_matches_reference_on_tie_heavy_graphs(g, tie_ru
             == _outcome(reference_run_lifetime, g, config, "clmat", False))
 
 
+@pytest.mark.referee
 @settings(max_examples=200, deadline=None)
 @given(g=tie_graphs(), data=st.data(), stop_at_first_death=st.booleans())
 def test_fixed_root_death_matches_reference(g, data, stop_at_first_death):
@@ -517,6 +521,7 @@ def test_fixed_root_death_matches_reference(g, data, stop_at_first_death):
             == _outcome(reference_run_lifetime, g, config, policy, stop_at_first_death))
 
 
+@pytest.mark.referee
 @pytest.mark.parametrize("tie_rule, winner", [("first-min", "a"), ("min-depth", "b")])
 def test_clmat_stale_bound_order_does_not_break_ties(monkeypatch, tie_rule, winner):
     """After x dies, a and b tie on total distance but b has the lower bound.

@@ -41,8 +41,15 @@ def test_add_vertex_independent_insertion():
     assert not g.links
 
 
+# too large for a float, so math.isfinite raises OverflowError on them; repr
+# raises ValueError on the last, an int with more digits than Python writes
+_HUGE_INTS = [pytest.param(10 ** 400, id="10**400"), pytest.param(-(10 ** 400), id="-10**400"),
+              pytest.param(10 ** 5000, id="10**5000")]
+
+
 # a bool is not a number, as load_topology holds for JSON true
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, False])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True, False,
+                                 *_HUGE_INTS])
 def test_add_vertex_bad_energy(bad):
     g = NetworkGraph()
     with pytest.raises(errors.InvalidEnergy):
@@ -95,7 +102,8 @@ def test_add_edge_self_loop():
         g.add_edge("A", "A", 1.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -2.0, float("inf"), float("nan"), True, False])
+@pytest.mark.parametrize("bad", [0.0, -2.0, float("inf"), float("nan"), True, False,
+                                 *_HUGE_INTS])
 def test_add_edge_nonpositive_distance(bad):
     g = NetworkGraph()
     g.add_vertex("A", 5.0)
@@ -169,6 +177,7 @@ def test_readd_does_not_scan_links():
     assert list.__getitem__(g.links, -1).distance == 9.0
 
 
+@pytest.mark.referee
 @given(adds=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 9)),
                      max_size=30))
 def test_add_edge_matches_scan_reference(adds):
@@ -322,10 +331,14 @@ def test_load_semantic_errors(doc):
         load_topology(json.dumps(doc))
 
 
-@pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+@pytest.mark.parametrize("position", [
+    (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0),
+    pytest.param((10 ** 400, 0), id="(10**400, 0)"),
+    pytest.param((0.0, -(10 ** 5000)), id="(0.0, -10**5000)"),
+])
 def test_add_vertex_rejects_non_finite_position(position):
     g = NetworkGraph()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="position"):
         g.add_vertex("a", 1.0, position)
     assert len(g) == 0
 
@@ -425,6 +438,7 @@ def _readded_graphs(draw):
     return g, history
 
 
+@pytest.mark.referee
 @given(graph_history=_readded_graphs(), data=st.data())
 def test_restricted_matches_copy_rebuilt_through_add_edge(graph_history, data):
     g, history = graph_history
@@ -585,6 +599,7 @@ def _edgeless_graph():
     return g
 
 
+@pytest.mark.referee
 @given(g=_exportable_graphs(_hostile_ids, energies=_positive | st.integers(1, 2 ** 70)))
 @example(g=NetworkGraph())
 @example(g=_edgeless_graph())
@@ -605,6 +620,7 @@ def _pair_loop_links(g, radio_range):
     return links
 
 
+@pytest.mark.referee
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 40),
        radio_range=st.floats(1.0, 150.0) | st.just(math.inf) | st.none())
 @example(seed=1, n=40, radio_range=math.inf)

@@ -139,6 +139,7 @@ def tie_heavy_graphs(draw):
     return g
 
 
+@pytest.mark.referee
 @settings(max_examples=300, deadline=None)
 @given(g=tie_heavy_graphs())
 def test_heap_build_matches_scan_on_every_root(g):
@@ -150,6 +151,7 @@ def test_heap_build_matches_scan_on_every_root(g):
         assert tree.depth == scan.depth
 
 
+@pytest.mark.referee
 @settings(max_examples=300, deadline=None)
 @given(g=tie_heavy_graphs(), data=st.data())
 def test_masked_search_matches_search_on_restricted_copy(g, data):
@@ -180,6 +182,7 @@ def _rebuilt(g: NetworkGraph) -> NetworkGraph:
     return fresh
 
 
+@pytest.mark.referee
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 6), data=st.data())
 def test_search_after_each_mutation_matches_oracle_and_rebuilt_graph(seed, n, data):
@@ -297,6 +300,16 @@ def test_build_all_candidates_isolated_node():
     g = f4()
     g.add_vertex("island", 1.0)
     assert not any(c.spanning for c in build_all_candidates(g))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"energy_variant": "median"}, "energy variant"),
+    ({"cost_variant": "cheapest"}, "cost variant"),
+    ({"cost_variant": "residual"}, "tx_energy"),
+])
+def test_build_all_candidates_rejects_bad_scoring(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        build_all_candidates(two_node(), **kwargs)
 
 
 def test_edges_and_children_counts():
