@@ -7,11 +7,7 @@ from .metrics import (
     NODE_MIN,
     RESIDUAL,
     TreeMetrics,
-    clmat_edge_cost,
     residual_edge_cost,
-    total_distance,
-    tree_cost,
-    tree_energy,
 )
 from .selection import FIRST_MIN, MIN_DEPTH, SelectionResult, compare_trees, select_aggregator
 from .simulator import (
@@ -66,7 +62,6 @@ __all__ = [
     "SimState",
     "TreeMetrics",
     "build_all_candidates",
-    "clmat_edge_cost",
     "compare_policies",
     "compare_trees",
     "drain_round",
@@ -82,7 +77,4 @@ __all__ = [
     "run_lifetime",
     "select_aggregator",
     "shortest_path_tree",
-    "total_distance",
-    "tree_cost",
-    "tree_energy",
 ]

@@ -33,15 +33,7 @@ class SemanticError(ClmatError):
     """Well-formed topology input that contradicts itself."""
 
 
-class SingletonTree(ClmatError):
-    pass
-
-
 class NonPositiveResidual(ClmatError):
-    pass
-
-
-class UnreachableNode(ClmatError):
     pass
 
 

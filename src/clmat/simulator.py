@@ -229,11 +229,11 @@ class _AliveView:
 def _fold(row: list[float], indices: list[int]) -> float:
     """Plain left-to-right float sum of row over indices.
 
-    sum() compensates from Python 3.12, so it would not repeat
-    total_distance's fold bit for bit; reduce(add) does. A root's own row
-    entry is 0.0, and adding 0.0 to a nonnegative sum leaves its bits as
-    they are, so folding over every alive index equals total_distance's
-    fold over the non-root nodes.
+    sum() compensates from Python 3.12, so it would not repeat the
+    plain fold that scores a total distance (trees.scored_roots) bit for
+    bit; reduce(add) does. A root's own row entry is 0.0, and adding 0.0
+    to a nonnegative sum leaves its bits as they are, so folding over
+    every alive index equals the fold over the alive non-root nodes.
     """
     return reduce(add, map(row.__getitem__, indices), 0.0)
 
@@ -255,8 +255,8 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
 
             A death only removes paths, and float rounding is monotone, so no
             distance falls: a root's stored row, which spanned an earlier
-            alive set, folded over the alive nodes in the same order as
-            total_distance, is a lower bound on its new total. Roots are
+            alive set, folded over the alive nodes in index order, as a
+            total distance is, is a lower bound on its new total. Roots are
             searched in (bound, index) order until the next bound is
             strictly above the least total found, so every skipped root
             totals strictly more than the winner and cannot even tie.

@@ -174,29 +174,6 @@ class NetworkGraph:
             self._pair_links = {_pair(index[l.u], index[l.v]): l for l in self.links}
         return self._pair_links
 
-    def restricted(self, keep, energies=None) -> NetworkGraph:
-        """Copy containing only the kept nodes and links among them.
-
-        The copy is built through add_vertex and add_edge in the source's
-        node and link order, so its adjacency rows, links and distances
-        keep the source's order. energies, when given, maps node id to the
-        energy the copy should carry (used to feed residual energies back
-        in as node energies).
-        """
-        keep_set = set(keep)
-        g = NetworkGraph()
-        for n in self.nodes:
-            if n.id in keep_set:
-                e = energies[n.id] if energies is not None else n.energy
-                g.add_vertex(n.id, e, n.position)
-        for l in self.links:
-            if l.u in keep_set and l.v in keep_set:
-                g.add_edge(l.u, l.v, l.distance)
-        return g
-
-    def with_energies(self, energies) -> NetworkGraph:
-        return self.restricted(self.node_ids(), energies)
-
 
 def _pair(i: int, j: int) -> tuple[int, int]:
     """An unordered pair of node indices as (lower, higher)."""
@@ -209,7 +186,9 @@ def random_topology(n: int, side: float, radio_range: float,
 
     Link distances are the Euclidean separations; node energies are uniform
     in [energy_lo, energy_hi]. Fully determined by the seed. A disconnected
-    result is valid.
+    result is valid. A side so small that two nodes land on the same point,
+    or so large that a linked pair's distance overflows to inf, raises
+    ValueError, since no link may have such a distance.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -228,12 +207,19 @@ def random_topology(n: int, side: float, radio_range: float,
     ids = g.node_ids()
     positions = [node.position for node in g.nodes]
     dist, add_edge = math.dist, g.add_edge
-    for i in range(n):
-        a, pa = ids[i], positions[i]
-        for j in range(i + 1, n):
-            d = dist(pa, positions[j])
-            if d <= radio_range:
-                add_edge(a, ids[j], d)
+    try:
+        for i in range(n):
+            a, pa = ids[i], positions[i]
+            for j in range(i + 1, n):
+                d = dist(pa, positions[j])
+                if d <= radio_range:
+                    add_edge(a, ids[j], d)
+    except NonPositiveDistance:
+        if d == 0:
+            raise ValueError(f"nodes {a} and {ids[j]} are at the same point: "
+                             f"side {side!r} is too small to separate them") from None
+        raise ValueError(f"the distance between nodes {a} and {ids[j]} overflows to inf: "
+                         f"side {side!r} is too large") from None
     return g
 
 

@@ -89,9 +89,10 @@ def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
     whose zero entries the search treats as absent; ri must be alive. Their
     distances start at -inf, so the strict-improvement test already
     rejects every link into them and the search does no extra work per
-    link. Rows are visited in the order graph.restricted keeps them, and
-    restricted keeps the index order, so the masked search answers exactly
-    as a search on the restricted copy would.
+    link. Rows are visited in index order, the order a copy of the graph
+    built through add_vertex and add_edge from only the alive nodes keeps
+    them, so the masked search answers exactly as a search on such a copy
+    would.
     """
     lists = graph._neighbour_lists()
     n = len(lists)
@@ -199,11 +200,12 @@ def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MI
                  tx_energy=None) -> Iterator[tuple[Candidate, ShortestPaths]]:
     """Each root's Candidate with the search it was scored from, in insertion order.
 
-    Every score is read straight off the search's lists and equals the
-    metrics function's on search_tree of that search, bit for bit:
+    Every score is read straight off the search's lists and equals, bit
+    for bit, the score defined by a walk over search_tree of that search:
     - total distance: the plain left fold of the reached distances in
       index order. The root's 0.0 leaves a nonnegative sum unchanged, so
-      this is total_distance's fold over the non-root nodes.
+      this is the left fold of the tree's distances over the non-root
+      nodes, in the tree's order.
     - energy: a spanning tree's is read from the node table in closed
       form; a partial tree's is the least energy of its reached nodes, the
       root excluded under node-min; a single-node tree has none.
@@ -238,7 +240,7 @@ def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MI
 
 
 def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:
-    """tree_cost's residual variant, over the links of a search's tree."""
+    """The residual cost of a search's tree: residual_edge_cost summed over its links."""
     if tx_energy is None:
         raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
     total = 0.0

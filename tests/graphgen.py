@@ -1,10 +1,25 @@
-"""Seeded fixtures shared across the test modules."""
+"""Seeded fixtures shared across the test modules, and the references they score against.
+
+The references are the tree-walk scorers (tree_energy, tree_cost,
+total_distance, clmat_edge_cost), the graph copies (restricted,
+with_energies) and reference_run_lifetime. The library computes every
+score in closed form from a search's lists and restricts a graph through
+an alive mask; these are the plain definitions the tests hold it to.
+"""
 
 import math
 import random
 
-from clmat.errors import NoSpanningCandidate
-from clmat.metrics import TreeMetrics
+from clmat.errors import ClmatError, NoSpanningCandidate
+from clmat.metrics import (
+    CLMAT,
+    COST_VARIANTS,
+    EDGE_MIN,
+    ENERGY_VARIANTS,
+    NODE_MIN,
+    TreeMetrics,
+    residual_edge_cost,
+)
 from clmat.selection import select_aggregator
 from clmat.simulator import LifetimeResult, RoundReport, SimState, round_costs
 from clmat.topology import NetworkGraph, random_topology
@@ -149,6 +164,109 @@ def spanning_topologies(count, n=20, side=100.0, radio_range=45.0,
     return found
 
 
+class SingletonTree(ClmatError):
+    pass
+
+
+class UnreachableNode(ClmatError):
+    pass
+
+
+def tree_energy(tree, graph, variant: str = NODE_MIN) -> float:
+    """Bottleneck battery of a tree.
+
+    node-min: minimum energy over tree nodes, the root excluded.
+    edge-min: minimum over tree edges of the min endpoint energy. Every node
+    of a tree with an edge is an endpoint of one, so this is the minimum
+    energy over all tree nodes, the root included.
+    Both read current node energies.
+    """
+    if variant not in ENERGY_VARIANTS:
+        raise ValueError(f"unknown energy variant {variant!r}")
+    if not tree.parent:
+        raise SingletonTree(f"{variant} energy is undefined for a single-node tree")
+    return min(graph.energy(v) for v in tree.dist if variant == EDGE_MIN or v != tree.root)
+
+
+def clmat_edge_cost(energy_u: float, energy_v: float, tree_energy: float) -> float:
+    """Edge cost as each endpoint's energy over its headroom above the tree bottleneck.
+
+    A node whose energy equals the bottleneck has zero headroom; the cost
+    saturates to +inf instead of erroring (reports show "inf", selection is
+    unaffected because total distance is the primary key).
+    """
+    head_u = energy_u - tree_energy
+    head_v = energy_v - tree_energy
+    if head_u <= 0 or head_v <= 0:
+        return math.inf
+    return energy_u / head_u + energy_v / head_v
+
+
+def tree_cost(tree, graph, variant: str = CLMAT, *, tx_energy=None) -> float:
+    """Sum of edge costs over the tree's edges; 0 for a tree with no edges.
+
+    The clmat variant is +inf for every tree with an edge, in closed form:
+    under either tree_energy variant the bottleneck is the energy of an
+    endpoint of some tree edge, that endpoint has zero headroom, and
+    clmat_edge_cost saturates on that edge.
+
+    The residual variant prices each edge with a per-packet transmission
+    energy, so it needs tx_energy, a callable taking a link distance.
+    """
+    if variant not in COST_VARIANTS:
+        raise ValueError(f"unknown cost variant {variant!r}")
+    if not tree.parent:
+        return 0.0
+    if variant == CLMAT:
+        return math.inf
+    if tx_energy is None:
+        raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
+    total = 0.0
+    for u, v in tree.edges():
+        tx = tx_energy(graph.distance(u, v))
+        total += residual_edge_cost(tx, tx, graph.energy(u), graph.energy(v))
+    return total
+
+
+def total_distance(tree) -> float:
+    """Sum of recorded root distances over every non-root spanned node."""
+    total = 0.0
+    for v, d in tree.dist.items():
+        if v == tree.root:
+            continue
+        # shortest_path_tree never records inf (an overflowed sum fails through < best),
+        # so only a hand-built AggregationTree can reach this
+        if math.isinf(d):
+            raise UnreachableNode(f"infinite recorded distance for {v}")
+        total += d
+    return total
+
+
+def restricted(graph, keep, energies=None) -> NetworkGraph:
+    """Copy containing only the kept nodes and links among them.
+
+    The copy is built through add_vertex and add_edge in the source's
+    node and link order, so its adjacency rows, links and distances
+    keep the source's order. energies, when given, maps node id to the
+    energy the copy should carry (used to feed residual energies back
+    in as node energies).
+    """
+    keep_set = set(keep)
+    g = NetworkGraph()
+    for n in graph.nodes:
+        if n.id in keep_set:
+            e = energies[n.id] if energies is not None else n.energy
+            g.add_vertex(n.id, e, n.position)
+    for l in graph.links:
+        if l.u in keep_set and l.v in keep_set:
+            g.add_edge(l.u, l.v, l.distance)
+    return g
+
+
+def with_energies(graph, energies) -> NetworkGraph:
+    return restricted(graph, graph.node_ids(), energies)
+
+
 def _reference_chooser(policy, config, rng):
     """Per-round tree choosers over a view that carries residual energies."""
     if policy == "clmat":
@@ -219,7 +337,7 @@ def reference_run_lifetime(graph, config, policy="clmat",
     need_select = True
     for r in range(1, config.max_rounds + 1):
         if need_select or (r - 1) % config.reselect_every == 0:
-            view = graph.restricted(state.alive, {v: state.residual(v) for v in state.alive})
+            view = restricted(graph, state.alive, {v: state.residual(v) for v in state.alive})
             try:
                 state.current_tree = choose(view)
             except NoSpanningCandidate:

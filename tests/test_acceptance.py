@@ -10,14 +10,24 @@ import math
 import random
 import time
 
-from clmat.metrics import EDGE_MIN, NODE_MIN, TreeMetrics, clmat_edge_cost, residual_edge_cost
+from clmat.metrics import EDGE_MIN, NODE_MIN, TreeMetrics, residual_edge_cost
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel, SimConfig, reports_csv, run_lifetime
 from clmat.topology import export_json, load_topology
 from clmat.trees import build_all_candidates, oracle_shortest_paths, shortest_path_tree
 from clmat.cli import export_dot, main, run_menu
 
-from graphgen import eight_candidates, f4, random_connected_graph, spanning_topologies, two_node
+from graphgen import (
+    clmat_edge_cost,
+    eight_candidates,
+    f4,
+    random_connected_graph,
+    spanning_topologies,
+    total_distance,
+    tree_energy,
+    two_node,
+    with_energies,
+)
 from test_selection import _distance_minimal_roots, _scaled_copy, brute_choice
 
 
@@ -73,7 +83,6 @@ def test_criterion_4_metric_definitional_suite():
         g = random_connected_graph(rng)
         root = rng.choice(g.node_ids())
         tree = shortest_path_tree(g, root)
-        from clmat.metrics import total_distance, tree_energy
         scan = min(g.energy(v) for v in tree.dist if v != tree.root)
         assert tree_energy(tree, g, NODE_MIN) == scan
         assert tree_energy(tree, g, EDGE_MIN) == min(
@@ -110,7 +119,7 @@ def test_criterion_6_argmin_invariance():
                 scaled = _scaled_copy(g, k)
                 assert select_aggregator(scaled, tie_rule=rule).chosen_root == base
         before = _distance_minimal_roots(g)
-        perturbed = g.with_energies({v: rng.uniform(0.5, 50.0) for v in g.node_ids()})
+        perturbed = with_energies(g, {v: rng.uniform(0.5, 50.0) for v in g.node_ids()})
         assert _distance_minimal_roots(perturbed) == before
     print("criterion 6 PASS: distance scaling (x0.5/x3/x10) and energy perturbations "
           "never move the distance argmin on 50 graphs")

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import io
 import json
+import math
+import os
 import re
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmat import cli, trees
@@ -215,6 +219,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     ["compare", "{topo}", "--policies", "random", "--trials", "0"],
     ["compare", "{topo}", "--policies", ","],
     ["trees", "{topo}", "--nodes-csv", "nodes.csv", "--edges-csv", "edges.csv"],
+    ["gen", "--nodes", "10", "--side", "5e-324"],  # nodes at one point: a 0.0 distance
+    ["gen", "--nodes", "6", "--side", "1.7e308", "--range", "inf", "--seed", "1"],  # inf
 ])
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     topo = _f4_file(tmp_path)
@@ -680,3 +686,119 @@ def test_each_op_builds_the_neighbour_lists_once(tmp_path, capsys, list_builds):
     assert main(["gen", "--nodes", "40", "--seed", "1"]) == 0
     assert list_builds == {"reads": 0, "builds": 0}
     capsys.readouterr()
+
+
+# Numbers at the float extremes, mostly valid, plus a few that every loader rejects.
+_VALID_NUMBERS = [5e-324, 1e-300, 0.5, 1.0, 3.0, 1e154, 1e308]
+_CONTRACT_NUMBERS = _VALID_NUMBERS * 10 + [0.0, -1.0, math.inf, math.nan]
+# ids that differ by case, a space, a combining mark, a quote or a line separator;
+# none holds the letters "nan", so any nan in an output is a number
+_NEAR_DUPLICATE_IDS = ["a", "A", "a ", " a", "\u00e9", "e\u0301", "b", 'b"', "b\u2028", "0"]
+
+
+@st.composite
+def _contract_topologies(draw):
+    """(nodes, edges): nodes as (id, energy, position or None), edges as (u, v, distance).
+
+    The edges may start with a path through every node, so that most drawn
+    graphs are connected and reach the commands' output.
+    """
+    number = st.sampled_from(_CONTRACT_NUMBERS)
+    ids = draw(st.lists(st.sampled_from(_NEAR_DUPLICATE_IDS), max_size=5, unique=True))
+    nodes = [(v, draw(number), draw(st.none() | st.tuples(number, number))) for v in ids]
+    edges = []
+    if draw(st.booleans()):
+        edges = [(u, v, draw(number)) for u, v in zip(ids, ids[1:])]
+    if len(ids) > 1:
+        pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+        edges += [(u, v, draw(number)) for u, v in draw(st.lists(pair, max_size=4))]
+    return nodes, edges
+
+
+def _write_contract_input(directory, nodes, edges, as_csv) -> list[str]:
+    """Write the topology in one input format; returns the CLI input arguments."""
+    if not as_csv:
+        doc = {"nodes": [{"id": v, "energy": e} | ({} if p is None else {"x": p[0], "y": p[1]})
+                         for v, e, p in nodes],
+               "edges": [{"u": u, "v": v, "distance": d} for u, v, d in edges]}
+        path = os.path.join(directory, "topo.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)  # writes NaN and Infinity, which load_topology must reject
+        return [path]
+    paths = []
+    for name, header, rows in (
+            ("nodes.csv", ("id", "energy", "x", "y"),
+             [(v, repr(e), *(("", "") if p is None else map(repr, p))) for v, e, p in nodes]),
+            ("edges.csv", ("u", "v", "distance"), [(u, v, repr(d)) for u, v, d in edges])):
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        paths.append(path)
+    return ["--nodes-csv", paths[0], "--edges-csv", paths[1]]
+
+
+def _standard_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def _csv_round_trips(text):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+    return buf.getvalue() == text
+
+
+_NAN = re.compile(r"(?<![A-Za-z])nan(?![A-Za-z])", re.IGNORECASE)
+
+
+@pytest.mark.referee
+@settings(max_examples=60, deadline=None)
+@given(topology=_contract_topologies(), as_csv=st.booleans(),
+       until=st.sampled_from(["first-death", "exhaustion"]))
+def test_cli_contract_on_drawn_topologies(topology, as_csv, until):
+    """Every command on any drawn input exits 0, 2 or 3 without a traceback,
+    writes no nan, writes standard JSON and CSV that reads back, and writes
+    the same bytes when run again."""
+    nodes, edges = topology
+    fixed = f"fixed:{nodes[0][0]}" if nodes else "fixed:a"
+    with tempfile.TemporaryDirectory() as directory:
+        source = _write_contract_input(directory, nodes, edges, as_csv)
+        trace = os.path.join(directory, "trace.csv")
+        commands = [
+            (["select", "--format", "table"], None),
+            (["select", "--format", "json"], "json"),
+            (["select", "--format", "dot"], None),
+            (["trees", "--cost", "clmat", "--format", "csv"], "csv"),
+            (["trees", "--cost", "residual", "--format", "json"], "json"),
+            (["simulate", "--rounds", "40", "--until", until, "--trace", trace], "csv"),
+            (["compare", "--rounds", "40", "--trials", "2", "--format", "csv",
+              "--policies", f"clmat,max-energy,random,{fixed}"], "csv"),
+        ]
+        for command, kind in commands:
+            runs = []
+            for _ in range(2):
+                if os.path.exists(trace):
+                    os.remove(trace)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(command + source)
+                written = None
+                if os.path.exists(trace):
+                    with open(trace, encoding="utf-8", newline="") as fh:
+                        written = fh.read()
+                runs.append((code, out.getvalue(), err.getvalue(), written))
+            assert runs[0] == runs[1], command
+            code, out, err, written = runs[0]
+            assert code in (0, 2, 3), (command, code, err)
+            assert "Traceback" not in err
+            if code != 0:
+                continue
+            texts = [out] + ([written] if written is not None else [])
+            assert not any(_NAN.search(text) for text in texts + [err]), command
+            if kind == "json":
+                _standard_json(out)
+            elif kind == "csv":
+                assert all(_csv_round_trips(text) for text in texts), command

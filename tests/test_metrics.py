@@ -10,16 +10,23 @@ from clmat.metrics import (
     EDGE_MIN,
     NODE_MIN,
     RESIDUAL,
-    clmat_edge_cost,
     residual_edge_cost,
     spanning_tree_energies,
-    total_distance,
-    tree_cost,
-    tree_energy,
 )
 from clmat.trees import AggregationTree, shortest_path_tree
 
-from graphgen import f4, random_connected_graph, two_node
+from graphgen import (
+    SingletonTree,
+    UnreachableNode,
+    clmat_edge_cost,
+    f4,
+    random_connected_graph,
+    total_distance,
+    tree_cost,
+    tree_energy,
+    two_node,
+    with_energies,
+)
 
 
 def _random_tree(rng):
@@ -45,7 +52,7 @@ def test_tree_energy_singleton_errors():
     g = two_node()
     tree = AggregationTree(root="a", parent={}, dist={"a": 0.0}, depth=0)
     for variant in (NODE_MIN, EDGE_MIN):
-        with pytest.raises(errors.SingletonTree):
+        with pytest.raises(SingletonTree):
             tree_energy(tree, g, variant)
 
 
@@ -84,7 +91,7 @@ def test_spanning_tree_energies_match_tree_energy_on_every_root(energies):
     for _ in range(40):
         g = random_connected_graph(rng)
         if energies is not None:
-            g = g.with_energies({v: rng.choice(energies) for v in g.node_ids()})
+            g = with_energies(g, {v: rng.choice(energies) for v in g.node_ids()})
         for variant in (NODE_MIN, EDGE_MIN):
             assert spanning_tree_energies(g, variant) == [
                 tree_energy(shortest_path_tree(g, v), g, variant) for v in g.node_ids()]
@@ -179,7 +186,7 @@ def test_total_distance_two_node():
 def test_total_distance_unreachable():
     tree = AggregationTree(root="a", parent={"b": "a"}, dist={"a": 0.0, "b": math.inf},
                            depth=1)
-    with pytest.raises(errors.UnreachableNode):
+    with pytest.raises(UnreachableNode):
         total_distance(tree)
 
 

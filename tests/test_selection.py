@@ -12,16 +12,24 @@ from clmat.metrics import (
     NODE_MIN,
     RESIDUAL,
     TreeMetrics,
-    total_distance,
-    tree_cost,
-    tree_energy,
 )
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel
 from clmat.topology import NetworkGraph
 from clmat.trees import Candidate, build_all_candidates, oracle_shortest_paths, shortest_path_tree
 
-from graphgen import depth_by_walk, eight_candidates, f4, random_connected_graph, tie_heavy_graph
+from graphgen import (
+    SingletonTree,
+    depth_by_walk,
+    eight_candidates,
+    f4,
+    random_connected_graph,
+    tie_heavy_graph,
+    total_distance,
+    tree_cost,
+    tree_energy,
+    with_energies,
+)
 
 
 def _candidate(root, distance, depth=1, energy=1.0, cost=0.0, spanning=True):
@@ -169,7 +177,7 @@ def test_energies_cannot_move_the_distance_minimum():
     for _ in range(20):
         g = random_connected_graph(rng)
         before = _distance_minimal_roots(g)
-        perturbed = g.with_energies({v: rng.uniform(0.5, 20.0) for v in g.node_ids()})
+        perturbed = with_energies(g, {v: rng.uniform(0.5, 20.0) for v in g.node_ids()})
         assert _distance_minimal_roots(perturbed) == before
 
 
@@ -216,7 +224,7 @@ def _reference_candidate(g, root, cost_variant, energy_variant):
     tree = shortest_path_tree(g, root)
     try:
         energy = tree_energy(tree, g, energy_variant)
-    except errors.SingletonTree:
+    except SingletonTree:
         energy = None
     cost = tree_cost(tree, g, cost_variant, tx_energy=TX_ENERGY)
     metrics = TreeMetrics(energy, cost, total_distance(tree))

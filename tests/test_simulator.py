@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clmat import cli, errors, simulator
-from clmat.metrics import total_distance
 from clmat.simulator import (
     LifetimeResult,
     RadioModel,
@@ -25,7 +24,15 @@ from clmat.simulator import (
 from clmat.topology import NetworkGraph, export_json, random_topology
 from clmat.trees import shortest_path_tree
 
-from graphgen import f4, random_connected_graph, reference_run_lifetime, two_node
+from graphgen import (
+    f4,
+    random_connected_graph,
+    reference_run_lifetime,
+    restricted,
+    total_distance,
+    two_node,
+    with_energies,
+)
 
 FLAT = RadioModel(tx_fixed=1.0, tx_dist_coeff=0.0, exponent=2, rx_cost=0.5)
 
@@ -510,8 +517,8 @@ def test_fixed_root_death_matches_reference(g, data, stop_at_first_death):
     """A fixed root that dies leaves no tree to drain on: the run ends as the
     reference's does, after any deaths that came first."""
     root = data.draw(st.sampled_from(g.node_ids()))
-    g = g.with_energies({v: data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])) if v == root
-                         else g.energy(v) for v in g.node_ids()})
+    g = with_energies(g, {v: data.draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])) if v == root
+                          else g.energy(v) for v in g.node_ids()})
     config = SimConfig(radio=RadioModel(0.3, 0.1, 2, 0.2), max_rounds=30,
                        reselect_every=data.draw(st.sampled_from([1, 3])))
     policy = f"fixed:{root}"
@@ -537,7 +544,7 @@ def test_clmat_stale_bound_order_does_not_break_ties(monkeypatch, tie_rule, winn
         g.add_edge(u, v, d)
     # round 1 builds every root; b wins, and x, relaying for p, dies that round
     survivors = ["a", "b", "p", "q"]
-    view = g.restricted(survivors)
+    view = restricted(g, survivors)
     bounds = {r: sum(shortest_path_tree(g, r).dist[v] for v in survivors if v != r)
               for r in survivors}
     totals = {r: total_distance(shortest_path_tree(view, r)) for r in survivors}
@@ -592,10 +599,9 @@ def _spied_simulate(tmp_path, monkeypatch, g, policy):
     topo = tmp_path / "topo.json"
     topo.write_text(export_json(g), encoding="utf-8")
     rounds_csv = tmp_path / "rounds.csv"
-    views, built, copies = [], [], []
+    views, built = [], []
     make_view = simulator._AliveView.__init__
     search = simulator.shortest_path_search
-    restrict = NetworkGraph.restricted
 
     def spy_view(self, graph, alive, radio):
         views.append(tuple(alive))
@@ -605,18 +611,12 @@ def _spied_simulate(tmp_path, monkeypatch, g, policy):
         built.append((len(views), graph.nodes[ri].id))
         return search(graph, ri, alive)
 
-    def spy_restrict(self, keep, energies=None):
-        copies.append(tuple(keep))
-        return restrict(self, keep, energies)
-
     monkeypatch.setattr(simulator._AliveView, "__init__", spy_view)
     monkeypatch.setattr(simulator, "shortest_path_search", spy_search)
-    monkeypatch.setattr(NetworkGraph, "restricted", spy_restrict)
     code = cli.main(["simulate", str(topo), "--policy", policy, "--reselect-every", "1",
                      "--until", "exhaustion", "--radio", "1e-3,1e-6,2,5e-4",
                      "-o", str(rounds_csv)])
     assert code == 0
-    assert copies == []
     rows = [line.split(",") for line in rounds_csv.read_text().splitlines()[1:]]
     return views, built, rows
 

@@ -15,7 +15,7 @@ from clmat.topology import (
     random_topology,
 )
 
-from graphgen import f4, random_connected_graph
+from graphgen import f4, random_connected_graph, restricted, with_energies
 
 
 def test_add_vertex_first_insertion():
@@ -257,6 +257,9 @@ def test_random_topology_energy_bounds():
     dict(n=2, side=1.0, radio_range=-1.0, energy_lo=1.0, energy_hi=1.0, seed=0),
     dict(n=2, side=1.0, radio_range=1.0, energy_lo=0.0, energy_hi=1.0, seed=0),
     dict(n=2, side=1.0, radio_range=1.0, energy_lo=2.0, energy_hi=1.0, seed=0),
+    # a side that puts two nodes at one point, or a linked pair's distance at inf
+    dict(n=10, side=5e-324, radio_range=40.0, energy_lo=2.0, energy_hi=5.0, seed=0),
+    dict(n=6, side=1.7e308, radio_range=math.inf, energy_lo=2.0, energy_hi=5.0, seed=1),
 ])
 def test_random_topology_bad_args(kwargs):
     with pytest.raises(ValueError):
@@ -401,7 +404,7 @@ def test_link_energy_recomputed_not_cached():
 
 def test_restricted_subgraph():
     g = f4()
-    sub = g.restricted(["A", "B", "D"], energies={"A": 1.5, "B": 2.5, "D": 3.5})
+    sub = restricted(g, ["A", "B", "D"], energies={"A": 1.5, "B": 2.5, "D": 3.5})
     assert sub.node_ids() == ["A", "B", "D"]
     assert sub.energy("A") == 1.5
     assert {(l.u, l.v) for l in sub.links} == {("A", "B"), ("B", "D")}
@@ -411,7 +414,7 @@ def test_restricted_subgraph():
 
 def test_with_energies_keeps_structure():
     g = f4()
-    view = g.with_energies({n.id: 9.0 for n in g.nodes})
+    view = with_energies(g, {n.id: 9.0 for n in g.nodes})
     assert view.node_ids() == g.node_ids()
     assert all(n.energy == 9.0 for n in view.nodes)
     assert view._link_set() == {(u, v, d) for u, v, d in
@@ -451,7 +454,7 @@ def test_restricted_matches_copy_rebuilt_through_add_edge(graph_history, data):
     for u, v, d in history:
         if u in kept and v in kept:
             rebuilt.add_edge(u, v, d)
-    sub = g.restricted(keep)
+    sub = restricted(g, keep)
     assert sub == rebuilt
     assert sub._index == rebuilt._index
     assert [list(a.items()) for a in sub._adj] == [list(a.items()) for a in rebuilt._adj]
@@ -462,7 +465,7 @@ def test_restricted_matches_copy_rebuilt_through_add_edge(graph_history, data):
     victim = data.draw(st.sampled_from(g.node_ids()), label="victim")
     for bad in (0.0, math.nan):
         with pytest.raises(errors.InvalidEnergy):
-            g.with_energies({v: bad if v == victim else 1.0 for v in g.node_ids()})
+            with_energies(g, {v: bad if v == victim else 1.0 for v in g.node_ids()})
 
 
 @given(e1=st.floats(0.001, 1e6), e2=st.floats(0.001, 1e6), d=st.floats(0.001, 1e6))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmat import errors
-from clmat.metrics import NODE_MIN, total_distance, tree_cost, tree_energy
+from clmat.metrics import NODE_MIN
 from clmat.topology import NetworkGraph
 from clmat.trees import (
     build_all_candidates,
@@ -21,8 +21,12 @@ from graphgen import (
     depth_by_walk,
     f4,
     random_connected_graph,
+    restricted,
     scan_shortest_path_tree,
     tie_heavy_graph,
+    total_distance,
+    tree_cost,
+    tree_energy,
     two_node,
 )
 
@@ -85,7 +89,7 @@ def test_search_depth_matches_walked_depth():
     for _ in range(40):
         g = random_connected_graph(rng, n=rng.randint(1, 12), extra_edge_prob=0.15)
         alive = [name for name in g.node_ids() if rng.random() < 0.7] or g.node_ids()[:1]
-        for view in (g, g.restricted(alive)):
+        for view in (g, restricted(g, alive)):
             for root in view.node_ids():
                 tree = shortest_path_tree(view, root)
                 assert tree.depth == depth_by_walk(root, tree.parent, tree.dist)
@@ -159,7 +163,7 @@ def test_masked_search_matches_search_on_restricted_copy(g, data):
     search on the graph restricted to the alive nodes builds."""
     keep = data.draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g)))
     alive = bytearray(keep)
-    copy = g.restricted([v for v, k in zip(g.node_ids(), keep) if k])
+    copy = restricted(g, [v for v, k in zip(g.node_ids(), keep) if k])
     for ri, root in enumerate(g.node_ids()):
         if not keep[ri]:
             continue  # a search must start at an alive node
