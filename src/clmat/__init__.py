@@ -20,7 +20,6 @@ from .simulator import (
     drain_round,
     reports_csv,
     residual_trace_csv,
-    round_costs,
     run_lifetime,
 )
 from .topology import (
@@ -73,7 +72,6 @@ __all__ = [
     "reports_csv",
     "residual_edge_cost",
     "residual_trace_csv",
-    "round_costs",
     "run_lifetime",
     "select_aggregator",
     "shortest_path_tree",

@@ -19,13 +19,15 @@ import csv
 import io
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add
+from types import MappingProxyType
 
 from .errors import NoSpanningCandidate
 from .selection import MIN_DEPTH, TIE_RULES, pick_tree
-from .trees import AggregationTree, ShortestPaths, search_tree, shortest_path_search
+from .trees import ShortestPaths, shortest_path_search
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,6 @@ class SimState:
     drained_cum: dict[str, float]
     alive: list[str]
     round: int = 0
-    current_tree: AggregationTree | None = None
 
     def residual(self, v: str) -> float:
         return self.initial[v] - self.drained_cum[v]
@@ -97,7 +98,7 @@ class SimState:
 class RoundReport:
     round: int
     aggregator: str
-    drained: dict[str, float]
+    drained: Mapping[str, float]
     total_drained: float
     alive_count: int
     deaths: list[str]
@@ -113,36 +114,19 @@ class LifetimeResult:
     final_residuals: dict[str, float]
 
 
-def round_costs(tree: AggregationTree, radio: RadioModel, graph) -> dict[str, float]:
-    """Each tree node's drain for one round on the tree, in tree.dist order.
+def drain_round(state: SimState, root: str, costs: Mapping[str, float]) -> RoundReport:
+    """Charge one round of traffic on the tree aggregated at root and record deaths.
 
-    Every non-root node pays one transmission to its parent; every parent
-    pays one reception per child. The tree fixes these costs, so they are
-    computed once per tree. graph supplies link distances.
-    """
-    n_children = tree.children_counts()
-    costs: dict[str, float] = {}
-    for v in tree.dist:
-        cost = 0.0
-        if v != tree.root:
-            cost += radio.tx_energy(graph.distance(tree.parent[v], v))
-        kids = n_children.get(v, 0)
-        if kids:
-            cost += kids * radio.rx_cost
-        costs[v] = cost
-    return costs
-
-
-def drain_round(state: SimState, tree: AggregationTree, costs: dict[str, float]) -> RoundReport:
-    """Charge one round of traffic on the tree and record deaths.
-
-    costs is round_costs of the tree, taken as an argument so that a caller
-    keeping one tree for many rounds computes them once. Nodes finish the
-    round before a residual of <= 0 removes them, and deaths come in the
-    order of state.alive. A residual changes only when its node is charged,
-    so each node is tested for death in the same pass that charges it, and
-    state.alive is scanned only in a round where a charged node is at or
-    below 0.
+    costs maps each tree node to its drain for one round, taken as an
+    argument so that a caller keeping one tree for many rounds computes
+    them once. The report keeps costs itself as its drained, not a copy,
+    so a caller that passes a read-only mapping shares it between every
+    round of the tree.
+    Nodes finish the round before a residual of <= 0 removes them, and
+    deaths come in the order of state.alive. A residual changes only when
+    its node is charged, so each node is tested for death in the same pass
+    that charges it, and state.alive is scanned only in a round where a
+    charged node is at or below 0.
     Every alive node of a state that starts from positive energies and is
     only ever drained here starts each round above 0, so no death is missed.
     """
@@ -161,8 +145,7 @@ def drain_round(state: SimState, tree: AggregationTree, costs: dict[str, float])
     if deaths:
         dead = set(deaths)
         state.alive = [v for v in state.alive if v not in dead]
-    # each report owns its drains, so no caller can edit the kept costs through one
-    return RoundReport(state.round, tree.root, dict(costs), total, len(state.alive), deaths)
+    return RoundReport(state.round, root, costs, total, len(state.alive), deaths)
 
 
 POLICIES = ("clmat", "max-energy", "random")  # plus "fixed:<id>"
@@ -176,14 +159,14 @@ def check_policy(policy: str) -> None:
 
 class _AliveView:
     """What one alive set fixes: each root's search over the alive nodes,
-    and the trees of the roots picked, each with its round costs.
+    and the round costs of the roots picked.
 
     A view keeps the original graph, the alive ids and their insertion
     indices (both in insertion order) and, unless every node is alive, a
     mask by insertion index that the searches skip dead nodes by; it copies
-    no graph. Searches are kept by root index, trees with their costs by
-    root id, each computed on first use. None of this reads energy, so a
-    view answers for as long as the alive set stays the same.
+    no graph. Searches and round costs are kept by root index, each
+    computed on first use. None of this reads energy, so a view answers for
+    as long as the alive set stays the same.
     """
 
     def __init__(self, graph, alive, radio: RadioModel):
@@ -197,7 +180,7 @@ class _AliveView:
             for i in self.indices:
                 self.mask[i] = 1
         self._searches: dict[int, ShortestPaths] = {}
-        self._trees: dict[str, tuple[AggregationTree, dict[str, float]]] = {}
+        self._costs: dict[int, Mapping[str, float]] = {}
 
     def is_alive(self, root: str) -> bool:
         i = self.graph.get_index(root)
@@ -210,20 +193,42 @@ class _AliveView:
             paths = self._searches[i] = shortest_path_search(self.graph, i, self.mask)
         return paths
 
-    def tree(self, root: str, message: str) -> tuple[AggregationTree, dict[str, float]]:
-        """Alive root's tree and its round_costs, or NoSpanningCandidate(message)
-        unless the tree reaches every alive node.
+    def costs(self, root: str, message: str) -> Mapping[str, float]:
+        """Each node's drain for one round on alive root's tree, read-only and
+        in insertion order, or NoSpanningCandidate(message) unless the tree
+        reaches every alive node.
 
         Links are undirected, so one root spans exactly when every root does.
+        Read straight off the search's lists: every non-root node pays one
+        transmission over the link to its parent, then every node one
+        reception per child, in the same operations and order as a walk
+        over the tree's nodes, so the drains are the same bit for bit.
         """
-        built = self._trees.get(root)
-        if built is None:
-            paths = self.search(self.graph.get_index(root))
+        ri = self.graph.get_index(root)
+        costs = self._costs.get(ri)
+        if costs is None:
+            paths = self.search(ri)
             if paths.reached != len(self.indices):
                 raise NoSpanningCandidate(message)
-            tree = search_tree(self.graph.node_ids(), root, paths)
-            built = self._trees[root] = (tree, round_costs(tree, self.radio, self.graph))
-        return built
+            parent = paths.parent
+            kids = [0] * len(parent)
+            for p in parent:
+                if p != -1:
+                    kids[p] += 1
+            adj = self.graph._adj
+            tx_energy, rx_cost = self.radio.tx_energy, self.radio.rx_cost
+            drains = {}
+            for v, w in zip(self.ids, self.indices):  # a spanning tree's nodes
+                cost = 0.0
+                p = parent[w]
+                if p != -1:
+                    cost += tx_energy(adj[p][w])
+                k = kids[w]
+                if k:
+                    cost += k * rx_cost
+                drains[v] = cost
+            costs = self._costs[ri] = MappingProxyType(drains)
+        return costs
 
 
 def _fold(row: list[float], indices: list[int]) -> float:
@@ -300,12 +305,12 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
                  stop_at_first_death: bool = True) -> LifetimeResult:
     """Drive rounds until the first death or the horizon.
 
-    The shortest-path trees and their round costs depend only on which
-    nodes are alive, so they are computed at most once per alive set: in
-    round 1 and after each death, by searches that skip the dead nodes
-    through an alive mask rather than on a copy of the graph. clmat and
-    fixed:<id> pick their tree then and keep it; after a death clmat
-    builds only the roots that can still win. max-energy and random also
+    The shortest-path searches, and the round costs read off them, depend
+    only on which nodes are alive, so they are computed at most once per
+    alive set: in round 1 and after each death, by searches that skip the
+    dead nodes through an alive mask rather than on a copy of the graph.
+    No tree object is built. clmat and fixed:<id> pick their root then and
+    keep it; after a death clmat searches only the roots that can still win. max-energy and random also
     re-pick every reselect_every rounds, reading current residuals, so the
     cadence matters only for them.
     With stop_at_first_death False the run continues past deaths until the
@@ -343,15 +348,16 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
             if view is None:
                 view = _AliveView(graph, state.alive, config.radio)
             try:
-                state.current_tree, costs = view.tree(pick(view, state), message)
+                root = pick(view, state)
+                costs = view.costs(root, message)
             except NoSpanningCandidate:
                 if r == 1:
                     raise
                 partitioned = True
                 break
-        report = drain_round(state, state.current_tree, costs)
+        report = drain_round(state, root, costs)
         reports.append(report)
-        delivered += len(state.current_tree.dist)
+        delivered += len(costs)  # one reading from every tree node
         if report.deaths:
             if first_death is None:
                 first_death = r
@@ -370,8 +376,8 @@ def compare_policies(graph, config: SimConfig, policies,
     The random-root policy is averaged over random_trials seeded runs; every
     other policy is deterministic, so a single run suffices. Every run
     starts from the full alive set with the same radio, so all of them
-    share one first view and build each root's full-network tree at most
-    once. random_trials below 1 or an unknown policy name raises ValueError
+    share one first view: each root is searched over the full network, and
+    its round costs computed, at most once. random_trials below 1 or an unknown policy name raises ValueError
     before any run.
     """
     if random_trials < 1:
@@ -428,11 +434,14 @@ def residual_trace_csv(graph, reports) -> str:
     buf = io.StringIO()  # holds the text alone, not a string object per row
     write = buf.write
     write("round,node,residual\n")
+    drained = None
     for rep in reports:
-        drained = rep.drained
+        if rep.drained is not drained:  # the rounds of one tree share their drains
+            drained = rep.drained
+            by_index = [drained.get(v) for v in ids]
         r = rep.round
         for i in alive:
-            d = drained.get(ids[i])
+            d = by_index[i]
             if d is not None:
                 cum[i] += d
             write(f"{r},{quoted[i]},{initial[i] - cum[i]!r}\n")

@@ -145,10 +145,12 @@ class NetworkGraph:
             raise UnknownVertex(f"destination vertex does not exist: {v}")
         if u == v:
             raise SelfLoop(f"self loop on {u}")
-        if not (_is_finite(distance) and distance > 0):
-            raise NonPositiveDistance(
-                f"distance must be a positive finite number, got {_shown(distance)}")
-        distance = float(distance)
+        # a positive finite float, what loaders and generators pass, needs no other test
+        if not (type(distance) is float and 0.0 < distance < math.inf):
+            if not (_is_finite(distance) and distance > 0):
+                raise NonPositiveDistance(
+                    f"distance must be a positive finite number, got {_shown(distance)}")
+            distance = float(distance)
         if j not in self._adj[i]:
             link = Link(u, v, distance)
             self.links.append(link)
@@ -295,7 +297,8 @@ _CONSTRUCTION_ERRORS = (
 def load_topology(data) -> NetworkGraph:
     """Build a graph from the JSON topology format.
 
-    The optional "mode" key may only be "undirected". Structural problems
+    The optional "mode" key may only be "undirected". Structural problems,
+    an unknown key at the top level, in a node or in an edge included,
     raise ParseError; well-formed content that contradicts itself
     (duplicate ids, unknown endpoints, nonpositive energies or distances)
     raises SemanticError. Link energies are always
@@ -318,6 +321,8 @@ def load_topology(data) -> NetworkGraph:
     edges = doc.get("edges", [])
     _require(isinstance(nodes, list), '"nodes" must be a list')
     _require(isinstance(edges, list), '"edges" must be a list')
+    if len(doc) != 1 + ("mode" in doc) + ("edges" in doc):
+        raise _unknown_keys(doc, ("mode", "nodes", "edges"), "top-level")
     g = NetworkGraph()
     try:
         for rec in nodes:
@@ -331,16 +336,34 @@ def load_topology(data) -> NetworkGraph:
                 _require(_is_number(rec["x"]) and _is_number(rec["y"]),
                          "x and y must be numbers")
                 pos = (rec["x"], rec["y"])
+            if len(rec) != (4 if has_x else 2):
+                raise _unknown_keys(rec, ("id", "energy", "x", "y"), "node")
             g.add_vertex(rec["id"], rec["energy"], pos)
+        add_edge = g.add_edge
         for rec in edges:
-            _require(isinstance(rec, dict), "edge entries must be objects")
-            _require(isinstance(rec.get("u"), str) and isinstance(rec.get("v"), str),
-                     'each edge needs string "u" and "v"')
-            _require(_is_number(rec.get("distance")), 'each edge needs a numeric "distance"')
-            g.add_edge(rec["u"], rec["v"], rec["distance"])
+            # each field is tested once, inline: this loop runs once per link
+            if not isinstance(rec, dict):
+                raise ParseError("edge entries must be objects")
+            u, v, d = rec.get("u"), rec.get("v"), rec.get("distance")
+            if not (isinstance(u, str) and isinstance(v, str)):
+                raise ParseError('each edge needs string "u" and "v"')
+            if type(d) is not float and not _is_number(d):
+                raise ParseError('each edge needs a numeric "distance"')
+            if len(rec) != 3:  # u, v and distance are all present by now
+                raise _unknown_keys(rec, ("u", "v", "distance"), "edge")
+            add_edge(u, v, d)
     except _CONSTRUCTION_ERRORS as exc:
         raise SemanticError(str(exc)) from exc
     return g
+
+
+def _unknown_keys(rec: dict, allowed: tuple, where: str) -> ParseError:
+    """The ParseError for a record holding keys outside allowed.
+
+    Callers test by length, once the keys they require are read, so a
+    record without unknown keys costs them one comparison.
+    """
+    return ParseError(f"unexpected {where} keys: {sorted(set(rec) - set(allowed))}")
 
 
 def _num(text, field: str) -> float:

@@ -2,9 +2,10 @@
 
 The references are the tree-walk scorers (tree_energy, tree_cost,
 total_distance, clmat_edge_cost), the graph copies (restricted,
-with_energies) and reference_run_lifetime. The library computes every
-score in closed form from a search's lists and restricts a graph through
-an alive mask; these are the plain definitions the tests hold it to.
+with_energies), round_costs and reference_run_lifetime. The library
+computes every score and every round's drains in closed form from a
+search's lists and restricts a graph through an alive mask; these are
+the plain definitions the tests hold it to.
 """
 
 import math
@@ -21,7 +22,7 @@ from clmat.metrics import (
     residual_edge_cost,
 )
 from clmat.selection import select_aggregator
-from clmat.simulator import LifetimeResult, RoundReport, SimState, round_costs
+from clmat.simulator import LifetimeResult, RadioModel, RoundReport, SimState
 from clmat.topology import NetworkGraph, random_topology
 from clmat.trees import AggregationTree, Candidate, oracle_shortest_paths, shortest_path_tree
 
@@ -267,6 +268,26 @@ def with_energies(graph, energies) -> NetworkGraph:
     return restricted(graph, graph.node_ids(), energies)
 
 
+def round_costs(tree: AggregationTree, radio: RadioModel, graph) -> dict[str, float]:
+    """Each tree node's drain for one round on the tree, in tree.dist order.
+
+    Every non-root node pays one transmission to its parent; every parent
+    pays one reception per child. The tree fixes these costs, so they are
+    computed once per tree. graph supplies link distances.
+    """
+    n_children = tree.children_counts()
+    costs: dict[str, float] = {}
+    for v in tree.dist:
+        cost = 0.0
+        if v != tree.root:
+            cost += radio.tx_energy(graph.distance(tree.parent[v], v))
+        kids = n_children.get(v, 0)
+        if kids:
+            cost += kids * radio.rx_cost
+        costs[v] = cost
+    return costs
+
+
 def _reference_chooser(policy, config, rng):
     """Per-round tree choosers over a view that carries residual energies."""
     if policy == "clmat":
@@ -339,7 +360,7 @@ def reference_run_lifetime(graph, config, policy="clmat",
         if need_select or (r - 1) % config.reselect_every == 0:
             view = restricted(graph, state.alive, {v: state.residual(v) for v in state.alive})
             try:
-                state.current_tree = choose(view)
+                tree = choose(view)
             except NoSpanningCandidate:
                 if r == 1:
                     raise
@@ -347,17 +368,17 @@ def reference_run_lifetime(graph, config, policy="clmat",
                 break
             need_select = False
         # costs recomputed from the tree every round, independent of any cache
-        costs = round_costs(state.current_tree, config.radio, graph)
+        costs = round_costs(tree, config.radio, graph)
         total = 0.0
         for v, cost in costs.items():
             state.drained_cum[v] += cost
             total += cost
         deaths = [v for v in state.alive if state.residual(v) <= 0]
         state.alive = [v for v in state.alive if v not in deaths]
-        report = RoundReport(r, state.current_tree.root, dict(costs), total,
+        report = RoundReport(r, tree.root, dict(costs), total,
                              len(state.alive), deaths)
         reports.append(report)
-        delivered += len(state.current_tree.dist)
+        delivered += len(tree.dist)
         if report.deaths:
             if first_death is None:
                 first_death = r

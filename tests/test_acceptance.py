@@ -14,7 +14,7 @@ from clmat.metrics import EDGE_MIN, NODE_MIN, TreeMetrics, residual_edge_cost
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel, SimConfig, reports_csv, run_lifetime
 from clmat.topology import export_json, load_topology
-from clmat.trees import build_all_candidates, oracle_shortest_paths, shortest_path_tree
+from clmat.trees import oracle_shortest_paths, shortest_path_tree
 from clmat.cli import export_dot, main, run_menu
 
 from graphgen import (

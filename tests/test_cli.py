@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from clmat import cli, trees
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
 from clmat.selection import select_aggregator
-from clmat.simulator import RadioModel
-from clmat.topology import NetworkGraph, export_json, load_topology
+from clmat.simulator import RadioModel, SimConfig, run_lifetime
+from clmat.topology import NetworkGraph, export_json, load_topology, random_topology
 from clmat.trees import AggregationTree, shortest_path_tree
 
 from graphgen import f4, spanning_topologies, two_node
@@ -286,6 +286,18 @@ def test_data_errors_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["select", str(directed)])
     assert code == 2
     assert out == "" and err.strip().startswith("error: mode must be")
+
+
+def test_misspelled_links_exit_2_not_3(capsys, tmp_path):
+    """A file that spells its links "links" fails to load; it is not an edgeless graph."""
+    doc = {"nodes": [{"id": "a", "energy": 1.0}, {"id": "b", "energy": 1.0}],
+           "links": [{"u": "a", "v": "b", "distance": 1.0}]}
+    path = tmp_path / "links.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("select", "simulate", "compare"):
+        code, out, err = _run(capsys, [command, str(path)])
+        assert code == 2, command
+        assert out == "" and err == "error: unexpected top-level keys: ['links']\n"
 
 
 def test_overflowing_tx_energy_is_infinite(capsys, tmp_path):
@@ -637,6 +649,30 @@ def test_scoring_searches_each_root_once_and_builds_only_the_chosen_tree(
                                tx_energy=RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy)
     assert counts == {"searches": len(g), "trees": 1}
     assert result.tree == shortest_path_tree(g, result.chosen_root)
+
+
+def test_simulate_and_compare_build_no_tree_and_share_drains(tmp_path, capsys, counts):
+    """Round costs come straight from the searches: no AggregationTree is made,
+    and the rounds of one tree share one read-only drained mapping."""
+    g = random_topology(12, 100.0, 60.0, 0.1, 0.15, seed=3)
+    path = tmp_path / "topo.json"
+    path.write_text(export_json(g), encoding="utf-8")
+    radio = ["--radio", "1e-3,1e-6,2,5e-4"]
+    assert main(["simulate", str(path), "--until", "exhaustion", "--rounds", "400",
+                 *radio, "-o", str(tmp_path / "rounds.csv"),
+                 "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert main(["compare", str(path), "--policies", "clmat,max-energy,random,fixed:n0",
+                 "--trials", "2", *radio, "-o", str(tmp_path / "compare.txt")]) == 0
+    capsys.readouterr()
+    assert counts["trees"] == 0
+    reports = run_lifetime(g, SimConfig(radio=RadioModel(1e-3, 1e-6, 2, 5e-4), max_rounds=400),
+                           stop_at_first_death=False).reports
+    kept = [(a, b) for a, b in zip(reports, reports[1:]) if not a.deaths]
+    assert len(kept) > 10 and len(kept) > len(reports) - len(kept)
+    assert all(b.drained is a.drained for a, b in kept)
+    assert counts["trees"] == 0
+    with pytest.raises(TypeError):
+        reports[0].drained["n0"] = 0.0
 
 
 def test_menu_listings_build_at_most_the_chosen_tree(counts):

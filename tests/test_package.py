@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import clmat
 from clmat import errors
 from clmat.topology import NetworkGraph
@@ -35,7 +38,6 @@ EXPORTED = {
     "reports_csv",
     "residual_edge_cost",
     "residual_trace_csv",
-    "round_costs",
     "run_lifetime",
     "select_aggregator",
     "shortest_path_tree",
@@ -61,3 +63,42 @@ def test_tree_walk_scorers_and_graph_copies_are_not_in_the_library():
         assert not hasattr(NetworkGraph, name)
     for name in ("SingletonTree", "UnreachableNode"):
         assert not hasattr(errors, name)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that the module never reads.
+
+    A name counts as read wherever it is loaded, attribute bases and
+    annotations included. __future__ imports and names listed in a
+    top-level __all__ are exempt.
+    """
+    module = ast.parse(source)
+    bound, exported = set(), set()
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(a.asname or a.name for a in node.names)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            exported.update(ast.literal_eval(node.value))
+    read = {n.id for n in ast.walk(module) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(bound - read - exported)
+
+
+def test_unused_import_check_flags_only_unread_names():
+    source = ("from __future__ import annotations\n"
+              "import os, os.path as osp\nimport json\nfrom math import inf, pi as PI\n"
+              "from typing import Mapping\n__all__ = ['inf']\n"
+              "def f(x: Mapping) -> str:\n    import csv\n    return json.dumps(PI)\n")
+    assert _unused_imports(source) == ["os", "osp"]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = Path(__file__).resolve().parent.parent
+    found = {}
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        unused = _unused_imports(path.read_text(encoding="utf-8"))
+        if unused:
+            found[str(path.relative_to(root))] = unused
+    assert found == {}

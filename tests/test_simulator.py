@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from clmat import cli, errors, simulator
 from clmat.simulator import (
-    LifetimeResult,
     RadioModel,
     SimConfig,
     SimState,
@@ -18,17 +17,18 @@ from clmat.simulator import (
     drain_round,
     reports_csv,
     residual_trace_csv,
-    round_costs,
     run_lifetime,
 )
 from clmat.topology import NetworkGraph, export_json, random_topology
-from clmat.trees import shortest_path_tree
+from clmat.trees import search_tree, shortest_path_search, shortest_path_tree
 
 from graphgen import (
     f4,
     random_connected_graph,
     reference_run_lifetime,
     restricted,
+    round_costs,
+    tie_heavy_graph,
     total_distance,
     two_node,
     with_energies,
@@ -92,7 +92,7 @@ def test_drain_star():
         g.add_edge("hub", f"leaf{i}", 1.0)
     tree = shortest_path_tree(g, "hub")
     state = _state_for(g)
-    report = drain_round(state, tree, round_costs(tree, FLAT, g))
+    report = drain_round(state, tree.root, round_costs(tree, FLAT, g))
     assert report.drained["hub"] == 1.5
     assert all(report.drained[f"leaf{i}"] == 1.0 for i in range(3))
     assert report.total_drained == 4.5
@@ -106,7 +106,7 @@ def test_drain_chain():
     g.add_edge("A", "B", 1.0)
     g.add_edge("B", "C", 1.0)
     tree = shortest_path_tree(g, "A")
-    report = drain_round(_state_for(g), tree, round_costs(tree, FLAT, g))
+    report = drain_round(_state_for(g), tree.root, round_costs(tree, FLAT, g))
     assert report.drained == {"A": 0.5, "B": 1.5, "C": 1.0}
 
 
@@ -122,9 +122,9 @@ def test_drain_on_a_kept_tree_reports_each_death_once_in_alive_order():
     costs = round_costs(tree, FLAT, g)
     backwards = dict(reversed(list(costs.items())))
     state = _state_for(g)
-    assert drain_round(state, tree, backwards).deaths == ["B", "C"]
+    assert drain_round(state, tree.root, backwards).deaths == ["B", "C"]
     assert state.alive == ["A"]
-    report = drain_round(state, tree, backwards)  # B and C are charged again
+    report = drain_round(state, tree.root, backwards)  # B and C are charged again
     assert report.deaths == []
     assert state.alive == ["A"]
     assert report.drained == costs
@@ -397,6 +397,35 @@ def _trace_by_writer(graph, reports) -> str:
             writer.writerow([rep.round, v, repr(initial[v] - cum[v])])
         alive = [v for v in alive if v not in rep.deaths]
     return buf.getvalue()
+
+
+_RADIOS = st.builds(RadioModel, tx_fixed=st.floats(0.0, 1.0),
+                    tx_dist_coeff=st.just(0.0) | st.floats(0.0, 1.0),
+                    exponent=st.sampled_from([2, 4]), rx_cost=st.floats(0.0, 1.0))
+
+
+@pytest.mark.referee
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 9), isolated=st.booleans(),
+       radio=_RADIOS, data=st.data())
+def test_view_costs_match_round_costs_of_the_searched_tree(seed, n, isolated, radio, data):
+    """The costs a view reads off a masked search equal the tree walk's, bit for
+    bit and in key order, for every alive root."""
+    g = tie_heavy_graph(random.Random(seed), n, isolated)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g)))
+    assume(any(keep))
+    alive = [v for v, k in zip(g.node_ids(), keep) if k]
+    view = simulator._AliveView(g, alive, radio)
+    for root in alive:
+        paths = shortest_path_search(g, g.get_index(root), bytearray(keep))
+        if paths.reached != len(alive):
+            with pytest.raises(errors.NoSpanningCandidate, match="^spans$"):
+                view.costs(root, "spans")
+            continue
+        want = round_costs(search_tree(g.node_ids(), root, paths), radio, g)
+        got = view.costs(root, "spans")
+        assert [(v, d.hex()) for v, d in got.items()] == [(v, d.hex()) for v, d in want.items()]
+        assert view.costs(root, "spans") is got
 
 
 # characters csv must quote, or that a line-based reader would split on

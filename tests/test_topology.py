@@ -319,6 +319,43 @@ def test_load_structural_errors(doc):
         load_topology(json.dumps(doc))
 
 
+_TWO = [{"id": "a", "energy": 1.0}, {"id": "b", "energy": 1.0}]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": _TWO, "links": [{"u": "a", "v": "b", "distance": 1.0}]},
+     "unexpected top-level keys: ['links']"),
+    ({"mode": "undirected", "nodes": _TWO, "edges": [], "Edges": [], "links": []},
+     "unexpected top-level keys: ['Edges', 'links']"),
+    ({"nodes": [{"id": "a", "energy": 1.0, "X": 1.0, "Y": 2.0}]},
+     "unexpected node keys: ['X', 'Y']"),
+    ({"nodes": [{"id": "a", "energy": 1.0, "x": 1.0, "y": 2.0, "X": 1.0}]},
+     "unexpected node keys: ['X']"),
+    ({"nodes": _TWO, "edges": [{"u": "a", "v": "b", "distance": 1.0, "energy": 1.0}]},
+     "unexpected edge keys: ['energy']"),
+])
+def test_load_rejects_unknown_keys(doc, message):
+    """Unknown keys fail at every level, as an unexpected CSV column does."""
+    with pytest.raises(errors.ParseError) as raised:
+        load_topology(json.dumps(doc))
+    assert str(raised.value) == message
+
+
+class _PlainFloat(float):
+    """A float subclass: add_edge stores it as a plain float."""
+
+
+@pytest.mark.parametrize("distance", [3, 2.5, _PlainFloat(0.25), 5e-324, 1.7976931348623157e308])
+def test_add_edge_stores_each_accepted_distance_as_a_float(distance):
+    g = NetworkGraph()
+    g.add_vertex("A", 5.0)
+    g.add_vertex("B", 5.0)
+    g.add_edge("A", "B", distance)
+    stored = g.distance("A", "B")
+    assert type(stored) is float and type(g.links[0].distance) is float
+    assert stored == float(distance)
+
+
 @pytest.mark.parametrize("doc", [
     {"nodes": [{"id": "a", "energy": 1.0}, {"id": "a", "energy": 2.0}]},
     {"nodes": [{"id": "a", "energy": 0.0}]},
