@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 from .errors import NoSpanningCandidate
 from .metrics import CLMAT, NODE_MIN, TreeMetrics
-from .trees import AggregationTree, Candidate, scored_roots, search_tree
+from .trees import AggregationTree, Candidate, scored_roots, search_tree, shortest_path_search
 
 MIN_DEPTH = "min-depth"
 FIRST_MIN = "first-min"
@@ -77,17 +77,23 @@ def select_aggregator(graph, cost_variant: str = CLMAT,
                       tx_energy=None) -> SelectionResult:
     """Score a shortest-path tree per candidate root and pick the aggregator.
 
-    One search per root. Only the spanning search that pick_tree ranks
-    first so far is kept, so the chosen root's tree is built from it, the
-    one AggregationTree of the selection, and no root is searched twice.
-    Deterministic for a fixed graph and configuration.
+    One search per root, through scored_roots, so large graphs are scored
+    in forked workers. Of the roots scored in this process, only the
+    spanning search that pick_tree ranks first so far is kept. The chosen
+    root's tree, the one AggregationTree of the selection, is built from
+    that search when it is the chosen root's; when a worker scored the
+    chosen root, its search is run once more here. Deterministic for a
+    fixed graph and configuration.
     """
-    candidates = []
     lead = None  # (index, search, total distance)
-    for i, (c, paths) in enumerate(scored_roots(graph, cost_variant, energy_variant, tx_energy)):
-        candidates.append(c)
-        if c.spanning:
-            entry = (i, paths, c.metrics.total_distance)
-            lead = entry if lead is None else pick_tree([lead, entry], tie_rule)
+
+    def keep(i, paths, total):
+        nonlocal lead
+        entry = (i, paths, total)
+        lead = entry if lead is None else pick_tree([lead, entry], tie_rule)
+
+    candidates = scored_roots(graph, cost_variant, energy_variant, tx_energy, keep)
     result = compare_trees(candidates, tie_rule)
-    return replace(result, tree=search_tree(graph.node_ids(), result.chosen_root, lead[1]))
+    ri = graph.get_index(result.chosen_root)
+    paths = lead[1] if lead is not None and lead[0] == ri else shortest_path_search(graph, ri)
+    return replace(result, tree=search_tree(graph.node_ids(), result.chosen_root, paths))

@@ -249,9 +249,9 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
     Each pick names a root among the alive nodes; message is the
     NoSpanningCandidate text for when that root's tree does not span them.
     A pick that does not read residuals depends on the alive set alone, so
-    its answer is fixed for the life of a view.
+    its answer is fixed for the life of a view. policy is one check_policy
+    has passed: run_lifetime and compare_policies check it before any run.
     """
-    check_policy(policy)
     if policy == "clmat":
         rows: dict[int, list[float]] = {}  # by root index: best of its latest search
 
@@ -316,8 +316,10 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     With stop_at_first_death False the run continues past deaths until the
     horizon or until the survivors are disconnected or all dead
     (partitioned=True).
-    Fully deterministic for a fixed graph, config, and policy.
+    Fully deterministic for a fixed graph, config, and policy. An unknown
+    policy name raises ValueError before the run.
     """
+    check_policy(policy)
     return _run(graph, config, policy, stop_at_first_death,
                 _AliveView(graph, graph.node_ids(), config.radio))
 

@@ -6,15 +6,23 @@ distance ties by the lowest index; the relaxation loop sweeps links in
 insertion order, so ties always resolve the same way. The Dijkstra also
 yields each tree's depth in the same pass, and can skip the nodes an
 alive mask excludes instead of searching a copy without them. Per-root
-builds are independent pure computations over the immutable graph.
+builds are independent pure computations over the immutable graph, so
+scored_roots splits a large graph's roots into contiguous chunks and
+scores all but the first in forked workers, one per usable CPU, which
+send their scores back exactly; a process without fork, with a second
+thread, or with one usable CPU scores every root itself, with the same
+result.
 """
 
 from __future__ import annotations
 
 import heapq
+import marshal
 import math
+import os
+import signal
+import threading
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -197,11 +205,12 @@ class Candidate:
 
 
 def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MIN,
-                 tx_energy=None) -> Iterator[tuple[Candidate, ShortestPaths]]:
-    """Each root's Candidate with the search it was scored from, in insertion order.
+                 tx_energy=None, keep=None) -> list[Candidate]:
+    """Each root's Candidate, in insertion order, scored on every usable CPU.
 
-    Every score is read straight off the search's lists and equals, bit
-    for bit, the score defined by a walk over search_tree of that search:
+    One search per root. Every score is read straight off the search's
+    lists and equals, bit for bit, the score defined by a walk over
+    search_tree of that search:
     - total distance: the plain left fold of the reached distances in
       index order. The root's 0.0 leaves a nonnegative sum unchanged, so
       this is the left fold of the tree's distances over the non-root
@@ -214,6 +223,13 @@ def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MI
       order, the order of AggregationTree.edges().
     Entries whose tree fails to reach every node are flagged non-spanning;
     their metrics still describe the partial tree.
+
+    Large graphs are scored in contiguous chunks of roots, one per usable
+    CPU, in forked workers (see _in_chunks); the candidates, their order
+    and every float are the same as a serial run's. keep, when given, is
+    called as keep(index, search, total_distance) for each spanning root
+    scored in this process, so a caller can hold on to the one search it
+    needs; roots scored in a worker are not passed to it.
     """
     if energy_variant not in ENERGY_VARIANTS:
         raise ValueError(f"unknown energy variant {energy_variant!r}")
@@ -224,19 +240,34 @@ def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MI
     energies = [node.energy for node in graph.nodes]
     adj = graph._adj
     inf = math.inf
-    for i, root in enumerate(graph.node_ids()):
-        paths = shortest_path_search(graph, i)
-        spanning = paths.reached == n
-        best = paths.best if spanning else [d for d in paths.best if d < inf]
-        total = reduce(add, best, 0.0)
-        if paths.reached == 1:
-            energy, cost = None, 0.0
-        else:
-            energy = spanning_energies[i] if spanning else min(
-                e for w, e in enumerate(energies)
-                if paths.best[w] < inf and (energy_variant == EDGE_MIN or w != i))
-            cost = inf if cost_variant == CLMAT else _residual_cost(paths, adj, energies, tx_energy)
-        yield Candidate(root, paths.depth, TreeMetrics(energy, cost, total), spanning), paths
+    bounds = _chunk_bounds(n, n * (n + 2 * len(graph.links)))
+    if len(bounds) > 2:
+        graph._neighbour_lists()  # built before the forks, so the workers share them
+
+    def score(lo: int, hi: int, keep=None) -> list[tuple]:
+        """(depth, total, energy, cost, spanning) of the roots with index lo..hi-1."""
+        rows = []
+        for i in range(lo, hi):
+            paths = shortest_path_search(graph, i)
+            spanning = paths.reached == n
+            best = paths.best if spanning else [d for d in paths.best if d < inf]
+            total = reduce(add, best, 0.0)
+            if paths.reached == 1:
+                energy, cost = None, 0.0
+            else:
+                energy = spanning_energies[i] if spanning else min(
+                    e for w, e in enumerate(energies)
+                    if paths.best[w] < inf and (energy_variant == EDGE_MIN or w != i))
+                cost = inf if cost_variant == CLMAT else _residual_cost(paths, adj, energies, tx_energy)
+            if spanning and keep is not None:
+                keep(i, paths, total)
+            rows.append((paths.depth, total, energy, cost, spanning))
+        return rows
+
+    ids = graph.node_ids()
+    return [Candidate(ids[i], depth, TreeMetrics(energy, cost, total), spanning)
+            for i, (depth, total, energy, cost, spanning)
+            in enumerate(_in_chunks(score, bounds, keep))]
 
 
 def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:
@@ -258,4 +289,111 @@ def build_all_candidates(graph, cost_variant: str = CLMAT,
 
     One search per root and no AggregationTree: see scored_roots.
     """
-    return [c for c, _ in scored_roots(graph, cost_variant, energy_variant, tx_energy)]
+    return scored_roots(graph, cost_variant, energy_variant, tx_energy)
+
+
+# Least search work worth one chunk, in roots x (roots + 2 x links) units,
+# about what one root's search touches. A unit costs 90-170 ns of search
+# on one x86-64 core (CPython 3.11); a fork, pipe and reap round trip costs
+# 1.5-2.5 ms there, and the fork call alone 0.3 ms of the parent's time. A
+# chunk of 50,000 units is 5-8 ms of searching, a few times that round
+# trip, so a graph is split only when it is worth at least two chunks.
+_CHUNK_WORK = 50_000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_bounds(count: int, work: int) -> list[int]:
+    """Bounds of the contiguous chunks to score count roots in; one chunk runs serially.
+
+    One chunk per usable CPU at most and per _CHUNK_WORK units of work,
+    and one chunk where there is no fork or where another thread runs,
+    since a forked child gets only the forking thread and any lock another
+    thread held.
+    """
+    chunks = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        chunks = max(1, min(_usable_cpus(), count, work // _CHUNK_WORK))
+    return [count * k // chunks for k in range(chunks + 1)]
+
+
+def _in_chunks(score, bounds: list[int], keep) -> list:
+    """score(lo, hi, keep) over each chunk lo..hi of bounds, rows in index order.
+
+    The parent forks one worker for each chunk after the first, scores the
+    first chunk itself, then reads each worker's rows, in chunk order, from
+    a pipe as marshal bytes, which keep every float exactly, inf included.
+    A worker scores its chunk with no keep, writes and leaves through
+    os._exit, so it never returns into the caller. The parent scores a
+    chunk itself, with keep, when its fork fails, or its worker exits
+    non-zero or sends a short payload. Every worker is reaped before this
+    returns; if this raises, the workers left are killed and reaped first.
+    """
+    chunks = len(bounds) - 1
+    workers = {}  # chunk -> (pid, read end of its pipe)
+    rows = []
+    try:
+        for k in range(1, chunks):
+            worker = _fork_worker(score, bounds[k], bounds[k + 1])
+            if worker is None:
+                break
+            workers[k] = worker
+        for k in range(chunks):
+            lo, hi = bounds[k], bounds[k + 1]
+            chunk = _collect(*workers.pop(k), hi - lo) if k in workers else None
+            rows += score(lo, hi, keep) if chunk is None else chunk
+    finally:
+        for pid, fd in workers.values():  # only when this raises: its answer is lost
+            os.kill(pid, signal.SIGKILL)
+            os.close(fd)
+            os.waitpid(pid, 0)
+    return rows
+
+
+def _fork_worker(score, lo: int, hi: int):
+    """(pid, read end) of a forked worker writing score(lo, hi); None if pipe or fork fail."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps(score(lo, hi)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _collect(pid: int, fd: int, size: int):
+    """A worker's rows, read from its pipe to EOF with the worker reaped.
+
+    None unless the worker exited 0 and sent all size rows.
+    """
+    try:
+        with open(fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        return None
+    try:
+        rows = marshal.loads(payload)
+    except (EOFError, ValueError, TypeError):
+        return None
+    return rows if len(rows) == size else None

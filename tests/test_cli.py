@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clmat import cli, trees
+from clmat import cli, simulator, trees
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
 from clmat.selection import select_aggregator
 from clmat.simulator import RadioModel, SimConfig, run_lifetime
@@ -611,7 +611,11 @@ def test_render_ranking_single_candidate():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts of shortest_path_search calls and AggregationTree constructions."""
+    """Counts of shortest_path_search calls and AggregationTree constructions.
+
+    The simulator calls the search through the name it imported, so both
+    names are patched.
+    """
     made = {"searches": 0, "trees": 0}
     search, init = trees.shortest_path_search, AggregationTree.__init__
 
@@ -624,6 +628,7 @@ def counts(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(trees, "shortest_path_search", counted_search)
+    monkeypatch.setattr(simulator, "shortest_path_search", counted_search)
     monkeypatch.setattr(AggregationTree, "__init__", counted_init)
     return made
 
@@ -661,6 +666,7 @@ def test_simulate_and_compare_build_no_tree_and_share_drains(tmp_path, capsys, c
     assert main(["simulate", str(path), "--until", "exhaustion", "--rounds", "400",
                  *radio, "-o", str(tmp_path / "rounds.csv"),
                  "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert counts["searches"] > 0
     assert main(["compare", str(path), "--policies", "clmat,max-energy,random,fixed:n0",
                  "--trials", "2", *radio, "-o", str(tmp_path / "compare.txt")]) == 0
     capsys.readouterr()

@@ -328,6 +328,38 @@ def test_compare_policies_checks_every_name_before_any_run(monkeypatch):
         compare_policies(f4(), cfg, ["clmat", "max-energy", "nope"])
 
 
+def test_each_entry_point_checks_each_policy_once(monkeypatch, tmp_path, capsys):
+    """The CLI, run_lifetime and compare_policies check every policy name
+    once, before any run; the runs themselves check none again."""
+    checked = []
+    check = simulator.check_policy
+
+    def spy(policy):
+        checked.append(policy)
+        check(policy)
+
+    monkeypatch.setattr(simulator, "check_policy", spy)
+    monkeypatch.setattr(cli, "check_policy", spy)
+    cfg = SimConfig(radio=FLAT, max_rounds=20)
+    policies = ["clmat", "max-energy", "random", "fixed:A"]
+    compare_policies(f4(), cfg, policies, random_trials=3)
+    assert checked == policies
+    checked.clear()
+    run_lifetime(f4(), cfg, policy="random")
+    assert checked == ["random"]
+    checked.clear()
+    path = tmp_path / "f4.json"
+    path.write_text(export_json(f4()), encoding="utf-8")
+    assert cli.main(["compare", str(path), "--policies", ",".join(policies), "--trials", "3",
+                     "-o", str(tmp_path / "compare.txt")]) == 0
+    assert checked == policies * 2  # the CLI's checks, then compare_policies'
+    checked.clear()
+    assert cli.main(["simulate", str(path), "--policy", "random",
+                     "-o", str(tmp_path / "rounds.csv")]) == 0
+    assert checked == ["random"] * 2
+    capsys.readouterr()
+
+
 def test_compare_policies_builds_each_full_network_tree_once(monkeypatch):
     """Every compare run starts from the whole network, so all policies and
     random trials share one first view: each root's unmasked search on the
