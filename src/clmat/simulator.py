@@ -222,7 +222,7 @@ class _AliveView:
                 cost = 0.0
                 p = parent[w]
                 if p != -1:
-                    cost += tx_energy(adj[p][w])
+                    cost += tx_energy(adj[p][w].distance)
                 k = kids[w]
                 if k:
                     cost += k * rx_cost

@@ -9,6 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 from .errors import (
     DuplicateVertex,
@@ -43,10 +44,10 @@ class NetworkGraph:
     """Node table plus a weighted undirected adjacency keyed by insertion index.
 
     distance(u, u) is 0 and absent pairs are infinitely far. Each link is
-    stored once in links and under both endpoints in the adjacency, so a
-    tree searched outward from its root also carries the readings back up
-    to it. _adj[i] maps the insertion index of each neighbour of node i to
-    the link distance; names map to indices through _index.
+    stored once, as one Link record held in links and under both endpoints
+    in the adjacency, so a tree searched outward from its root also carries
+    the readings back up to it. _adj[i] maps the insertion index of each
+    neighbour of node i to that Link; names map to indices through _index.
     The searches read each row as a stored list of (neighbour, distance)
     pairs in the row's order, built from _adj on first use. add_vertex and
     add_edge are the only writers of _adj, links and those lists, and each
@@ -60,10 +61,8 @@ class NetworkGraph:
         self.nodes: list[Node] = []
         self.links: list[Link] = []
         self._index: dict[str, int] = {}
-        self._adj: list[dict[int, float]] = []
-        # stored Link by (lower, higher) endpoint index, built on the first re-add
-        self._pair_links: dict[tuple[int, int], Link] | None = None
-        # list(_adj[i].items()) by index, built on the first search
+        self._adj: list[dict[int, Link]] = []
+        # _adj[i]'s (neighbour, link distance) pairs by index, built on the first search
         self._lists: list[list[tuple[int, float]]] | None = None
 
     def __len__(self) -> int:
@@ -104,7 +103,8 @@ class NetworkGraph:
         i, j = self._index.get(u), self._index.get(v)
         if i is None or j is None:
             return math.inf
-        return self._adj[i].get(j, math.inf)
+        link = self._adj[i].get(j)
+        return math.inf if link is None else link.distance
 
     def link_energy(self, u: str, v: str) -> float:
         """Min endpoint energy, computed from current node energies."""
@@ -132,11 +132,10 @@ class NetworkGraph:
     def add_edge(self, u: str, v: str, distance: float) -> None:
         """Store a link between existing vertices.
 
-        Re-adding an existing pair, in either order, overwrites its distance
-        in the stored Link and in both adjacency entries; links keeps its
-        order. The first re-add indexes the links by endpoint pair, so a
-        re-add finds its Link in O(1), and a graph never re-added to, such
-        as every generated one, builds no index.
+        A fresh pair gets one Link, held in links and under both endpoints
+        in the adjacency. Re-adding an existing pair, in either order, finds
+        that Link through the adjacency in O(1) and writes one field, its
+        distance; links keeps its order.
         """
         i, j = self._index.get(u), self._index.get(v)
         if i is None:
@@ -151,35 +150,22 @@ class NetworkGraph:
                 raise NonPositiveDistance(
                     f"distance must be a positive finite number, got {_shown(distance)}")
             distance = float(distance)
-        if j not in self._adj[i]:
+        link = self._adj[i].get(j)
+        if link is None:
             link = Link(u, v, distance)
             self.links.append(link)
-            if self._pair_links is not None:
-                self._pair_links[_pair(i, j)] = link
+            self._adj[i][j] = self._adj[j][i] = link
         else:
-            self._links_by_pair()[_pair(i, j)].distance = distance
-        self._adj[i][j] = distance
-        self._adj[j][i] = distance
+            link.distance = distance
         self._lists = None  # a re-added pair's stored tuple holds its old distance
 
     def _neighbour_lists(self) -> list[list[tuple[int, float]]]:
         """Each node's (neighbour index, distance) pairs in adjacency order, built on first use."""
         lists = self._lists
         if lists is None:
-            lists = self._lists = [list(a.items()) for a in self._adj]
+            distance = attrgetter("distance")
+            lists = self._lists = [list(zip(a, map(distance, a.values()))) for a in self._adj]
         return lists
-
-    def _links_by_pair(self) -> dict[tuple[int, int], Link]:
-        """Each stored Link by its endpoint pair, indexed on first use."""
-        if self._pair_links is None:
-            index = self._index
-            self._pair_links = {_pair(index[l.u], index[l.v]): l for l in self.links}
-        return self._pair_links
-
-
-def _pair(i: int, j: int) -> tuple[int, int]:
-    """An unordered pair of node indices as (lower, higher)."""
-    return (i, j) if i < j else (j, i)
 
 
 def random_topology(n: int, side: float, radio_range: float,

@@ -277,7 +277,7 @@ def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) 
     total = 0.0
     for w, p in enumerate(paths.parent):
         if p != -1:
-            tx = tx_energy(adj[p][w])
+            tx = tx_energy(adj[p][w].distance)
             total += residual_edge_cost(tx, tx, energies[p], energies[w])
     return total
 

@@ -145,8 +145,8 @@ def test_readd_overwrites_in_place_in_both_orders_and_keeps_link_order():
     g.add_edge("A", "B", 1.0)
     g.add_edge("C", "B", 2.0)
     first = list(g.links)
-    g.add_edge("B", "A", 3.0)  # reversed order: builds the pair index
-    g.add_edge("C", "D", 4.0)  # a fresh pair after the index exists
+    g.add_edge("B", "A", 3.0)  # a re-add in reversed order
+    g.add_edge("C", "D", 4.0)  # a fresh pair after a re-add
     g.add_edge("B", "C", 5.0)
     g.add_edge("D", "C", 6.0)
     g.add_edge("A", "B", 7.0)
@@ -166,7 +166,7 @@ def test_readd_does_not_scan_links():
         g.add_vertex(f"n{i}", 1.0)
     for i in range(49):
         g.add_edge(f"n{i}", f"n{i + 1}", 1.0)
-    g.add_edge("n1", "n0", 2.0)  # the first re-add indexes the links once
+    g.add_edge("n1", "n0", 2.0)  # a re-add finds its Link through the adjacency
     g.links = Unscannable(g.links)
     for k in range(100):
         g.add_edge("n48", "n49", float(k + 1))
@@ -199,6 +199,15 @@ def test_add_edge_matches_scan_reference(adds):
     assert [[l.u, l.v, l.distance] for l in g.links] == want
     for u, v, d in want:
         assert g.distance(u, v) == g.distance(v, u) == d
+    # each link is stored once: both adjacency entries are the Link held in links
+    held = {frozenset((l.u, l.v)): l for l in g.links}
+    ids = g.node_ids()
+    assert sum(map(len, g._adj)) == 2 * len(g.links)
+    for i, row in enumerate(g._adj):
+        for j, link in row.items():
+            assert link is g._adj[j][i]
+            assert link is held[frozenset((ids[i], ids[j]))]
+        assert g._neighbour_lists()[i] == [(j, link.distance) for j, link in row.items()]
 
 
 def test_get_index():
@@ -495,6 +504,7 @@ def test_restricted_matches_copy_rebuilt_through_add_edge(graph_history, data):
     assert sub == rebuilt
     assert sub._index == rebuilt._index
     assert [list(a.items()) for a in sub._adj] == [list(a.items()) for a in rebuilt._adj]
+    assert sub._neighbour_lists() == rebuilt._neighbour_lists()
     assert ([(l.u, l.v, l.distance) for l in sub.links]
             == [(l.u, l.v, l.distance) for l in rebuilt.links])
     # the copy owns its links, so re-adding a pair on it cannot change the source
