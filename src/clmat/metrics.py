@@ -2,8 +2,8 @@
 
 A candidate tree is scored by a TreeMetrics triple: its energy (a
 variant in ENERGY_VARIANTS), its cost (a variant in COST_VARIANTS) and
-its total distance. trees.scored_roots computes all three from a
-search's lists; this module holds the parts it shares with the CLI. The
+its total distance. trees.build_all_candidates computes all three from
+a search's lists; this module holds the parts it shares with the CLI. The
 tree-walk definitions those scores are tested against live with the
 tests, in tests/graphgen.py.
 

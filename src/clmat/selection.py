@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 
 from .errors import NoSpanningCandidate
 from .metrics import CLMAT, NODE_MIN, TreeMetrics
-from .trees import AggregationTree, Candidate, scored_roots, search_tree, shortest_path_search
+from .trees import (AggregationTree, Candidate, build_all_candidates, search_tree,
+                    shortest_path_search)
 
 MIN_DEPTH = "min-depth"
 FIRST_MIN = "first-min"
@@ -77,13 +78,13 @@ def select_aggregator(graph, cost_variant: str = CLMAT,
                       tx_energy=None) -> SelectionResult:
     """Score a shortest-path tree per candidate root and pick the aggregator.
 
-    One search per root, through scored_roots, so large graphs are scored
-    in forked workers. Of the roots scored in this process, only the
-    spanning search that pick_tree ranks first so far is kept. The chosen
-    root's tree, the one AggregationTree of the selection, is built from
-    that search when it is the chosen root's; when a worker scored the
-    chosen root, its search is run once more here. Deterministic for a
-    fixed graph and configuration.
+    One search per root, through build_all_candidates, so large graphs
+    are scored in forked workers. Of the roots scored in this process,
+    only the spanning search that pick_tree ranks first so far is kept.
+    The chosen root's tree, the one AggregationTree of the selection, is
+    built from that search when it is the chosen root's; when a worker
+    scored the chosen root, its search is run once more here.
+    Deterministic for a fixed graph and configuration.
     """
     lead = None  # (index, search, total distance)
 
@@ -92,7 +93,7 @@ def select_aggregator(graph, cost_variant: str = CLMAT,
         entry = (i, paths, total)
         lead = entry if lead is None else pick_tree([lead, entry], tie_rule)
 
-    candidates = scored_roots(graph, cost_variant, energy_variant, tx_energy, keep)
+    candidates = build_all_candidates(graph, cost_variant, energy_variant, tx_energy, keep)
     result = compare_trees(candidates, tie_rule)
     ri = graph.get_index(result.chosen_root)
     paths = lead[1] if lead is not None and lead[0] == ri else shortest_path_search(graph, ri)

@@ -21,13 +21,11 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from operator import add
 from types import MappingProxyType
 
 from .errors import NoSpanningCandidate
 from .selection import MIN_DEPTH, TIE_RULES, pick_tree
-from .trees import ShortestPaths, shortest_path_search
+from .trees import ShortestPaths, _fold, shortest_path_search
 
 
 @dataclass(frozen=True)
@@ -229,18 +227,6 @@ class _AliveView:
                 drains[v] = cost
             costs = self._costs[ri] = MappingProxyType(drains)
         return costs
-
-
-def _fold(row: list[float], indices: list[int]) -> float:
-    """Plain left-to-right float sum of row over indices.
-
-    sum() compensates from Python 3.12, so it would not repeat the
-    plain fold that scores a total distance (trees.scored_roots) bit for
-    bit; reduce(add) does. A root's own row entry is 0.0, and adding 0.0
-    to a nonnegative sum leaves its bits as they are, so folding over
-    every alive index equals the fold over the alive non-root nodes.
-    """
-    return reduce(add, map(row.__getitem__, indices), 0.0)
 
 
 def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):

@@ -7,11 +7,11 @@ insertion order, so ties always resolve the same way. The Dijkstra also
 yields each tree's depth in the same pass, and can skip the nodes an
 alive mask excludes instead of searching a copy without them. Per-root
 builds are independent pure computations over the immutable graph, so
-scored_roots splits a large graph's roots into contiguous chunks and
-scores all but the first in forked workers, one per usable CPU, which
-send their scores back exactly; a process without fork, with a second
-thread, or with one usable CPU scores every root itself, with the same
-result.
+build_all_candidates splits a large graph's roots into contiguous chunks
+and scores all but the first in forked workers, one per usable CPU,
+which send their scores back exactly; a process without fork, with a
+second thread, or with one usable CPU scores every root itself, with the
+same result.
 """
 
 from __future__ import annotations
@@ -204,17 +204,27 @@ class Candidate:
     spanning: bool
 
 
-def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MIN,
-                 tx_energy=None, keep=None) -> list[Candidate]:
+def _fold(row: list[float], indices=None) -> float:
+    """Plain left-to-right float sum of row, or of row over indices: a total distance.
+
+    sum() compensates from Python 3.12, so it would not repeat this plain
+    fold bit for bit; reduce(add) does. A root's own row entry is 0.0, and
+    adding 0.0 to a nonnegative sum leaves its bits as they are, so a fold
+    over the root's index too equals the fold over the non-root nodes.
+    """
+    return reduce(add, row if indices is None else map(row.__getitem__, indices), 0.0)
+
+
+def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MIN,
+                         tx_energy=None, keep=None) -> list[Candidate]:
     """Each root's Candidate, in insertion order, scored on every usable CPU.
 
-    One search per root. Every score is read straight off the search's
-    lists and equals, bit for bit, the score defined by a walk over
-    search_tree of that search:
-    - total distance: the plain left fold of the reached distances in
-      index order. The root's 0.0 leaves a nonnegative sum unchanged, so
-      this is the left fold of the tree's distances over the non-root
-      nodes, in the tree's order.
+    One search per root and no AggregationTree. Every score is read
+    straight off the search's lists and equals, bit for bit, the score
+    defined by a walk over search_tree of that search:
+    - total distance: _fold of the reached distances in index order, the
+      left fold of the tree's distances over its non-root nodes, in the
+      tree's order.
     - energy: a spanning tree's is read from the node table in closed
       form; a partial tree's is the least energy of its reached nodes, the
       root excluded under node-min; a single-node tree has none.
@@ -251,7 +261,7 @@ def scored_roots(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MI
             paths = shortest_path_search(graph, i)
             spanning = paths.reached == n
             best = paths.best if spanning else [d for d in paths.best if d < inf]
-            total = reduce(add, best, 0.0)
+            total = _fold(best)
             if paths.reached == 1:
                 energy, cost = None, 0.0
             else:
@@ -280,16 +290,6 @@ def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) 
             tx = tx_energy(adj[p][w].distance)
             total += residual_edge_cost(tx, tx, energies[p], energies[w])
     return total
-
-
-def build_all_candidates(graph, cost_variant: str = CLMAT,
-                         energy_variant: str = NODE_MIN,
-                         tx_energy=None) -> list[Candidate]:
-    """Score the shortest-path tree rooted at every node, in insertion order.
-
-    One search per root and no AggregationTree: see scored_roots.
-    """
-    return scored_roots(graph, cost_variant, energy_variant, tx_energy)
 
 
 # Least search work worth one chunk, in roots x (roots + 2 x links) units,

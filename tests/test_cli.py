@@ -377,6 +377,29 @@ def test_compare_csv_quotes_policy_names(capsys, tmp_path):
     assert all(len(row) == 2 for row in rows)
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+REPRODUCTION_COMPARE = ["--policies", "clmat,max-energy,random,fixed:n0", "--trials", "3",
+                        "--rounds", "20000", "--radio", "1e-3,1e-6,2,5e-4", "--seed", "0",
+                        "--format", "csv"]
+
+
+@pytest.mark.parametrize("nodes, radio_range, seed", [(30, 40, 2), (60, 30, 0), (60, 30, 1)])
+def test_readme_reproduction_rows_rerun(capsys, tmp_path, nodes, radio_range, seed):
+    """The README's first-death lifetimes for one graph, rerun through gen and compare."""
+    with open(README, encoding="utf-8") as f:
+        readme = f.read()
+    assert "clmat compare topo.json " + " ".join(REPRODUCTION_COMPARE) in readme
+    topo = str(tmp_path / "topo.json")
+    code, _, _ = _run(capsys, ["gen", "--nodes", str(nodes), "--side", "100",
+                               "--range", str(radio_range), "--energy-lo", "2",
+                               "--energy-hi", "5", "--seed", str(seed), "-o", topo])
+    assert code == 0
+    code, out, _ = _run(capsys, ["compare", topo, *REPRODUCTION_COMPARE])
+    assert code == 0
+    lifetimes = [row[1] for row in csv.reader(io.StringIO(out))][1:]
+    assert f"| {nodes} | {seed} | {' | '.join(lifetimes)} |" in readme.splitlines()
+
+
 def test_table_cells_escape_backslashes_and_control_characters(capsys, tmp_path):
     # NEL (U+0085) and U+2028/U+2029 end a line for str.splitlines() too
     ids = ["a", "c\nd", "e\\f", "g\th\x1b\x7f\r", "i\x85j\x9f\u2028k\u2029"]

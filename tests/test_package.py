@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import clmat
@@ -101,4 +102,34 @@ def test_no_module_imports_a_name_it_never_reads():
         unused = _unused_imports(path.read_text(encoding="utf-8"))
         if unused:
             found[str(path.relative_to(root))] = unused
+    assert found == {}
+
+
+def _non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of the modules a module imports, anywhere in it, that are
+    neither clmat, __future__ nor in the standard library; relative imports are clmat's."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return sorted(imported - {"clmat", "__future__"} - set(sys.stdlib_module_names))
+
+
+def test_non_stdlib_import_check_flags_only_outside_modules():
+    source = ("from __future__ import annotations\nimport os.path, json\n"
+              "import numpy as np\nfrom scipy.sparse import csr_matrix\n"
+              "from . import trees\nfrom .errors import ParseError\nfrom clmat import cli\n"
+              "def f():\n    import pandas\n")
+    assert _non_stdlib_imports(source) == ["numpy", "pandas", "scipy"]
+
+
+def test_library_imports_only_the_standard_library():
+    root = Path(__file__).resolve().parent.parent
+    found = {}
+    for path in sorted((root / "src" / "clmat").rglob("*.py")):
+        outside = _non_stdlib_imports(path.read_text(encoding="utf-8"))
+        if outside:
+            found[str(path.relative_to(root))] = outside
     assert found == {}

@@ -93,6 +93,8 @@ def test_add_edge_unknown_vertex():
         g.add_edge("A", "Z", 1.0)
     with pytest.raises(errors.UnknownVertex):
         g.add_edge("Z", "A", 1.0)
+    with pytest.raises(errors.UnknownVertex):
+        NetworkGraph().node("x")
 
 
 def test_add_edge_self_loop():
@@ -283,6 +285,7 @@ def test_export_edges_sorted_and_roundtrip():
     again = load_topology(export_json(g))
     assert again == g
     assert export_json(again) == export_json(g)
+    assert (g == 1) is False  # through NotImplemented, not an AttributeError
 
 
 def test_load_minimal_two_node():
@@ -305,6 +308,8 @@ def test_load_unknown_endpoint_is_semantic_error():
 def test_load_malformed_json_is_parse_error():
     with pytest.raises(errors.ParseError):
         load_topology("{not json")
+    with pytest.raises(errors.ParseError, match="not UTF-8"):
+        load_topology(b"\xff")
 
 
 @pytest.mark.parametrize("doc", [
@@ -322,6 +327,8 @@ def test_load_malformed_json_is_parse_error():
     {"nodes": [{"id": "a", "energy": 1.0, "x": 0.0, "y": False}]},
     {"nodes": [{"id": "a", "energy": 1.0}, {"id": "b", "energy": 1.0}],
      "edges": [{"u": "a", "v": "b", "distance": True}]},
+    {"nodes": [{"id": "a", "energy": 1.0}, {"id": "b", "energy": 1.0}],
+     "edges": [["a", "b", 1.0]]},
 ])
 def test_load_structural_errors(doc):
     with pytest.raises(errors.ParseError):

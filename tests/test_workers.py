@@ -1,4 +1,4 @@
-"""scored_roots in forked workers: the same scores, bytes and choices as a serial run.
+"""build_all_candidates in forked workers: the same scores, bytes and choices as serial.
 
 Every test checks that no child outlives the call it made.
 """
@@ -31,8 +31,8 @@ TX_ENERGY = RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy
 
 @contextlib.contextmanager
 def usable_cpus(count, chunk_work=None):
-    """scored_roots seeing count usable CPUs, and chunk_work as its least work per
-    chunk when given; yields os.fork wrapped in a mock that counts the forks."""
+    """build_all_candidates seeing count usable CPUs, and chunk_work as its least
+    work per chunk when given; yields os.fork wrapped in a mock that counts the forks."""
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(trees, "_usable_cpus", return_value=count))
         if chunk_work is not None:
