@@ -10,8 +10,7 @@ from dataclasses import dataclass, replace
 
 from .errors import NoSpanningCandidate
 from .metrics import CLMAT, NODE_MIN, TreeMetrics
-from .trees import (AggregationTree, Candidate, build_all_candidates, search_tree,
-                    shortest_path_search)
+from .trees import AggregationTree, Candidate, build_all_candidates, shortest_path_tree
 
 MIN_DEPTH = "min-depth"
 FIRST_MIN = "first-min"
@@ -78,23 +77,10 @@ def select_aggregator(graph, cost_variant: str = CLMAT,
                       tx_energy=None) -> SelectionResult:
     """Score a shortest-path tree per candidate root and pick the aggregator.
 
-    One search per root, through build_all_candidates, so large graphs
-    are scored in forked workers. Of the roots scored in this process,
-    only the spanning search that pick_tree ranks first so far is kept.
-    The chosen root's tree, the one AggregationTree of the selection, is
-    built from that search when it is the chosen root's; when a worker
-    scored the chosen root, its search is run once more here.
+    compare_trees over build_all_candidates, then the chosen root's
+    shortest_path_tree: n + 1 searches and one AggregationTree.
     Deterministic for a fixed graph and configuration.
     """
-    lead = None  # (index, search, total distance)
-
-    def keep(i, paths, total):
-        nonlocal lead
-        entry = (i, paths, total)
-        lead = entry if lead is None else pick_tree([lead, entry], tie_rule)
-
-    candidates = build_all_candidates(graph, cost_variant, energy_variant, tx_energy, keep)
-    result = compare_trees(candidates, tie_rule)
-    ri = graph.get_index(result.chosen_root)
-    paths = lead[1] if lead is not None and lead[0] == ri else shortest_path_search(graph, ri)
-    return replace(result, tree=search_tree(graph.node_ids(), result.chosen_root, paths))
+    result = compare_trees(build_all_candidates(graph, cost_variant, energy_variant, tx_energy),
+                           tie_rule)
+    return replace(result, tree=shortest_path_tree(graph, result.chosen_root))

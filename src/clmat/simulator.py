@@ -150,8 +150,8 @@ POLICIES = ("clmat", "max-energy", "random")  # plus "fixed:<id>"
 
 
 def check_policy(policy: str) -> None:
-    """Raise ValueError unless policy is one of POLICIES or fixed:<id>."""
-    if policy not in POLICIES and not policy.startswith("fixed:"):
+    """Raise ValueError unless policy is one of POLICIES or fixed:<id>, id nonempty."""
+    if policy not in POLICIES and not (policy.startswith("fixed:") and policy != "fixed:"):
         raise ValueError(f"unknown policy {policy!r}")
 
 
@@ -296,9 +296,9 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     alive set: in round 1 and after each death, by searches that skip the
     dead nodes through an alive mask rather than on a copy of the graph.
     No tree object is built. clmat and fixed:<id> pick their root then and
-    keep it; after a death clmat searches only the roots that can still win. max-energy and random also
-    re-pick every reselect_every rounds, reading current residuals, so the
-    cadence matters only for them.
+    keep it; after a death clmat searches only the roots that can still
+    win. max-energy and random also re-pick every reselect_every rounds,
+    reading current residuals, so the cadence matters only for them.
     With stop_at_first_death False the run continues past deaths until the
     horizon or until the survivors are disconnected or all dead
     (partitioned=True).
@@ -365,8 +365,8 @@ def compare_policies(graph, config: SimConfig, policies,
     other policy is deterministic, so a single run suffices. Every run
     starts from the full alive set with the same radio, so all of them
     share one first view: each root is searched over the full network, and
-    its round costs computed, at most once. random_trials below 1 or an unknown policy name raises ValueError
-    before any run.
+    its round costs computed, at most once. random_trials below 1 or an
+    unknown policy name raises ValueError before any run.
     """
     if random_trials < 1:
         raise ValueError(f"random_trials must be at least 1, got {random_trials}")

@@ -360,10 +360,15 @@ def _num(text, field: str) -> float:
 
 
 def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
+    """CSV rows as dicts; a duplicated column or a cell beyond the header is a ParseError."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         names = reader.fieldnames or []
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            if None in row:  # DictReader files the cells beyond the header under None
+                raise ParseError(f"CSV line {reader.line_num} has more cells than its header")
+            rows.append(row)
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
     allowed = set(required) | set(optional)
@@ -371,6 +376,7 @@ def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
              f"CSV header must include {','.join(required)}")
     _require(set(names) <= allowed,
              f"unexpected CSV columns: {sorted(set(names) - allowed)}")
+    _require(len(set(names)) == len(names), f"duplicate CSV columns in header {names}")
     return rows
 
 

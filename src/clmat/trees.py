@@ -193,9 +193,7 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
 class Candidate:
     """One candidate aggregator: its tree's depth, its metric triple, whether it spans.
 
-    Only scores are kept, not the tree: the tree of any root is
-    shortest_path_tree(graph, root), and select_aggregator builds the
-    chosen root's.
+    Only scores are kept, not the tree: the tree of any root is shortest_path_tree(graph, root).
     """
 
     root: str
@@ -216,7 +214,7 @@ def _fold(row: list[float], indices=None) -> float:
 
 
 def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MIN,
-                         tx_energy=None, keep=None) -> list[Candidate]:
+                         tx_energy=None) -> list[Candidate]:
     """Each root's Candidate, in insertion order, scored on every usable CPU.
 
     One search per root and no AggregationTree. Every score is read
@@ -236,10 +234,7 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
 
     Large graphs are scored in contiguous chunks of roots, one per usable
     CPU, in forked workers (see _in_chunks); the candidates, their order
-    and every float are the same as a serial run's. keep, when given, is
-    called as keep(index, search, total_distance) for each spanning root
-    scored in this process, so a caller can hold on to the one search it
-    needs; roots scored in a worker are not passed to it.
+    and every float are the same as a serial run's.
     """
     if energy_variant not in ENERGY_VARIANTS:
         raise ValueError(f"unknown energy variant {energy_variant!r}")
@@ -254,7 +249,7 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
     if len(bounds) > 2:
         graph._neighbour_lists()  # built before the forks, so the workers share them
 
-    def score(lo: int, hi: int, keep=None) -> list[tuple]:
+    def score(lo: int, hi: int) -> list[tuple]:
         """(depth, total, energy, cost, spanning) of the roots with index lo..hi-1."""
         rows = []
         for i in range(lo, hi):
@@ -269,15 +264,13 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
                     e for w, e in enumerate(energies)
                     if paths.best[w] < inf and (energy_variant == EDGE_MIN or w != i))
                 cost = inf if cost_variant == CLMAT else _residual_cost(paths, adj, energies, tx_energy)
-            if spanning and keep is not None:
-                keep(i, paths, total)
             rows.append((paths.depth, total, energy, cost, spanning))
         return rows
 
     ids = graph.node_ids()
     return [Candidate(ids[i], depth, TreeMetrics(energy, cost, total), spanning)
             for i, (depth, total, energy, cost, spanning)
-            in enumerate(_in_chunks(score, bounds, keep))]
+            in enumerate(_in_chunks(score, bounds))]
 
 
 def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:
@@ -322,17 +315,17 @@ def _chunk_bounds(count: int, work: int) -> list[int]:
     return [count * k // chunks for k in range(chunks + 1)]
 
 
-def _in_chunks(score, bounds: list[int], keep) -> list:
-    """score(lo, hi, keep) over each chunk lo..hi of bounds, rows in index order.
+def _in_chunks(score, bounds: list[int]) -> list:
+    """score(lo, hi) over each chunk lo..hi of bounds, rows in index order.
 
     The parent forks one worker for each chunk after the first, scores the
     first chunk itself, then reads each worker's rows, in chunk order, from
     a pipe as marshal bytes, which keep every float exactly, inf included.
-    A worker scores its chunk with no keep, writes and leaves through
-    os._exit, so it never returns into the caller. The parent scores a
-    chunk itself, with keep, when its fork fails, or its worker exits
-    non-zero or sends a short payload. Every worker is reaped before this
-    returns; if this raises, the workers left are killed and reaped first.
+    A worker scores its chunk, writes and leaves through os._exit, so it
+    never returns into the caller. The parent scores a chunk itself when
+    its pipe or fork fails, or its worker exits non-zero or sends a short
+    payload. Every worker is reaped before this returns; if this raises,
+    the workers left are killed and reaped first.
     """
     chunks = len(bounds) - 1
     workers = {}  # chunk -> (pid, read end of its pipe)
@@ -346,7 +339,7 @@ def _in_chunks(score, bounds: list[int], keep) -> list:
         for k in range(chunks):
             lo, hi = bounds[k], bounds[k + 1]
             chunk = _collect(*workers.pop(k), hi - lo) if k in workers else None
-            rows += score(lo, hi, keep) if chunk is None else chunk
+            rows += score(lo, hi) if chunk is None else chunk
     finally:
         for pid, fd in workers.values():  # only when this raises: its answer is lost
             os.kill(pid, signal.SIGKILL)

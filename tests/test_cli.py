@@ -221,6 +221,8 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     ["trees", "{topo}", "--nodes-csv", "nodes.csv", "--edges-csv", "edges.csv"],
     ["gen", "--nodes", "10", "--side", "5e-324"],  # nodes at one point: a 0.0 distance
     ["gen", "--nodes", "6", "--side", "1.7e308", "--range", "inf", "--seed", "1"],  # inf
+    ["simulate", "{topo}", "--policy", "fixed:"],  # no node id is empty
+    ["compare", "{topo}", "--policies", "clmat,fixed:"],
 ])
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     topo = _f4_file(tmp_path)
@@ -286,6 +288,13 @@ def test_data_errors_exit_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["select", str(directed)])
     assert code == 2
     assert out == "" and err.strip().startswith("error: mode must be")
+    # an unquoted decimal comma is one cell too many, not a distance of 1
+    (tmp_path / "nodes.csv").write_text("id,energy\na,2\nb,3\n", encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("u,v,distance\na,b,1,9\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["select", "--nodes-csv", str(tmp_path / "nodes.csv"),
+                                   "--edges-csv", str(tmp_path / "edges.csv")])
+    assert code == 2
+    assert out == "" and err == "error: CSV line 2 has more cells than its header\n"
 
 
 def test_misspelled_links_exit_2_not_3(capsys, tmp_path):
@@ -665,17 +674,18 @@ def test_scoring_searches_each_root_once_and_builds_only_the_chosen_tree(
     path.write_text(export_json(g), encoding="utf-8")
     cost, energy = scoring
     flags = ["--cost", cost, "--energy", energy, "--radio", "1e-3,1e-6,2,5e-4"]
+    # DOT draws the chosen tree, which select_aggregator searches once more after ranking
     built = {("select", "table"): 0, ("select", "json"): 0, ("select", "dot"): 1,
              ("trees", "table"): 0, ("trees", "csv"): 0, ("trees", "json"): 0}
     for (command, fmt), trees_built in built.items():
         counts.update(searches=0, trees=0)
         assert main([command, str(path), "--format", fmt, *flags]) == 0
-        assert counts == {"searches": len(g), "trees": trees_built}, (command, fmt)
+        assert counts == {"searches": len(g) + trees_built, "trees": trees_built}, (command, fmt)
     capsys.readouterr()
     counts.update(searches=0, trees=0)
     result = select_aggregator(g, cost, energy,
                                tx_energy=RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy)
-    assert counts == {"searches": len(g), "trees": 1}
+    assert counts == {"searches": len(g) + 1, "trees": 1}
     assert result.tree == shortest_path_tree(g, result.chosen_root)
 
 
@@ -746,7 +756,7 @@ def test_each_op_builds_the_neighbour_lists_once(tmp_path, capsys, list_builds):
         assert list_builds["builds"] == 1, argv
         assert list_builds["reads"] >= len(g), argv
         if argv[0] == "select":
-            assert list_builds["reads"] == len(g)
+            assert list_builds["reads"] == len(g) + (argv[-1] == "dot"), argv
     list_builds.update(reads=0, builds=0)
     assert main(["gen", "--nodes", "40", "--seed", "1"]) == 0
     assert list_builds == {"reads": 0, "builds": 0}

@@ -328,6 +328,16 @@ def test_compare_policies_checks_every_name_before_any_run(monkeypatch):
         compare_policies(f4(), cfg, ["clmat", "max-energy", "nope"])
 
 
+def test_fixed_policy_needs_a_node_id():
+    """No node id is empty, so fixed: with none is a bad policy name, not a
+    fixed root that is missing from the alive network."""
+    with pytest.raises(ValueError, match="unknown policy 'fixed:'"):
+        simulator.check_policy("fixed:")
+    with pytest.raises(ValueError, match="unknown policy 'fixed:'"):
+        run_lifetime(f4(), SimConfig(radio=FLAT, max_rounds=20), policy="fixed:")
+    simulator.check_policy("fixed: ")  # an id may be a space
+
+
 def test_each_entry_point_checks_each_policy_once(monkeypatch, tmp_path, capsys):
     """The CLI, run_lifetime and compare_policies check every policy name
     once, before any run; the runs themselves check none again."""

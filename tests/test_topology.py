@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given
@@ -434,6 +435,20 @@ def test_csv_bad_header():
         load_topology_csv("name,energy\na,2\n", "u,v,distance\n")
     with pytest.raises(errors.ParseError):
         load_topology_csv("id,energy\na,2\n", "u,v,weight\n")
+
+
+@pytest.mark.parametrize("nodes, edges, named", [
+    ("id,energy\na,1\nb,2\n", "u,v,distance\na,b,1,9\n", "line 2"),  # a decimal comma
+    ("id,energy\na,1,5\nb,2\n", "u,v,distance\na,b,1\n", "line 2"),
+    ("id,energy\na,1\nb,2,\n", "u,v,distance\na,b,1\n", "line 3"),  # an empty extra cell
+    ("id,id,energy\na,b,1\n", "u,v,distance\n", "columns in header ['id', 'id',"),
+    ("id,energy\na,1\nb,2\n", "u,v,v,distance\na,b,a,1\n", "columns in header ['u', 'v', 'v',"),
+], ids=["edge-cell", "node-cell", "empty-cell", "node-column", "edge-column"])
+def test_csv_rejects_extra_cells_and_duplicate_columns(nodes, edges, named):
+    """No cell is dropped: a row longer than its header, or a header naming
+    a column twice, is a ParseError that names the line or the column."""
+    with pytest.raises(errors.ParseError, match=re.escape(named)):
+        load_topology_csv(nodes, edges)
 
 
 def test_csv_bad_number():

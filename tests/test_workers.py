@@ -157,6 +157,27 @@ def test_failed_fork_scores_every_chunk_here(n200, monkeypatch):
         assert _exact(build_all_candidates(g)) == serial
 
 
+def test_failed_pipe_scores_every_chunk_here():
+    g = tie_heavy_graph(random.Random(7), 9, isolated=False)
+    with usable_cpus(1, chunk_work=1):
+        serial = _exact(build_all_candidates(g))
+    with usable_cpus(3, chunk_work=1) as fork:
+        with mock.patch.object(os, "pipe", side_effect=OSError("no pipe")) as pipe:
+            assert _exact(build_all_candidates(g)) == serial
+    assert pipe.call_count == 1  # the first failure leaves the rest of the chunks here too
+    assert fork.call_count == 0
+    assert_no_children()
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    """Where the OS keeps no affinity mask, every CPU counts, and at least one."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert trees._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert trees._usable_cpus() == 1
+
+
 def test_error_in_the_parents_chunk_kills_and_reaps_the_workers(monkeypatch):
     """The parent raises at once, so the workers' answers are lost: they are
     killed, not waited for, and reaped before the error propagates."""
