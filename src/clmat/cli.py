@@ -17,7 +17,7 @@ import sys
 
 from .errors import ClmatError, NoSpanningCandidate, ParseError
 from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN
-from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, compare_trees, select_aggregator
+from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, compare_trees
 from .simulator import (
     RadioModel,
     SimConfig,
@@ -34,7 +34,7 @@ from .topology import (
     load_topology_csv,
     random_topology,
 )
-from .trees import build_all_candidates
+from .trees import build_all_candidates, shortest_path_tree
 
 
 class UsageError(Exception):
@@ -79,6 +79,12 @@ def _record(c) -> dict:
 
 def _cells(c) -> list[str]:
     return [_fmt(x) for x in _record(c).values()]
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 # a control character or line separator in an id would break a table row, so
@@ -164,11 +170,14 @@ def display_graph(graph: NetworkGraph) -> str:
 
 
 def _read_text(path: str) -> str:
+    """A file's text, or stdin's for '-', read alike: strict UTF-8, universal newlines."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc}") from exc
 
@@ -209,6 +218,9 @@ def _add_input_args(sub) -> None:
                      help="topology JSON path, or '-' for stdin")
     sub.add_argument("--nodes-csv", help="node CSV (id,energy[,x,y]) instead of JSON")
     sub.add_argument("--edges-csv", help="edge CSV (u,v,distance) instead of JSON")
+    sub.add_argument("--radio", type=_parse_radio, default=RadioModel(),
+                     help="radio model tx_fixed,tx_dist_coeff,exponent,rx_cost "
+                          "(default: 50e-9,100e-12,2,50e-9)")
 
 
 def _add_scoring_args(sub) -> None:
@@ -225,9 +237,15 @@ def _add_selection_args(sub) -> None:
                      help="distance-tie rule: min-depth prefers the shallower tree "
                           "then the later root; first-min keeps the earliest minimum "
                           "(default: %(default)s)")
-    sub.add_argument("--radio", type=_parse_radio, default=RadioModel(),
-                     help="radio model tx_fixed,tx_dist_coeff,exponent,rx_cost "
-                          "(default: 50e-9,100e-12,2,50e-9)")
+
+
+def _add_run_args(sub) -> None:
+    sub.add_argument("--rounds", type=int, default=1000, help="horizon (default: %(default)s)")
+    sub.add_argument("--reselect-every", type=int, default=1,
+                     help="rounds between re-picks by max-energy and random; every "
+                          "policy re-picks after a death, and clmat and fixed:<id> "
+                          "only then (default: %(default)s)")
+    sub.add_argument("--seed", type=int, default=0)
 
 
 @functools.cache
@@ -258,7 +276,6 @@ def _build_parser() -> _Parser:
     trees = subs.add_parser("trees", help="score the candidate tree of every root")
     _add_input_args(trees)
     _add_scoring_args(trees)
-    _add_selection_args(trees)
     trees.add_argument("--format", choices=("table", "csv", "json"), default="table")
     trees.add_argument("-o", "--output", default=None)
     trees.set_defaults(func=_cmd_trees)
@@ -274,12 +291,7 @@ def _build_parser() -> _Parser:
     sim = subs.add_parser("simulate", help="run the round-based lifetime simulation")
     _add_input_args(sim)
     _add_selection_args(sim)
-    sim.add_argument("--rounds", type=int, default=1000, help="horizon (default: %(default)s)")
-    sim.add_argument("--reselect-every", type=int, default=1,
-                     help="rounds between re-picks by max-energy and random; every "
-                          "policy re-picks after a death, and clmat and fixed:<id> "
-                          "only then (default: %(default)s)")
-    sim.add_argument("--seed", type=int, default=0)
+    _add_run_args(sim)
     sim.add_argument("--until", choices=("first-death", "exhaustion"), default="first-death",
                      help="stop at the first death, or keep going to the horizon "
                           "(default: %(default)s)")
@@ -293,10 +305,7 @@ def _build_parser() -> _Parser:
     comp = subs.add_parser("compare", help="lifetime table across root policies")
     _add_input_args(comp)
     _add_selection_args(comp)
-    comp.add_argument("--rounds", type=int, default=1000)
-    comp.add_argument("--reselect-every", type=int, default=1,
-                      help="as for simulate (default: %(default)s)")
-    comp.add_argument("--seed", type=int, default=0)
+    _add_run_args(comp)
     comp.add_argument("--policies", default="clmat,max-energy",
                       help="comma list of clmat, max-energy, random, fixed:<id> "
                            "(default: %(default)s)")
@@ -323,8 +332,7 @@ def _cmd_gen(args) -> int:
 
 
 def _candidates_for(args, graph):
-    return build_all_candidates(graph, args.cost, args.energy,
-                                tx_energy=args.radio.tx_energy)
+    return build_all_candidates(graph, args.cost, args.energy, args.radio.tx_energy)
 
 
 def _cmd_trees(args) -> int:
@@ -333,11 +341,7 @@ def _cmd_trees(args) -> int:
     if args.format == "table":
         out = render_candidates(candidates)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_FIELDS)
-        writer.writerows(_cells(c) for c in candidates)
-        out = buf.getvalue()
+        out = _csv([_FIELDS, *map(_cells, candidates)])
     else:
         out = json.dumps({"candidates": [_record(c) for c in candidates]}, indent=2) + "\n"
     _write_text(args.output, out)
@@ -346,24 +350,18 @@ def _cmd_trees(args) -> int:
 
 def _cmd_select(args) -> int:
     graph = _load_input(args)
-    if args.format == "dot":
-        # only the drawing needs the chosen root's tree
-        result = select_aggregator(graph, args.cost, args.energy, args.tie,
-                                   tx_energy=args.radio.tx_energy)
-    else:
-        result = compare_trees(_candidates_for(args, graph), args.tie)
+    result = compare_trees(_candidates_for(args, graph), args.tie)
     if args.format == "table":
         out = render_ranking(result)
     elif args.format == "json":
+        ranking = [_record(c) for c in result.ranking]  # the chosen root's first
         out = json.dumps({
             "chosen_root": result.chosen_root,
-            "metrics": {"energy": _jsonable(result.metrics.tree_energy),
-                        "cost": _jsonable(result.metrics.tree_cost),
-                        "distance": _jsonable(result.metrics.total_distance)},
-            "ranking": [_record(c) for c in result.ranking],
+            "metrics": {key: ranking[0][key] for key in ("energy", "cost", "distance")},
+            "ranking": ranking,
         }, indent=2) + "\n"
     else:
-        out = export_dot(graph, result.tree)
+        out = export_dot(graph, shortest_path_tree(graph, result.chosen_root))
     _write_text(args.output, out)
     return 0
 
@@ -405,18 +403,9 @@ def _cmd_compare(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     config = _sim_config(args, policies)
-    rows = compare_policies(graph, config, policies, random_trials=args.trials)
-    if args.format == "table":
-        table = [("policy", "lifetime_rounds")]
-        table.extend((name, f"{lifetime:g}") for name, lifetime in rows)
-        out = _table(table)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("policy", "lifetime_rounds"))
-        writer.writerows((name, f"{lifetime:g}") for name, lifetime in rows)
-        out = buf.getvalue()
-    _write_text(args.output, out)
+    lifetimes = compare_policies(graph, config, policies, random_trials=args.trials)
+    rows = [("policy", "lifetime_rounds"), *((name, f"{life:g}") for name, life in lifetimes)]
+    _write_text(args.output, (_table if args.format == "table" else _csv)(rows))
     return 0
 
 

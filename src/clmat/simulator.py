@@ -400,40 +400,29 @@ def reports_csv(reports) -> str:
 def residual_trace_csv(graph, reports) -> str:
     """Per-node residual trace as CSV: round,node,residual.
 
-    Recomputed from the reports with the same per-node fold the simulator
-    used, so the values match the internal state bit for bit. A node's last
-    row is the round it died. Each row is rendered in one pass, as
-    csv.writer would write it: every id is CSV-quoted once, by csv.writer,
-    and rounds and float reprs never need quoting.
+    reports come from run_lifetime on graph, whose trees span their views, so
+    each drained holds exactly the nodes alive at its round's start, in
+    insertion order; a node's last row is the round it died. The simulator's
+    per-node fold gives the values bit for bit. Each row is rendered in one
+    pass, as csv.writer would write it: every id is CSV-quoted once, by
+    csv.writer, and rounds and float reprs never need quoting.
     """
-    ids = graph.node_ids()
     cell = io.StringIO()
     writer = csv.writer(cell, lineterminator="\n")
-    quoted = []
-    for v in ids:
+    fold = {}  # id -> [CSV-quoted id, initial energy, drain so far]: one lookup a row
+    for n in graph.nodes:
         # written as the second of two fields, as in a trace row
         cell.seek(0)
         cell.truncate()
-        writer.writerow(("", v))
-        quoted.append(cell.getvalue()[1:-1])
-    initial = [n.energy for n in graph.nodes]
-    cum = [0.0] * len(ids)
-    alive = list(range(len(ids)))
+        writer.writerow(("", n.id))
+        fold[n.id] = [cell.getvalue()[1:-1], n.energy, 0.0]
     buf = io.StringIO()  # holds the text alone, not a string object per row
     write = buf.write
     write("round,node,residual\n")
-    drained = None
     for rep in reports:
-        if rep.drained is not drained:  # the rounds of one tree share their drains
-            drained = rep.drained
-            by_index = [drained.get(v) for v in ids]
         r = rep.round
-        for i in alive:
-            d = by_index[i]
-            if d is not None:
-                cum[i] += d
-            write(f"{r},{quoted[i]},{initial[i] - cum[i]!r}\n")
-        if rep.deaths:
-            dead = set(rep.deaths)
-            alive = [i for i in alive if ids[i] not in dead]
+        for v, d in rep.drained.items():
+            node = fold[v]
+            node[2] += d
+            write(f"{r},{node[0]},{node[1] - node[2]!r}\n")
     return buf.getvalue()

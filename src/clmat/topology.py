@@ -324,7 +324,7 @@ def load_topology(data) -> NetworkGraph:
                 pos = (rec["x"], rec["y"])
             if len(rec) != (4 if has_x else 2):
                 raise _unknown_keys(rec, ("id", "energy", "x", "y"), "node")
-            g.add_vertex(rec["id"], rec["energy"], pos)
+            g.add_vertex(_text_id(rec["id"]), rec["energy"], pos)
         add_edge = g.add_edge
         for rec in edges:
             # each field is tested once, inline: this loop runs once per link
@@ -352,15 +352,22 @@ def _unknown_keys(rec: dict, allowed: tuple, where: str) -> ParseError:
     return ParseError(f"unexpected {where} keys: {sorted(set(rec) - set(allowed))}")
 
 
-def _num(text, field: str) -> float:
+def _text_id(name: str) -> str:
+    """name, unless it holds a lone surrogate, which no UTF-8 output can write."""
+    if not name.isascii() and name.encode("utf-8", "replace").decode("utf-8") != name:
+        raise ParseError(f"node id {name!r} is not valid Unicode text")
+    return name
+
+
+def _num(text: str, field: str) -> float:
     try:
         return float(text)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad number for {field}: {text!r}") from exc
 
 
 def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
-    """CSV rows as dicts; a duplicated column or a cell beyond the header is a ParseError."""
+    """CSV rows as dicts; a duplicated column or a row not as long as its header is a ParseError."""
     reader = csv.DictReader(io.StringIO(text))
     try:
         names = reader.fieldnames or []
@@ -368,6 +375,8 @@ def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
         for row in reader:
             if None in row:  # DictReader files the cells beyond the header under None
                 raise ParseError(f"CSV line {reader.line_num} has more cells than its header")
+            if None in row.values():  # and fills the missing ones with None
+                raise ParseError(f"CSV line {reader.line_num} has fewer cells than its header")
             rows.append(row)
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
@@ -392,9 +401,9 @@ def load_topology_csv(nodes_csv: str, edges_csv: str) -> NetworkGraph:
             if x or y:
                 _require(bool(x) and bool(y), "a node position needs both x and y")
                 pos = (_num(x, "x"), _num(y, "y"))
-            g.add_vertex(row["id"] or "", _num(row["energy"], "energy"), pos)
+            g.add_vertex(_text_id(row["id"]), _num(row["energy"], "energy"), pos)
         for row in edge_rows:
-            g.add_edge(row["u"] or "", row["v"] or "", _num(row["distance"], "distance"))
+            g.add_edge(row["u"], row["v"], _num(row["distance"], "distance"))
     except _CONSTRUCTION_ERRORS as exc:
         raise SemanticError(str(exc)) from exc
     return g

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 
@@ -77,7 +78,8 @@ def test_select_json_format(capsys, tmp_path):
 
 
 def test_select_stdin_input(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(export_json(f4())))
+    stdin = io.TextIOWrapper(io.BytesIO(export_json(f4()).encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     code, out, _ = _run(capsys, ["select", "-"])
     assert code == 0
     assert "chosen aggregator: C" in out
@@ -223,6 +225,7 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     ["gen", "--nodes", "6", "--side", "1.7e308", "--range", "inf", "--seed", "1"],  # inf
     ["simulate", "{topo}", "--policy", "fixed:"],  # no node id is empty
     ["compare", "{topo}", "--policies", "clmat,fixed:"],
+    ["trees", "{topo}", "--tie", "min-depth"],  # trees never picks a root
 ])
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     topo = _f4_file(tmp_path)
@@ -230,6 +233,49 @@ def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.strip().startswith("usage error:")
+
+
+def _clmat(argv, stdin=b""):
+    """Run the clmat CLI in a fresh interpreter in UTF-8 mode, where sys.stdin
+    decodes with surrogateescape and translates no newlines."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONUTF8="1", PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "clmat.cli", *argv], input=stdin,
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_stdin_is_read_exactly_like_a_path(tmp_path):
+    bad = b'{"nodes": [{"id": "a\xff", "energy": 1}]}'
+    (tmp_path / "bad.json").write_bytes(bad)
+    for source, stdin in ((str(tmp_path / "bad.json"), b""), ("-", bad)):
+        for output in ([], ["-o", str(tmp_path / "out.txt")]):
+            run = _clmat(["select", source, *output], stdin)
+            assert (run.returncode, run.stdout) == (2, b""), (source, output, run.stderr)
+            assert b"not UTF-8" in run.stderr and b"Traceback" not in run.stderr
+    # a quoted line break in an id reads as \n from a path, so stdin must read it so too
+    nodes = b'id,energy\r\n"a\r\nb",1\r\nc,2\r\n'
+    (tmp_path / "nodes.csv").write_bytes(nodes)
+    (tmp_path / "edges.csv").write_bytes(b'u,v,distance\r\n"a\r\nb",c,1\r\n')
+    edges = ["--edges-csv", str(tmp_path / "edges.csv")]
+    from_path = _clmat(["trees", "--nodes-csv", str(tmp_path / "nodes.csv"), *edges])
+    from_stdin = _clmat(["trees", "--nodes-csv", "-", *edges], nodes)
+    assert from_path.returncode == 0 and b"a\\nb" in from_path.stdout
+    assert from_stdin.stdout == from_path.stdout and from_stdin.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [["select"], ["select", "-o", "{out}"],
+                                  ["select", "--format", "json"], ["simulate"],
+                                  ["trees", "--format", "csv"]])
+def test_lone_surrogate_id_is_a_data_error(capsys, tmp_path, argv):
+    """No output can write an id that strict UTF-8 cannot encode, so it does not load."""
+    path = tmp_path / "topo.json"
+    path.write_text('{"nodes": [{"id": "\\ud800", "energy": 1}, {"id": "b", "energy": 2}], '
+                    '"edges": [{"u": "\\ud800", "v": "b", "distance": 1}]}', encoding="ascii")
+    out = str(tmp_path / "out.txt")
+    code, stdout, err = _run(capsys, [a.replace("{out}", out) for a in argv] + [str(path)])
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and "Unicode" in err
+    assert not os.path.exists(out)
 
 
 def test_parser_is_built_once_and_reused_after_usage_errors(capsys, tmp_path):
@@ -674,7 +720,7 @@ def test_scoring_searches_each_root_once_and_builds_only_the_chosen_tree(
     path.write_text(export_json(g), encoding="utf-8")
     cost, energy = scoring
     flags = ["--cost", cost, "--energy", energy, "--radio", "1e-3,1e-6,2,5e-4"]
-    # DOT draws the chosen tree, which select_aggregator searches once more after ranking
+    # DOT draws the chosen tree, which is searched once more after ranking
     built = {("select", "table"): 0, ("select", "json"): 0, ("select", "dot"): 1,
              ("trees", "table"): 0, ("trees", "csv"): 0, ("trees", "json"): 0}
     for (command, fmt), trees_built in built.items():

@@ -330,6 +330,8 @@ def test_load_malformed_json_is_parse_error():
      "edges": [{"u": "a", "v": "b", "distance": True}]},
     {"nodes": [{"id": "a", "energy": 1.0}, {"id": "b", "energy": 1.0}],
      "edges": [["a", "b", 1.0]]},
+    # a lone surrogate: no output could write it as UTF-8
+    {"nodes": [{"id": "\ud800", "energy": 1.0}]},
 ])
 def test_load_structural_errors(doc):
     with pytest.raises(errors.ParseError):
@@ -443,12 +445,22 @@ def test_csv_bad_header():
     ("id,energy\na,1\nb,2,\n", "u,v,distance\na,b,1\n", "line 3"),  # an empty extra cell
     ("id,id,energy\na,b,1\n", "u,v,distance\n", "columns in header ['id', 'id',"),
     ("id,energy\na,1\nb,2\n", "u,v,v,distance\na,b,a,1\n", "columns in header ['u', 'v', 'v',"),
-], ids=["edge-cell", "node-cell", "empty-cell", "node-column", "edge-column"])
+    ("id,energy\na,1\nb,1\n", "u,v,distance\na,b\n", "CSV line 2 has fewer cells"),
+    ("id,energy\na\nb,1\n", "u,v,distance\n", "CSV line 2 has fewer cells"),
+    ("id,energy,x,y\na,1,0,0\nb,1\n", "u,v,distance\n", "CSV line 3 has fewer cells"),
+], ids=["edge-cell", "node-cell", "empty-cell", "node-column", "edge-column",
+        "edge-short", "node-short", "position-short"])
 def test_csv_rejects_extra_cells_and_duplicate_columns(nodes, edges, named):
-    """No cell is dropped: a row longer than its header, or a header naming
-    a column twice, is a ParseError that names the line or the column."""
+    """Every cell lines up with its column: a row longer or shorter than its
+    header, or a header naming a column twice, is a ParseError that names the
+    line or the column."""
     with pytest.raises(errors.ParseError, match=re.escape(named)):
         load_topology_csv(nodes, edges)
+
+
+def test_csv_rejects_a_lone_surrogate_id():
+    with pytest.raises(errors.ParseError, match="not valid Unicode text"):
+        load_topology_csv("id,energy\n\ud800,1\n", "u,v,distance\n")
 
 
 def test_csv_bad_number():
