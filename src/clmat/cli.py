@@ -170,14 +170,15 @@ def display_graph(graph: NetworkGraph) -> str:
 
 
 def _read_text(path: str) -> str:
-    """A file's text, or stdin's for '-', read alike: strict UTF-8, universal newlines."""
+    """A file's text, or stdin's for '-', read alike: strict UTF-8, one leading
+    byte-order mark dropped, universal newlines."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc}") from exc
 
@@ -196,6 +197,8 @@ def _load_input(args) -> NetworkGraph:
             raise UsageError("--nodes-csv and --edges-csv must be given together")
         if args.topology is not None:
             raise UsageError("give either a topology file or the CSV pair, not both")
+        if args.nodes_csv == args.edges_csv == "-":
+            raise UsageError("'-' (stdin) can feed only one input")
         return load_topology_csv(_read_text(args.nodes_csv), _read_text(args.edges_csv))
     if args.topology is None:
         raise UsageError("missing topology input (path, '-', or --nodes-csv/--edges-csv)")

@@ -361,12 +361,13 @@ def compare_policies(graph, config: SimConfig, policies,
                      random_trials: int = 5) -> list[tuple[str, float]]:
     """Lifetime per policy on identical initial conditions.
 
-    The random-root policy is averaged over random_trials seeded runs; every
-    other policy is deterministic, so a single run suffices. Every run
-    starts from the full alive set with the same radio, so all of them
-    share one first view: each root is searched over the full network, and
-    its round costs computed, at most once. random_trials below 1 or an
-    unknown policy name raises ValueError before any run.
+    A policy's lifetime is the mean over its trials, trial t seeded with
+    config.seed * 100003 + t. The random-root policy runs random_trials
+    trials; every other policy is deterministic, reads no seed and runs
+    one. Every run starts from the full alive set with the same radio, so
+    all of them share one first view: each root is searched over the full
+    network, and its round costs computed, at most once. random_trials
+    below 1 or an unknown policy name raises ValueError before any run.
     """
     if random_trials < 1:
         raise ValueError(f"random_trials must be at least 1, got {random_trials}")
@@ -375,14 +376,12 @@ def compare_policies(graph, config: SimConfig, policies,
     first_view = _AliveView(graph, graph.node_ids(), config.radio)
     rows: list[tuple[str, float]] = []
     for policy in policies:
-        if policy == "random":
-            total = 0.0
-            for trial in range(random_trials):
-                trial_config = replace(config, seed=config.seed * 100003 + trial)
-                total += _run(graph, trial_config, policy, True, first_view).lifetime
-            rows.append((policy, total / random_trials))
-        else:
-            rows.append((policy, float(_run(graph, config, policy, True, first_view).lifetime)))
+        trials = random_trials if policy == "random" else 1
+        total = 0.0
+        for trial in range(trials):
+            trial_config = replace(config, seed=config.seed * 100003 + trial)
+            total += _run(graph, trial_config, policy, True, first_view).lifetime
+        rows.append((policy, total / trials))
     return rows
 
 

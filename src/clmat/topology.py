@@ -288,11 +288,12 @@ def load_topology(data) -> NetworkGraph:
     raise ParseError; well-formed content that contradicts itself
     (duplicate ids, unknown endpoints, nonpositive energies or distances)
     raises SemanticError. Link energies are always
-    recomputed from node energies, never read from the file.
+    recomputed from node energies, never read from the file. Bytes are
+    decoded as strict UTF-8, one leading byte-order mark dropped.
     """
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8: {exc}") from exc
     try:

@@ -22,7 +22,6 @@ import math
 import os
 import signal
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -32,12 +31,11 @@ from .errors import UnknownVertex
 from .metrics import (
     CLMAT,
     COST_VARIANTS,
-    EDGE_MIN,
     ENERGY_VARIANTS,
     NODE_MIN,
+    RESIDUAL,
     TreeMetrics,
     residual_edge_cost,
-    spanning_tree_energies,
 )
 
 
@@ -59,9 +57,6 @@ class AggregationTree:
     def edges(self) -> list[tuple[str, str]]:
         """Tree links as (parent, child), in spanned-node order."""
         return [(self.parent[v], v) for v in self.dist if v != self.root]
-
-    def children_counts(self) -> Counter:
-        return Counter(self.parent.values())
 
 
 class ShortestPaths(NamedTuple):
@@ -223,9 +218,9 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
     - total distance: _fold of the reached distances in index order, the
       left fold of the tree's distances over its non-root nodes, in the
       tree's order.
-    - energy: a spanning tree's is read from the node table in closed
-      form; a partial tree's is the least energy of its reached nodes, the
-      root excluded under node-min; a single-node tree has none.
+    - energy: the energy of the first node, in ascending energy order,
+      that the search reached, skipping the root under node-min: the least
+      such energy. A single-node tree has none.
     - cost: 0 for a single-node tree, +inf under clmat for any other, and
       under residual the sum over (parent, child) links in child index
       order, the order of AggregationTree.edges().
@@ -240,9 +235,12 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
         raise ValueError(f"unknown energy variant {energy_variant!r}")
     if cost_variant not in COST_VARIANTS:
         raise ValueError(f"unknown cost variant {cost_variant!r}")
+    if cost_variant == RESIDUAL and tx_energy is None and graph.links:
+        raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
     n = len(graph)
-    spanning_energies = spanning_tree_energies(graph, energy_variant) if n > 1 else []
     energies = [node.energy for node in graph.nodes]
+    by_energy = sorted(range(n), key=energies.__getitem__)
+    skip_root = energy_variant == NODE_MIN
     adj = graph._adj
     inf = math.inf
     bounds = _chunk_bounds(n, n * (n + 2 * len(graph.links)))
@@ -260,9 +258,8 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
             if paths.reached == 1:
                 energy, cost = None, 0.0
             else:
-                energy = spanning_energies[i] if spanning else min(
-                    e for w, e in enumerate(energies)
-                    if paths.best[w] < inf and (energy_variant == EDGE_MIN or w != i))
+                energy = next(energies[w] for w in by_energy
+                              if paths.best[w] < inf and not (skip_root and w == i))
                 cost = inf if cost_variant == CLMAT else _residual_cost(paths, adj, energies, tx_energy)
             rows.append((paths.depth, total, energy, cost, spanning))
         return rows
@@ -275,8 +272,6 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
 
 def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:
     """The residual cost of a search's tree: residual_edge_cost summed over its links."""
-    if tx_energy is None:
-        raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
     total = 0.0
     for w, p in enumerate(paths.parent):
         if p != -1:

@@ -10,6 +10,7 @@ the plain definitions the tests hold it to.
 
 import math
 import random
+from collections import Counter
 
 from clmat.errors import ClmatError, NoSpanningCandidate
 from clmat.metrics import (
@@ -275,7 +276,7 @@ def round_costs(tree: AggregationTree, radio: RadioModel, graph) -> dict[str, fl
     pays one reception per child. The tree fixes these costs, so they are
     computed once per tree. graph supplies link distances.
     """
-    n_children = tree.children_counts()
+    n_children = Counter(tree.parent.values())
     costs: dict[str, float] = {}
     for v in tree.dist:
         cost = 0.0

@@ -226,6 +226,7 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     ["simulate", "{topo}", "--policy", "fixed:"],  # no node id is empty
     ["compare", "{topo}", "--policies", "clmat,fixed:"],
     ["trees", "{topo}", "--tie", "min-depth"],  # trees never picks a root
+    ["trees", "--nodes-csv", "-", "--edges-csv", "-"],  # stdin can feed one input only
 ])
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     topo = _f4_file(tmp_path)
@@ -261,6 +262,36 @@ def test_stdin_is_read_exactly_like_a_path(tmp_path):
     from_stdin = _clmat(["trees", "--nodes-csv", "-", *edges], nodes)
     assert from_path.returncode == 0 and b"a\\nb" in from_path.stdout
     assert from_stdin.stdout == from_path.stdout and from_stdin.returncode == 0
+
+
+def test_one_leading_byte_order_mark_is_dropped(capsys, tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark: one is
+    not data, in a node CSV, an edge CSV or a JSON file, from a path or '-'."""
+    bom = b"\xef\xbb\xbf"
+    data = {"nodes.csv": b"id,energy\na,1\nb,2\n", "edges.csv": b"u,v,distance\na,b,3\n",
+            "topo.json": export_json(f4()).encode("utf-8")}
+    for name, text in data.items():
+        (tmp_path / name).write_bytes(text)
+        (tmp_path / f"bom-{name}").write_bytes(bom + text)
+        (tmp_path / f"bom2-{name}").write_bytes(bom * 2 + text)
+
+    def trees(nodes="nodes.csv", edges="edges.csv"):
+        return _run(capsys, ["trees", "--nodes-csv", str(tmp_path / nodes),
+                             "--edges-csv", str(tmp_path / edges)])
+
+    def select(topo):
+        return _run(capsys, ["select", str(tmp_path / topo), "--format", "json"])
+
+    plain_csv, plain_json = trees(), select("topo.json")
+    assert plain_csv[0] == plain_json[0] == 0
+    assert trees(nodes="bom-nodes.csv") == trees(edges="bom-edges.csv") == plain_csv
+    assert select("bom-topo.json") == plain_json
+    from_stdin = _clmat(["select", "-", "--format", "json"], bom + data["topo.json"])
+    assert (from_stdin.returncode, from_stdin.stdout.decode("utf-8")) == (0, plain_json[1])
+    # a second mark is data: the header's first name, or a character JSON refuses
+    assert trees(nodes="bom2-nodes.csv") == (2, "", "error: CSV header must include id,energy\n")
+    code, out, err = select("bom2-topo.json")
+    assert (code, out) == (2, "") and err.startswith("error: invalid JSON")
 
 
 @pytest.mark.parametrize("argv", [["select"], ["select", "-o", "{out}"],

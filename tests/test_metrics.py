@@ -11,9 +11,8 @@ from clmat.metrics import (
     NODE_MIN,
     RESIDUAL,
     residual_edge_cost,
-    spanning_tree_energies,
 )
-from clmat.trees import AggregationTree, shortest_path_tree
+from clmat.trees import AggregationTree, build_all_candidates, shortest_path_tree
 
 from graphgen import (
     SingletonTree,
@@ -83,20 +82,31 @@ def test_edge_min_is_node_min_capped_by_root_energy():
             tree_energy(tree, g, NODE_MIN), g.energy(tree.root))
 
 
+@pytest.mark.parametrize("connected", [True, False])
 @pytest.mark.parametrize("energies", [None, (1.0, 2.0, 3.0)])
-def test_spanning_tree_energies_match_tree_energy_on_every_root(energies):
+def test_scored_tree_energy_matches_tree_energy_on_every_root(energies, connected):
     # energies drawn from three values put the least energy on several
-    # nodes, so a root holding it must still see it on another node
+    # nodes, so a root holding it must still see it on another node; a
+    # second component leaves every tree partial, some of one node
     rng = random.Random(7)
     for _ in range(40):
         g = random_connected_graph(rng)
+        if not connected:
+            for k in range(rng.randint(1, 4)):
+                g.add_vertex(f"m{k}", rng.uniform(1.0, 10.0))
+                if k:
+                    g.add_edge(f"m{rng.randrange(k)}", f"m{k}", float(rng.randint(1, 20)))
         if energies is not None:
             g = with_energies(g, {v: rng.choice(energies) for v in g.node_ids()})
         for variant in (NODE_MIN, EDGE_MIN):
-            assert spanning_tree_energies(g, variant) == [
-                tree_energy(shortest_path_tree(g, v), g, variant) for v in g.node_ids()]
+            expected = []
+            for v in g.node_ids():
+                tree = shortest_path_tree(g, v)
+                expected.append(tree_energy(tree, g, variant) if tree.parent else None)
+            scored = build_all_candidates(g, energy_variant=variant)
+            assert [c.metrics.tree_energy for c in scored] == expected
     with pytest.raises(ValueError):
-        spanning_tree_energies(f4(), "median")
+        build_all_candidates(f4(), energy_variant="median")
 
 
 def test_residual_edge_cost_example():

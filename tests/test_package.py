@@ -105,6 +105,56 @@ def test_no_module_imports_a_name_it_never_reads():
     assert found == {}
 
 
+def _unread_public_names(sources: dict[str, str], exported) -> list[str]:
+    """module.name for each public top-level function, class or constant of the
+    sources (module name -> source) that is neither exported nor read anywhere
+    in them outside its own definition.
+
+    A name counts as read where it is loaded, taken as an attribute or
+    imported from a module.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined += [(module, name) for name in sorted(names) if not name.startswith("_")]
+            inside = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    inside.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    inside.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    inside.update(a.name for a in sub.names)
+            read |= inside - names
+    return [f"{module}.{name}" for module, name in defined
+            if name not in exported and name not in read]
+
+
+def test_unread_public_name_check_flags_only_test_only_names():
+    sources = {
+        "a": ("from .b import helper\nLIMIT = 3\nUNUSED = 4\n__all__ = ['run']\n"
+              "def run():\n    return helper(LIMIT)\n"
+              "def recurse(n):\n    return recurse(n - 1)\n"
+              "class Shape:\n    pass\n"),
+        "b": ("import a\ndef helper(x):\n    return a.Shape, x\n"
+              "def _private():\n    pass\n"),
+    }
+    assert _unread_public_names(sources, {"run"}) == ["a.UNUSED", "a.recurse"]
+
+
+def test_every_public_library_name_is_exported_or_read_in_the_library():
+    """Code that only tests call belongs with the tests, not in src/."""
+    root = Path(__file__).resolve().parent.parent / "src" / "clmat"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))}
+    assert _unread_public_names(sources, set(clmat.__all__)) == []
+
+
 def _non_stdlib_imports(source: str) -> list[str]:
     """Top-level names of the modules a module imports, anywhere in it, that are
     neither clmat, __future__ nor in the standard library; relative imports are clmat's."""

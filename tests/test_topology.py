@@ -313,6 +313,15 @@ def test_load_malformed_json_is_parse_error():
         load_topology(b"\xff")
 
 
+def test_load_bytes_drop_one_leading_byte_order_mark():
+    data = export_json(f4()).encode("utf-8")
+    assert export_json(load_topology(b"\xef\xbb\xbf" + data)) == export_json(load_topology(data))
+    with pytest.raises(errors.ParseError, match="invalid JSON"):
+        load_topology(b"\xef\xbb\xbf" * 2 + data)  # a second mark is data
+    with pytest.raises(errors.ParseError, match="not UTF-8"):
+        load_topology(b"\xef\xbb\xbf\xff")
+
+
 @pytest.mark.parametrize("doc", [
     [],
     {"mode": "sideways", "nodes": []},

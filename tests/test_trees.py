@@ -316,8 +316,7 @@ def test_build_all_candidates_rejects_bad_scoring(kwargs, message):
         build_all_candidates(two_node(), **kwargs)
 
 
-def test_edges_and_children_counts():
+def test_edges():
     tree = shortest_path_tree(f4(), "A")
     assert tree.edges() == [("A", "B"), ("B", "C"), ("C", "D")]
-    assert tree.children_counts() == {"A": 1, "B": 1, "C": 1}
 

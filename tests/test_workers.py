@@ -190,13 +190,31 @@ def test_error_in_the_parents_chunk_kills_and_reaps_the_workers(monkeypatch):
             time.sleep(60)
         return search(*args)
 
+    def fails_in_the_parent(distance):
+        if os.getpid() == parent:
+            raise ValueError("tx_energy failed in the parent")
+        return TX_ENERGY(distance)
+
     monkeypatch.setattr(trees, "shortest_path_search", slow_in_workers)
     start = time.monotonic()
     with usable_cpus(3, chunk_work=1) as fork:
         with pytest.raises(ValueError, match="tx_energy"):
-            build_all_candidates(g, RESIDUAL)
+            build_all_candidates(g, RESIDUAL, tx_energy=fails_in_the_parent)
     assert time.monotonic() - start < 30
     assert fork.call_count == 2
+    assert_no_children()
+
+
+def test_a_missing_tx_energy_raises_before_any_fork():
+    g = tie_heavy_graph(random.Random(5), 9, isolated=False)
+    with usable_cpus(3, chunk_work=1) as fork:
+        with pytest.raises(ValueError, match="tx_energy"):
+            build_all_candidates(g, RESIDUAL)
+    assert fork.call_count == 0
+    # with no link no tree has an edge, so no residual cost needs tx_energy
+    lone = load_topology('{"nodes": [{"id": "a", "energy": 1}, {"id": "b", "energy": 2}]}')
+    with usable_cpus(3, chunk_work=1):
+        assert [c.metrics.tree_cost for c in build_all_candidates(lone, RESIDUAL)] == [0.0, 0.0]
     assert_no_children()
 
 
