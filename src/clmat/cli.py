@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .errors import ClmatError, NoSpanningCandidate, ParseError
+from .errors import ClmatError, NoSpanningCandidate
 from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN
 from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, compare_trees
 from .simulator import (
@@ -169,18 +169,12 @@ def display_graph(graph: NetworkGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_text(path: str) -> str:
-    """A file's text, or stdin's for '-', read alike: strict UTF-8, one leading
-    byte-order mark dropped, universal newlines."""
+def _read_bytes(path: str) -> bytes:
+    """A file's bytes, or stdin's for '-'; the loaders decode them."""
     if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    try:
-        return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc}") from exc
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -199,10 +193,10 @@ def _load_input(args) -> NetworkGraph:
             raise UsageError("give either a topology file or the CSV pair, not both")
         if args.nodes_csv == args.edges_csv == "-":
             raise UsageError("'-' (stdin) can feed only one input")
-        return load_topology_csv(_read_text(args.nodes_csv), _read_text(args.edges_csv))
+        return load_topology_csv(_read_bytes(args.nodes_csv), _read_bytes(args.edges_csv))
     if args.topology is None:
         raise UsageError("missing topology input (path, '-', or --nodes-csv/--edges-csv)")
-    return load_topology(_read_text(args.topology))
+    return load_topology(_read_bytes(args.topology))
 
 
 def _parse_radio(text: str) -> RadioModel:

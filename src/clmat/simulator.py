@@ -164,7 +164,8 @@ class _AliveView:
     mask by insertion index that the searches skip dead nodes by; it copies
     no graph. Searches and round costs are kept by root index, each
     computed on first use. None of this reads energy, so a view answers for
-    as long as the alive set stays the same.
+    as long as the alive set stays the same. The view alone decides whether
+    a root has a tree, so a policy only names one.
     """
 
     def __init__(self, graph, alive, radio: RadioModel):
@@ -180,23 +181,23 @@ class _AliveView:
         self._searches: dict[int, ShortestPaths] = {}
         self._costs: dict[int, Mapping[str, float]] = {}
 
-    def is_alive(self, root: str) -> bool:
-        i = self.graph.get_index(root)
-        return i != -1 and (self.mask is None or self.mask[i] == 1)
-
     def search(self, i: int) -> ShortestPaths:
-        """shortest_path_search over the alive nodes from the alive node at index i."""
+        """shortest_path_search over the alive nodes from the alive node at index i,
+        kept once it reaches every one of them, else NoSpanningCandidate. Links
+        are undirected, so one root spans exactly when every root does."""
         paths = self._searches.get(i)
         if paths is None:
-            paths = self._searches[i] = shortest_path_search(self.graph, i, self.mask)
+            paths = shortest_path_search(self.graph, i, self.mask)
+            if paths.reached != len(self.indices):
+                raise NoSpanningCandidate("no candidate tree spans every node")
+            self._searches[i] = paths
         return paths
 
-    def costs(self, root: str, message: str) -> Mapping[str, float]:
-        """Each node's drain for one round on alive root's tree, read-only and
-        in insertion order, or NoSpanningCandidate(message) unless the tree
-        reaches every alive node.
+    def costs(self, root: str) -> Mapping[str, float]:
+        """Each node's drain for one round on root's tree, read-only and in
+        insertion order, or NoSpanningCandidate unless root is alive and its
+        tree spans the alive nodes.
 
-        Links are undirected, so one root spans exactly when every root does.
         Read straight off the search's lists: every non-root node pays one
         transmission over the link to its parent, then every node one
         reception per child, in the same operations and order as a walk
@@ -205,10 +206,9 @@ class _AliveView:
         ri = self.graph.get_index(root)
         costs = self._costs.get(ri)
         if costs is None:
-            paths = self.search(ri)
-            if paths.reached != len(self.indices):
-                raise NoSpanningCandidate(message)
-            parent = paths.parent
+            if ri == -1 or (self.mask is not None and not self.mask[ri]):
+                raise NoSpanningCandidate(f"root {root} is not in the alive network")
+            parent = self.search(ri).parent
             kids = [0] * len(parent)
             for p in parent:
                 if p != -1:
@@ -230,13 +230,13 @@ class _AliveView:
 
 
 def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
-    """Resolve a policy name into (pick(view, state) -> root, reads_residuals, message).
+    """Resolve a policy name into (pick(view, state) -> root, reads_residuals).
 
-    Each pick names a root among the alive nodes; message is the
-    NoSpanningCandidate text for when that root's tree does not span them.
-    A pick that does not read residuals depends on the alive set alone, so
-    its answer is fixed for the life of a view. policy is one check_policy
-    has passed: run_lifetime and compare_policies check it before any run.
+    Each pick only names a root; the view's costs decide whether it has a
+    tree. A pick that does not read residuals depends on the alive set
+    alone, so its answer is fixed for the life of a view. policy is one
+    check_policy has passed: run_lifetime and compare_policies check it
+    before any run.
     """
     if policy == "clmat":
         rows: dict[int, list[float]] = {}  # by root index: best of its latest search
@@ -264,27 +264,19 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
                 if bound > least:
                     break
                 paths = view.search(i)
-                if paths.reached != len(indices):
-                    return view.graph.nodes[i].id  # no root spans, so its tree raises
                 rows[i] = paths.best
                 total = _fold(paths.best, indices)
                 least = min(least, total)
                 entries.append((i, paths, total))  # the tie key reads only .depth
             return view.graph.nodes[pick_tree(entries, tie_rule)[0]].id
-        return pick, False, "no candidate tree spans every node"
+        return pick, False
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
-
-        def pick(view, state):
-            if not view.is_alive(root):
-                raise NoSpanningCandidate(f"fixed root {root} is not in the alive network")
-            return root
-        return pick, False, f"fixed root {root} no longer spans the network"
-    message = "no spanning root available"
+        return (lambda view, state: root), False
     if policy == "max-energy":
         # max keeps the first of equal residuals
-        return (lambda view, state: max(view.ids, key=state.residual)), True, message
-    return (lambda view, state: rng.choice(view.ids)), True, message
+        return (lambda view, state: max(view.ids, key=state.residual)), True
+    return (lambda view, state: rng.choice(view.ids)), True
 
 
 def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
@@ -316,8 +308,8 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
     config.validate()
     if not graph.nodes:
         raise NoSpanningCandidate("empty graph")
-    pick, reads_residuals, message = _policy_chooser(policy, config.tie_rule,
-                                                     random.Random(config.seed))
+    pick, reads_residuals = _policy_chooser(policy, config.tie_rule,
+                                            random.Random(config.seed))
     state = SimState(
         initial={n.id: n.energy for n in graph.nodes},
         drained_cum={n.id: 0.0 for n in graph.nodes},
@@ -337,7 +329,7 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
                 view = _AliveView(graph, state.alive, config.radio)
             try:
                 root = pick(view, state)
-                costs = view.costs(root, message)
+                costs = view.costs(root)
             except NoSpanningCandidate:
                 if r == 1:
                     raise

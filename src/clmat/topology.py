@@ -248,6 +248,17 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
+def _text(data) -> str:
+    """An input as text: bytes or a bytearray decoded as strict UTF-8, \\r\\n and
+    \\r read as \\n; one leading byte-order mark dropped from bytes and text alike."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from exc
+    return data[1:] if data.startswith("\ufeff") else data
+
+
 def _require(cond, msg: str) -> None:
     if not cond:
         raise ParseError(msg)
@@ -288,16 +299,11 @@ def load_topology(data) -> NetworkGraph:
     raise ParseError; well-formed content that contradicts itself
     (duplicate ids, unknown endpoints, nonpositive energies or distances)
     raises SemanticError. Link energies are always
-    recomputed from node energies, never read from the file. Bytes are
-    decoded as strict UTF-8, one leading byte-order mark dropped.
+    recomputed from node energies, never read from the file. data is text
+    or bytes, read by _text.
     """
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(data)
+        doc = json.loads(_text(data))
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and over-long integer literals;
         # RecursionError comes from arrays or objects nested too deeply
@@ -390,10 +396,11 @@ def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
     return rows
 
 
-def load_topology_csv(nodes_csv: str, edges_csv: str) -> NetworkGraph:
-    """Edge-list import: nodes as `id,energy[,x,y]`, edges as `u,v,distance`."""
-    node_rows = _read_csv(nodes_csv, ("id", "energy"), optional=("x", "y"))
-    edge_rows = _read_csv(edges_csv, ("u", "v", "distance"))
+def load_topology_csv(nodes_csv, edges_csv) -> NetworkGraph:
+    """Edge-list import: nodes as `id,energy[,x,y]`, edges as `u,v,distance`;
+    each is text or bytes, read by _text."""
+    node_rows = _read_csv(_text(nodes_csv), ("id", "energy"), optional=("x", "y"))
+    edge_rows = _read_csv(_text(edges_csv), ("u", "v", "distance"))
     g = NetworkGraph()
     try:
         for row in node_rows:

@@ -301,10 +301,10 @@ def _reference_chooser(policy, config, rng):
 
         def choose(view):
             if view.get_index(root) == -1:
-                raise NoSpanningCandidate(f"fixed root {root} is not in the alive network")
+                raise NoSpanningCandidate(f"root {root} is not in the alive network")
             tree = shortest_path_tree(view, root)
             if len(tree.dist) != len(view):
-                raise NoSpanningCandidate(f"fixed root {root} no longer spans the network")
+                raise NoSpanningCandidate("no candidate tree spans every node")
             return tree
         return choose
     if policy == "max-energy":
@@ -317,7 +317,7 @@ def _reference_chooser(policy, config, rng):
                 if best is None or node.energy > best[0]:
                     best = (node.energy, tree)
             if best is None:
-                raise NoSpanningCandidate("no spanning root available")
+                raise NoSpanningCandidate("no candidate tree spans every node")
             return best[1]
         return choose
     if policy == "random":
@@ -328,7 +328,7 @@ def _reference_chooser(policy, config, rng):
                 if len(tree.dist) == len(view):
                     spanning.append(tree)
             if not spanning:
-                raise NoSpanningCandidate("no spanning root available")
+                raise NoSpanningCandidate("no candidate tree spans every node")
             return rng.choice(spanning)
         return choose
     raise ValueError(f"unknown policy {policy!r}")

@@ -583,6 +583,21 @@ def test_no_spanning_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_every_command_reports_a_disconnected_network_alike(capsys, tmp_path):
+    path = tmp_path / "split.json"
+    path.write_text('{"nodes": [{"id": "a", "energy": 1}, {"id": "b", "energy": 2}, '
+                    '{"id": "c", "energy": 3}], "edges": [{"u": "a", "v": "b", "distance": 1}]}',
+                    encoding="utf-8")
+    commands = [["select"], ["compare", "--policies", "max-energy,clmat"],
+                ["compare", "--policies", "fixed:c,random"]]
+    commands += [["simulate", "--policy", p] for p in ("clmat", "max-energy", "random", "fixed:a")]
+    for argv in commands:
+        assert _run(capsys, argv[:1] + [str(path)] + argv[1:]) == (
+            3, "", "error: no candidate tree spans every node\n")
+    assert _run(capsys, ["simulate", str(path), "--policy", "fixed:z"]) == (
+        3, "", "error: root z is not in the alive network\n")
+
+
 def _menu(session: str) -> str:
     out = io.StringIO()
     run_menu(io.StringIO(session), out)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import random
 
@@ -133,10 +134,16 @@ def test_drain_on_a_kept_tree_reports_each_death_once_in_alive_order():
 def test_alive_view_knows_dead_and_unknown_roots():
     g = f4()
     view = simulator._AliveView(g, ["A", "C", "D"], FLAT)
-    assert [view.is_alive(v) for v in ("A", "B", "C", "D", "Z")] == [True, False, True, True, False]
+    for v in ("A", "C", "D"):
+        assert list(view.costs(v)) == ["A", "C", "D"]
+    for v in ("B", "Z"):
+        with pytest.raises(errors.NoSpanningCandidate, match=f"^root {v} is not in the alive network$"):
+            view.costs(v)
     full = simulator._AliveView(g, g.node_ids(), FLAT)
     assert full.mask is None
-    assert [full.is_alive(v) for v in ("A", "B", "Z")] == [True, True, False]
+    assert list(full.costs("B")) == g.node_ids()
+    with pytest.raises(errors.NoSpanningCandidate, match="^root Z is not in the alive network$"):
+        full.costs("Z")
 
 
 def test_zero_radio_never_kills():
@@ -275,6 +282,24 @@ def test_run_raises_without_spanning_start():
     g.add_vertex("island", 5.0)
     with pytest.raises(errors.NoSpanningCandidate):
         run_lifetime(g, SimConfig(radio=FLAT))
+
+
+def test_every_policy_reports_a_disconnected_network_alike():
+    g = NetworkGraph()
+    for v in "abc":
+        g.add_vertex(v, 1.0)
+    g.add_edge("a", "b", 1.0)
+    cfg = SimConfig(radio=FLAT)
+    policies = ["clmat", "max-energy", "random", "fixed:a", "fixed:c"]
+    for policy in policies:
+        for stop in (True, False):
+            with pytest.raises(errors.NoSpanningCandidate,
+                               match="^no candidate tree spans every node$"):
+                run_lifetime(g, cfg, policy, stop)
+    for order in itertools.permutations(policies, 2):
+        with pytest.raises(errors.NoSpanningCandidate,
+                           match="^no candidate tree spans every node$"):
+            compare_policies(g, cfg, order)
 
 
 def test_compare_policies_two_node_degenerate():
@@ -461,13 +486,14 @@ def test_view_costs_match_round_costs_of_the_searched_tree(seed, n, isolated, ra
     for root in alive:
         paths = shortest_path_search(g, g.get_index(root), bytearray(keep))
         if paths.reached != len(alive):
-            with pytest.raises(errors.NoSpanningCandidate, match="^spans$"):
-                view.costs(root, "spans")
+            with pytest.raises(errors.NoSpanningCandidate,
+                               match="^no candidate tree spans every node$"):
+                view.costs(root)
             continue
         want = round_costs(search_tree(g.node_ids(), root, paths), radio, g)
-        got = view.costs(root, "spans")
+        got = view.costs(root)
         assert [(v, d.hex()) for v, d in got.items()] == [(v, d.hex()) for v, d in want.items()]
-        assert view.costs(root, "spans") is got
+        assert view.costs(root) is got
 
 
 # characters csv must quote, or that a line-based reader would split on

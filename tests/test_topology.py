@@ -322,6 +322,34 @@ def test_load_bytes_drop_one_leading_byte_order_mark():
         load_topology(b"\xef\xbb\xbf\xff")
 
 
+_CSV_PAIR = ("id,energy\r\na,1\r\nb,2\r\n", "u,v,distance\r\na,b,3\r\n")
+_LOADERS = [(load_topology, (export_json(f4()),)), (load_topology_csv, _CSV_PAIR)]
+
+
+@pytest.mark.parametrize("load, texts", _LOADERS)
+def test_loaders_read_text_and_bytes_alike(load, texts):
+    """Text and its UTF-8 bytes load alike, each with or without one leading
+    byte-order mark; a second mark is data and fails."""
+    want = export_json(load(*texts))
+    for bom in ("", "\ufeff"):
+        assert export_json(load(*(bom + t for t in texts))) == want
+        for kind in (bytes, bytearray):
+            assert export_json(load(*(kind((bom + t).encode("utf-8")) for t in texts))) == want
+    twice = ["\ufeff\ufeff" + t for t in texts]
+    for doc in (twice, [t.encode("utf-8") for t in twice]):
+        with pytest.raises(errors.ParseError):
+            load(*doc)
+    with pytest.raises(errors.ParseError, match="^not UTF-8"):
+        load(*(t.encode("utf-8") + b"\xff" for t in texts))
+
+
+def test_csv_bytes_read_carriage_returns_as_newlines():
+    g = load_topology_csv(b'id,energy\r\n"a\r\nb",1\r\nc,2\r\n',
+                          b'u,v,distance\r\n"a\r\nb",c,1\r\n')
+    assert g.node_ids() == ["a\nb", "c"]
+    assert load_topology_csv('id,energy\n"a\r\nb",1\n', "u,v,distance\n").node_ids() == ["a\r\nb"]
+
+
 @pytest.mark.parametrize("doc", [
     [],
     {"mode": "sideways", "nodes": []},
