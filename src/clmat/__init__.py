@@ -1,14 +1,7 @@
 """Lifetime-maximizing aggregation trees for energy-annotated sensor networks."""
 
 from .errors import ClmatError, NoSpanningCandidate
-from .metrics import (
-    CLMAT,
-    EDGE_MIN,
-    NODE_MIN,
-    RESIDUAL,
-    TreeMetrics,
-    residual_edge_cost,
-)
+from .metrics import CLMAT, EDGE_MIN, NODE_MIN, RESIDUAL, residual_edge_cost
 from .selection import FIRST_MIN, MIN_DEPTH, SelectionResult, compare_trees, select_aggregator
 from .simulator import (
     LifetimeResult,
@@ -59,7 +52,6 @@ __all__ = [
     "SelectionResult",
     "SimConfig",
     "SimState",
-    "TreeMetrics",
     "build_all_candidates",
     "compare_policies",
     "compare_trees",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -17,7 +18,7 @@ import sys
 
 from .errors import ClmatError, NoSpanningCandidate
 from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN
-from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, compare_trees
+from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, select_aggregator
 from .simulator import (
     RadioModel,
     SimConfig,
@@ -34,7 +35,7 @@ from .topology import (
     load_topology_csv,
     random_topology,
 )
-from .trees import build_all_candidates, shortest_path_tree
+from .trees import Candidate, build_all_candidates, shortest_path_tree
 
 
 class UsageError(Exception):
@@ -66,15 +67,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
-_FIELDS = ("root", "energy", "cost", "distance", "depth", "spanning")
-_COLUMNS = ("root", "energy_J", "cost", "distance", "depth", "spanning")
+_FIELDS = tuple(f.name for f in dataclasses.fields(Candidate))
+_COLUMNS = tuple("energy_J" if name == "energy" else name for name in _FIELDS)
 
 
-def _record(c) -> dict:
+def _record(c: Candidate) -> dict:
     """One candidate's output fields, keyed by _FIELDS, as JSON values."""
-    m = c.metrics
-    values = (c.root, m.tree_energy, m.tree_cost, m.total_distance, c.depth, c.spanning)
-    return {name: _jsonable(x) for name, x in zip(_FIELDS, values)}
+    return {name: _jsonable(getattr(c, name)) for name in _FIELDS}
 
 
 def _cells(c) -> list[str]:
@@ -328,13 +327,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _candidates_for(args, graph):
-    return build_all_candidates(graph, args.cost, args.energy, args.radio.tx_energy)
-
-
 def _cmd_trees(args) -> int:
     graph = _load_input(args)
-    candidates = _candidates_for(args, graph)
+    candidates = build_all_candidates(graph, args.cost, args.energy, args.radio.tx_energy)
     if args.format == "table":
         out = render_candidates(candidates)
     elif args.format == "csv":
@@ -347,7 +342,7 @@ def _cmd_trees(args) -> int:
 
 def _cmd_select(args) -> int:
     graph = _load_input(args)
-    result = compare_trees(_candidates_for(args, graph), args.tie)
+    result = select_aggregator(graph, args.cost, args.energy, args.tie, args.radio.tx_energy)
     if args.format == "table":
         out = render_ranking(result)
     elif args.format == "json":
@@ -451,7 +446,7 @@ def run_menu(in_stream, out_stream) -> None:
                     say(render_candidates(build_all_candidates(graph)))
                 else:
                     try:
-                        say(render_ranking(compare_trees(build_all_candidates(graph))))
+                        say(render_ranking(select_aggregator(graph)))
                     except NoSpanningCandidate:
                         say("No spanning candidate.\n")
             else:

@@ -1,9 +1,9 @@
-"""Score names, the scored triple and the residual edge cost.
+"""Score names and the residual edge cost.
 
-A candidate tree is scored by a TreeMetrics triple: its energy (a
-variant in ENERGY_VARIANTS), its cost (a variant in COST_VARIANTS) and
-its total distance. trees.build_all_candidates computes all three from
-a search's lists; this module holds only the names the CLI and selection
+A candidate tree is scored by its energy (a variant in ENERGY_VARIANTS),
+its cost (a variant in COST_VARIANTS) and its total distance.
+trees.build_all_candidates computes all three from a search's lists into
+a trees.Candidate; this module holds only the names the CLI and selection
 share with it and the per-link residual cost it sums. The tree-walk
 definitions those scores are tested against live with the tests, in
 tests/graphgen.py.
@@ -12,8 +12,6 @@ tests/graphgen.py.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NonPositiveResidual
 
@@ -24,19 +22,6 @@ ENERGY_VARIANTS = (NODE_MIN, EDGE_MIN)
 CLMAT = "clmat"
 RESIDUAL = "residual"
 COST_VARIANTS = (CLMAT, RESIDUAL)
-
-
-@dataclass(frozen=True)
-class TreeMetrics:
-    """The scored triple for one candidate tree.
-
-    tree_energy is None for a singleton tree, where the bottleneck battery
-    is undefined. tree_cost may be +inf (saturated degenerate denominator).
-    """
-
-    tree_energy: float | None
-    tree_cost: float
-    total_distance: float
 
 
 def residual_edge_cost(tx_uv: float, tx_vu: float,

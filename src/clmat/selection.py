@@ -6,11 +6,11 @@ the choice; the primary key is total distance alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NoSpanningCandidate
-from .metrics import CLMAT, NODE_MIN, TreeMetrics
-from .trees import AggregationTree, Candidate, build_all_candidates, shortest_path_tree
+from .metrics import CLMAT, NODE_MIN
+from .trees import Candidate, build_all_candidates
 
 MIN_DEPTH = "min-depth"
 FIRST_MIN = "first-min"
@@ -19,15 +19,13 @@ TIE_RULES = (MIN_DEPTH, FIRST_MIN)
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """The chosen root, its tree and metrics, and the ranking it heads.
+    """The chosen root and the ranking it heads.
 
-    tree is the chosen root's AggregationTree when select_aggregator made
-    the result, and None when compare_trees ranked bare candidates.
+    The chosen root's scores are ranking[0]; its tree is
+    shortest_path_tree(graph, chosen_root).
     """
 
     chosen_root: str
-    tree: AggregationTree | None
-    metrics: TreeMetrics
     ranking: list[Candidate]
 
 
@@ -40,10 +38,13 @@ def _tie_key(tie_rule: str):
     toward the later index. first-min resolves distance ties toward the
     earlier index, as a plain strict-less-than scan does. Each key ends in
     the index, so no two entries tie and the entries' order never matters.
+    Any other tie_rule raises ValueError.
     """
     if tie_rule == MIN_DEPTH:
         return lambda e: (e[2], e[1].depth, -e[0])
-    return lambda e: (e[2], e[0])
+    if tie_rule == FIRST_MIN:
+        return lambda e: (e[2], e[0])
+    raise ValueError(f"unknown tie rule {tie_rule!r}")
 
 
 def pick_tree(entries, tie_rule: str = MIN_DEPTH):
@@ -55,32 +56,28 @@ def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> SelectionResult:
     """Rank every candidate, spanning ones first, by the pick_tree key.
 
     The chosen candidate heads the ranking; NoSpanningCandidate is raised
-    when it does not span. Candidates carry no tree, so the result's tree
-    is None.
+    when it does not span.
     """
-    if tie_rule not in TIE_RULES:
-        raise ValueError(f"unknown tie rule {tie_rule!r}")
-    candidates = list(candidates)
     tie_key = _tie_key(tie_rule)
-    entries = [(i, c, c.metrics.total_distance) for i, c in enumerate(candidates)]
-    entries.sort(key=lambda e: (not candidates[e[0]].spanning, tie_key(e)))
-    ranking = [candidates[i] for i, _, _ in entries]
+    candidates = list(candidates)
+    entries = [(i, c, c.distance) for i, c in enumerate(candidates)]
+    entries.sort(key=lambda e: (not e[1].spanning, tie_key(e)))
+    ranking = [c for _, c, _ in entries]
     if not ranking or not ranking[0].spanning:
         raise NoSpanningCandidate("no candidate tree spans every node")
-    chosen = ranking[0]
-    return SelectionResult(chosen.root, None, chosen.metrics, ranking)
+    return SelectionResult(ranking[0].root, ranking)
 
 
 def select_aggregator(graph, cost_variant: str = CLMAT,
                       energy_variant: str = NODE_MIN,
                       tie_rule: str = MIN_DEPTH,
                       tx_energy=None) -> SelectionResult:
-    """Score a shortest-path tree per candidate root and pick the aggregator.
+    """Score every candidate root and pick the aggregator.
 
-    compare_trees over build_all_candidates, then the chosen root's
-    shortest_path_tree: n + 1 searches and one AggregationTree.
+    compare_trees over build_all_candidates: n searches and no tree. An
+    unknown tie_rule raises ValueError before any root is scored.
     Deterministic for a fixed graph and configuration.
     """
-    result = compare_trees(build_all_candidates(graph, cost_variant, energy_variant, tx_energy),
-                           tie_rule)
-    return replace(result, tree=shortest_path_tree(graph, result.chosen_root))
+    _tie_key(tie_rule)
+    return compare_trees(build_all_candidates(graph, cost_variant, energy_variant, tx_energy),
+                         tie_rule)

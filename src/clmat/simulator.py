@@ -307,7 +307,7 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
     """run_lifetime, with round 1 served by first_view: the view over every node."""
     config.validate()
     if not graph.nodes:
-        raise NoSpanningCandidate("empty graph")
+        raise NoSpanningCandidate("no candidate tree spans every node")
     pick, reads_residuals = _policy_chooser(policy, config.tie_rule,
                                             random.Random(config.seed))
     state = SimState(

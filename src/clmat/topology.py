@@ -43,11 +43,11 @@ class Link:
 class NetworkGraph:
     """Node table plus a weighted undirected adjacency keyed by insertion index.
 
-    distance(u, u) is 0 and absent pairs are infinitely far. Each link is
-    stored once, as one Link record held in links and under both endpoints
-    in the adjacency, so a tree searched outward from its root also carries
-    the readings back up to it. _adj[i] maps the insertion index of each
-    neighbour of node i to that Link; names map to indices through _index.
+    Each link is stored once, as one Link record held in links and under
+    both endpoints in the adjacency, so a tree searched outward from its
+    root also carries the readings back up to it. _adj[i] maps the
+    insertion index of each neighbour of node i to that Link; names map to
+    indices through _index.
     The searches read each row as a stored list of (neighbour, distance)
     pairs in the row's order, built from _adj on first use. add_vertex and
     add_edge are the only writers of _adj, links and those lists, and each
@@ -95,16 +95,6 @@ class NetworkGraph:
     def get_index(self, name: str) -> int:
         """Insertion position of a vertex, or -1 when absent."""
         return self._index.get(name, -1)
-
-    def distance(self, u: str, v: str) -> float:
-        """Stored link distance; 0 on the diagonal, +inf for absent pairs."""
-        if u == v:
-            return 0.0
-        i, j = self._index.get(u), self._index.get(v)
-        if i is None or j is None:
-            return math.inf
-        link = self._adj[i].get(j)
-        return math.inf if link is None else link.distance
 
     def link_energy(self, u: str, v: str) -> float:
         """Min endpoint energy, computed from current node energies."""

@@ -34,7 +34,6 @@ from .metrics import (
     ENERGY_VARIANTS,
     NODE_MIN,
     RESIDUAL,
-    TreeMetrics,
     residual_edge_cost,
 )
 
@@ -186,14 +185,18 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
 
 @dataclass(frozen=True)
 class Candidate:
-    """One candidate aggregator: its tree's depth, its metric triple, whether it spans.
+    """One scored root: the output fields of its tree, in output order.
 
-    Only scores are kept, not the tree: the tree of any root is shortest_path_tree(graph, root).
+    energy is None for a single-node tree, where the bottleneck battery is
+    undefined; cost may be +inf. Only scores are kept, not the tree: the
+    tree of any root is shortest_path_tree(graph, root).
     """
 
     root: str
+    energy: float | None
+    cost: float
+    distance: float
     depth: int
-    metrics: TreeMetrics
     spanning: bool
 
 
@@ -225,7 +228,7 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
       under residual the sum over (parent, child) links in child index
       order, the order of AggregationTree.edges().
     Entries whose tree fails to reach every node are flagged non-spanning;
-    their metrics still describe the partial tree.
+    their scores still describe the partial tree.
 
     Large graphs are scored in contiguous chunks of roots, one per usable
     CPU, in forked workers (see _in_chunks); the candidates, their order
@@ -248,7 +251,7 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
         graph._neighbour_lists()  # built before the forks, so the workers share them
 
     def score(lo: int, hi: int) -> list[tuple]:
-        """(depth, total, energy, cost, spanning) of the roots with index lo..hi-1."""
+        """The Candidate fields after root of the roots with index lo..hi-1."""
         rows = []
         for i in range(lo, hi):
             paths = shortest_path_search(graph, i)
@@ -261,13 +264,11 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
                 energy = next(energies[w] for w in by_energy
                               if paths.best[w] < inf and not (skip_root and w == i))
                 cost = inf if cost_variant == CLMAT else _residual_cost(paths, adj, energies, tx_energy)
-            rows.append((paths.depth, total, energy, cost, spanning))
+            rows.append((energy, cost, total, paths.depth, spanning))
         return rows
 
     ids = graph.node_ids()
-    return [Candidate(ids[i], depth, TreeMetrics(energy, cost, total), spanning)
-            for i, (depth, total, energy, cost, spanning)
-            in enumerate(_in_chunks(score, bounds))]
+    return [Candidate(ids[i], *row) for i, row in enumerate(_in_chunks(score, bounds))]
 
 
 def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:

@@ -1,11 +1,12 @@
 """Seeded fixtures shared across the test modules, and the references they score against.
 
 The references are the tree-walk scorers (tree_energy, tree_cost,
-total_distance, clmat_edge_cost), the graph copies (restricted,
-with_energies), round_costs and reference_run_lifetime. The library
-computes every score and every round's drains in closed form from a
-search's lists and restricts a graph through an alive mask; these are
-the plain definitions the tests hold it to.
+total_distance, clmat_edge_cost), the pairwise link_distance, the graph
+copies (restricted, with_energies), round_costs and
+reference_run_lifetime. The library computes every score and every
+round's drains in closed form from a search's lists and restricts a
+graph through an alive mask; these are the plain definitions the tests
+hold it to.
 """
 
 import math
@@ -19,7 +20,6 @@ from clmat.metrics import (
     EDGE_MIN,
     ENERGY_VARIANTS,
     NODE_MIN,
-    TreeMetrics,
     residual_edge_cost,
 )
 from clmat.selection import select_aggregator
@@ -47,6 +47,15 @@ def two_node(e_first=3.0, e_second=5.0, d=4.0) -> NetworkGraph:
     return g
 
 
+def link_distance(graph, u: str, v: str) -> float:
+    """Stored link distance between u and v; 0 on the diagonal, +inf for absent pairs."""
+    if u == v:
+        return 0.0
+    i, j = graph.get_index(u), graph.get_index(v)
+    link = graph._adj[i].get(j) if i != -1 and j != -1 else None
+    return math.inf if link is None else link.distance
+
+
 def random_connected_graph(rng: random.Random, n=None, weight_lo=1, weight_hi=20,
                            energy_lo=1.0, energy_hi=10.0, extra_edge_prob=0.3) -> NetworkGraph:
     """Random spanning tree plus extra edges; integer weights keep float sums exact."""
@@ -61,7 +70,7 @@ def random_connected_graph(rng: random.Random, n=None, weight_lo=1, weight_hi=20
                    float(rng.randint(weight_lo, weight_hi)))
     for i in range(n):
         for j in range(i + 1, n):
-            if math.isinf(g.distance(names[i], names[j])) and rng.random() < extra_edge_prob:
+            if math.isinf(link_distance(g, names[i], names[j])) and rng.random() < extra_edge_prob:
                 g.add_edge(names[i], names[j], float(rng.randint(weight_lo, weight_hi)))
     return g
 
@@ -90,7 +99,7 @@ def scan_shortest_path_tree(graph, root: str) -> AggregationTree:
     ids = graph.node_ids()
     n = len(ids)
     ri = graph.get_index(root)
-    tentative = [graph.distance(root, name) for name in ids]
+    tentative = [link_distance(graph, root, name) for name in ids]
     parent = {}
     for j, name in enumerate(ids):
         if j != ri and math.isfinite(tentative[j]):
@@ -108,7 +117,7 @@ def scan_shortest_path_tree(graph, root: str) -> AggregationTree:
         for w in range(n):
             if final[w]:
                 continue
-            step = graph.distance(ids[v], ids[w])
+            step = link_distance(graph, ids[v], ids[w])
             if math.isfinite(step) and tentative[v] + step < tentative[w]:
                 tentative[w] = tentative[v] + step
                 parent[ids[w]] = ids[v]
@@ -148,7 +157,7 @@ def eight_candidates(g_depth=2, h_depth=2) -> list[Candidate]:
     out = []
     for root, cost, distance in EIGHT_ROWS:
         depth = {"G": g_depth, "H": h_depth}.get(root, 2)
-        out.append(Candidate(root, depth, TreeMetrics(3.0, cost, distance), True))
+        out.append(Candidate(root, 3.0, cost, distance, depth, True))
     return out
 
 
@@ -225,7 +234,7 @@ def tree_cost(tree, graph, variant: str = CLMAT, *, tx_energy=None) -> float:
         raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
     total = 0.0
     for u, v in tree.edges():
-        tx = tx_energy(graph.distance(u, v))
+        tx = tx_energy(link_distance(graph, u, v))
         total += residual_edge_cost(tx, tx, graph.energy(u), graph.energy(v))
     return total
 
@@ -281,7 +290,7 @@ def round_costs(tree: AggregationTree, radio: RadioModel, graph) -> dict[str, fl
     for v in tree.dist:
         cost = 0.0
         if v != tree.root:
-            cost += radio.tx_energy(graph.distance(tree.parent[v], v))
+            cost += radio.tx_energy(link_distance(graph, tree.parent[v], v))
         kids = n_children.get(v, 0)
         if kids:
             cost += kids * radio.rx_cost
@@ -293,8 +302,9 @@ def _reference_chooser(policy, config, rng):
     """Per-round tree choosers over a view that carries residual energies."""
     if policy == "clmat":
         def choose(view):
-            return select_aggregator(view, tie_rule=config.tie_rule,
-                                     tx_energy=config.radio.tx_energy).tree
+            result = select_aggregator(view, tie_rule=config.tie_rule,
+                                       tx_energy=config.radio.tx_energy)
+            return shortest_path_tree(view, result.chosen_root)
         return choose
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
@@ -347,7 +357,7 @@ def reference_run_lifetime(graph, config, policy="clmat",
     """
     config.validate()
     if not graph.nodes:
-        raise NoSpanningCandidate("empty graph")
+        raise NoSpanningCandidate("no candidate tree spans every node")
     choose = _reference_chooser(policy, config, random.Random(config.seed))
     state = SimState(initial={n.id: n.energy for n in graph.nodes},
                      drained_cum={n.id: 0.0 for n in graph.nodes},

@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from clmat.metrics import EDGE_MIN, NODE_MIN, TreeMetrics, residual_edge_cost
+from clmat.metrics import EDGE_MIN, NODE_MIN, residual_edge_cost
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel, SimConfig, reports_csv, run_lifetime
 from clmat.topology import export_json, load_topology
@@ -39,7 +39,8 @@ def test_criterion_1_eight_candidate_selection_fixture():
         result = compare_trees(candidates, MIN_DEPTH)
         best = min(best, time.perf_counter() - t0)
     assert result.chosen_root == "H"
-    assert result.metrics == TreeMetrics(3.0, 22.378, 16.0)
+    c = result.ranking[0]
+    assert (c.energy, c.cost, c.distance) == (3.0, 22.378, 16.0)
     assert best < 0.001
     print(f"criterion 1 PASS: eight-candidate fixture -> H (3 J, 22.378, 16) "
           f"in {best * 1e6:.0f} us")
@@ -194,7 +195,7 @@ def test_criterion_9_cli_round_trips(capsys, tmp_path):
 
     # deterministic DOT bytes
     g = f4()
-    tree = select_aggregator(g).tree
+    tree = shortest_path_tree(g, select_aggregator(g).chosen_root)
     assert export_dot(g, tree) == export_dot(g, tree)
     assert main(["select", str(path), "--format", "dot"]) == 0
     dot1 = capsys.readouterr().out

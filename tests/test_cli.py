@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
 from clmat.selection import select_aggregator
 from clmat.simulator import RadioModel, SimConfig, run_lifetime
 from clmat.topology import NetworkGraph, export_json, load_topology, random_topology
-from clmat.trees import AggregationTree, shortest_path_tree
+from clmat.trees import AggregationTree, Candidate, shortest_path_tree
 
 from graphgen import f4, spanning_topologies, two_node
 
@@ -75,6 +76,15 @@ def test_select_json_format(capsys, tmp_path):
     assert doc["metrics"]["distance"] == 6.0
     assert doc["metrics"]["cost"] == "inf"
     assert len(doc["ranking"]) == 4
+
+
+def test_trees_json_records_hold_the_candidate_fields_in_order(capsys, tmp_path):
+    code, out, _ = _run(capsys, ["trees", _f4_file(tmp_path), "--format", "json"])
+    assert code == 0
+    fields = [f.name for f in dataclasses.fields(Candidate)]
+    assert fields == ["root", "energy", "cost", "distance", "depth", "spanning"]
+    records = json.loads(out)["candidates"]
+    assert [list(record) for record in records] == [fields] * 4
 
 
 def test_select_stdin_input(capsys, monkeypatch):
@@ -334,7 +344,7 @@ def test_internal_errors_are_not_usage_errors(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("parent map contains a cycle")
 
-    monkeypatch.setattr("clmat.cli.build_all_candidates", broken)
+    monkeypatch.setattr("clmat.selection.build_all_candidates", broken)
     with pytest.raises(ValueError, match="cycle"):
         main(["select", _f4_file(tmp_path)])
     monkeypatch.setattr("clmat.simulator.shortest_path_search", broken)
@@ -598,6 +608,19 @@ def test_every_command_reports_a_disconnected_network_alike(capsys, tmp_path):
         3, "", "error: root z is not in the alive network\n")
 
 
+def test_every_command_reports_an_empty_network_alike(capsys, tmp_path):
+    """An empty network has no tree to span it; trees still prints its header."""
+    path = tmp_path / "empty.json"
+    path.write_text('{"nodes": []}', encoding="utf-8")
+    commands = [["select"], ["compare", "--policies", "clmat,max-energy,random,fixed:a"]]
+    commands += [["simulate", "--policy", p] for p in ("clmat", "max-energy", "random", "fixed:a")]
+    for argv in commands:
+        assert _run(capsys, argv[:1] + [str(path)] + argv[1:]) == (
+            3, "", "error: no candidate tree spans every node\n"), argv
+    assert _run(capsys, ["trees", str(path)]) == (
+        0, "root  energy_J  cost  distance  depth  spanning\n", "")
+
+
 def _menu(session: str) -> str:
     out = io.StringIO()
     run_menu(io.StringIO(session), out)
@@ -775,10 +798,8 @@ def test_scoring_searches_each_root_once_and_builds_only_the_chosen_tree(
         assert counts == {"searches": len(g) + trees_built, "trees": trees_built}, (command, fmt)
     capsys.readouterr()
     counts.update(searches=0, trees=0)
-    result = select_aggregator(g, cost, energy,
-                               tx_energy=RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy)
-    assert counts == {"searches": len(g) + 1, "trees": 1}
-    assert result.tree == shortest_path_tree(g, result.chosen_root)
+    select_aggregator(g, cost, energy, tx_energy=RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy)
+    assert counts == {"searches": len(g), "trees": 0}
 
 
 def test_simulate_and_compare_build_no_tree_and_share_drains(tmp_path, capsys, counts):

@@ -104,7 +104,7 @@ def test_scored_tree_energy_matches_tree_energy_on_every_root(energies, connecte
                 tree = shortest_path_tree(g, v)
                 expected.append(tree_energy(tree, g, variant) if tree.parent else None)
             scored = build_all_candidates(g, energy_variant=variant)
-            assert [c.metrics.tree_energy for c in scored] == expected
+            assert [c.energy for c in scored] == expected
     with pytest.raises(ValueError):
         build_all_candidates(f4(), energy_variant="median")
 

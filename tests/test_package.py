@@ -1,5 +1,6 @@
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import clmat
@@ -26,7 +27,6 @@ EXPORTED = {
     "SelectionResult",
     "SimConfig",
     "SimState",
-    "TreeMetrics",
     "build_all_candidates",
     "compare_policies",
     "compare_trees",
@@ -60,7 +60,7 @@ def test_tree_walk_scorers_and_graph_copies_are_not_in_the_library():
     for name in ("tree_energy", "tree_cost", "total_distance", "clmat_edge_cost"):
         assert not hasattr(clmat, name)
         assert not hasattr(clmat.metrics, name)
-    for name in ("restricted", "with_energies"):
+    for name in ("restricted", "with_energies", "distance"):
         assert not hasattr(NetworkGraph, name)
     for name in ("SingletonTree", "UnreachableNode"):
         assert not hasattr(errors, name)
@@ -105,17 +105,46 @@ def test_no_module_imports_a_name_it_never_reads():
     assert found == {}
 
 
+def _attribute_uses(tree) -> tuple[Counter, Counter]:
+    """Counts of each attribute name in tree called, as x.name(...), and loaded uncalled."""
+    funcs = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    calls, loads = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            (calls if id(node) in funcs else loads)[node.attr] += 1
+    return calls, loads
+
+
 def _unread_public_names(sources: dict[str, str], exported) -> list[str]:
     """module.name for each public top-level function, class or constant of the
     sources (module name -> source) that is neither exported nor read anywhere
-    in them outside its own definition.
+    in them outside its own definition, then module.Class.name for each public
+    method of a public class that is neither called nor referenced anywhere in
+    them outside its own definition. Dunder methods are exempt.
 
     A name counts as read where it is loaded, taken as an attribute or
-    imported from a module.
+    imported from a module. A method counts as called at x.name(...), and as
+    referenced where x.name is loaded uncalled, unless some class also has a
+    field or attribute of that name, which x.name would read just as well (a
+    Link.distance field says nothing of a distance method).
     """
     defined, read = [], set()
+    methods, fields, calls, loads = [], set(), Counter(), Counter()
     for module, source in sources.items():
-        for node in ast.parse(source).body:
+        tree = ast.parse(source)
+        called, loaded = _attribute_uses(tree)
+        calls += called
+        loads += loaded
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                fields.update(s.target.id for s in node.body
+                              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                fields.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                methods += [(module, node.name, f) for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
             names = set()
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = {node.name}
@@ -132,8 +161,16 @@ def _unread_public_names(sources: dict[str, str], exported) -> list[str]:
                 elif isinstance(sub, ast.ImportFrom):
                     inside.update(a.name for a in sub.names)
             read |= inside - names
-    return [f"{module}.{name}" for module, name in defined
-            if name not in exported and name not in read]
+    unread = [f"{module}.{name}" for module, name in defined
+              if name not in exported and name not in read]
+    for module, cls, method in methods:
+        own_calls, own_loads = _attribute_uses(method)
+        uses = calls[method.name] - own_calls[method.name]
+        if method.name not in fields:
+            uses += loads[method.name] - own_loads[method.name]
+        if not uses:
+            unread.append(f"{module}.{cls}.{method.name}")
+    return unread
 
 
 def test_unread_public_name_check_flags_only_test_only_names():
@@ -146,6 +183,24 @@ def test_unread_public_name_check_flags_only_test_only_names():
               "def _private():\n    pass\n"),
     }
     assert _unread_public_names(sources, {"run"}) == ["a.UNUSED", "a.recurse"]
+
+
+def test_unread_public_name_check_flags_only_unused_methods():
+    sources = {
+        "a": ("class Link:\n    length: float\n"
+              "class Graph:\n    def length(self):\n        return 0.0\n"
+              "    def grow(self):\n        return self.grow()\n"
+              "    def size(self):\n        return 1\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def _spare(self):\n        pass\n"
+              "class Radio:\n    def tx(self, d):\n        return d\n"
+              "class _View:\n    def spare(self):\n        pass\n"),
+        "b": ("from a import Graph, Link, Radio, _View\n"
+              "def run(link, graph, radio):\n"
+              "    return link.length, graph.size(), map(radio.tx, [1]), _View\n"),
+    }
+    assert _unread_public_names(sources, {"Graph", "Link", "Radio", "run"}) == [
+        "a.Graph.length", "a.Graph.grow"]
 
 
 def test_every_public_library_name_is_exported_or_read_in_the_library():

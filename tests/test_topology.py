@@ -16,7 +16,7 @@ from clmat.topology import (
     random_topology,
 )
 
-from graphgen import f4, random_connected_graph, restricted, with_energies
+from graphgen import f4, link_distance, random_connected_graph, restricted, with_energies
 
 
 def test_add_vertex_first_insertion():
@@ -118,17 +118,17 @@ def test_add_edge_nonpositive_distance(bad):
 def test_undirected_adjacency_symmetric():
     g = f4()
     for link in g.links:
-        assert g.distance(link.u, link.v) == g.distance(link.v, link.u)
+        assert link_distance(g, link.u, link.v) == link_distance(g, link.v, link.u)
 
 
 def test_diagonal_zero_absent_infinite():
     g = f4()
     for name in g.node_ids():
-        assert g.distance(name, name) == 0.0
-    assert math.isinf(g.distance("A", "D"))
-    assert math.isinf(g.distance("A", "Z"))
-    assert math.isinf(g.distance("Z", "A"))
-    assert g.distance("Z", "Z") == 0.0
+        assert link_distance(g, name, name) == 0.0
+    assert math.isinf(link_distance(g, "A", "D"))
+    assert math.isinf(link_distance(g, "A", "Z"))
+    assert math.isinf(link_distance(g, "Z", "A"))
+    assert link_distance(g, "Z", "Z") == 0.0
 
 
 def test_add_edge_overwrites_existing_pair():
@@ -138,7 +138,7 @@ def test_add_edge_overwrites_existing_pair():
     g.add_edge("A", "B", 2.0)
     g.add_edge("B", "A", 7.0)
     assert len(g.links) == 1
-    assert g.distance("A", "B") == 7.0
+    assert link_distance(g, "A", "B") == 7.0
 
 
 def test_readd_overwrites_in_place_in_both_orders_and_keeps_link_order():
@@ -156,7 +156,7 @@ def test_readd_overwrites_in_place_in_both_orders_and_keeps_link_order():
     assert [(l.u, l.v, l.distance) for l in g.links] == [
         ("A", "B", 7.0), ("C", "B", 5.0), ("C", "D", 6.0)]
     assert g.links[:2] == first and all(a is b for a, b in zip(g.links, first))
-    assert (g.distance("A", "B"), g.distance("B", "C"), g.distance("D", "C")) == (7.0, 5.0, 6.0)
+    assert (link_distance(g, "A", "B"), link_distance(g, "B", "C"), link_distance(g, "D", "C")) == (7.0, 5.0, 6.0)
 
 
 def test_readd_does_not_scan_links():
@@ -201,7 +201,7 @@ def test_add_edge_matches_scan_reference(adds):
             stored[2] = float(d)
     assert [[l.u, l.v, l.distance] for l in g.links] == want
     for u, v, d in want:
-        assert g.distance(u, v) == g.distance(v, u) == d
+        assert link_distance(g, u, v) == link_distance(g, v, u) == d
     # each link is stored once: both adjacency entries are the Link held in links
     held = {frozenset((l.u, l.v)): l for l in g.links}
     ids = g.node_ids()
@@ -295,7 +295,7 @@ def test_load_minimal_two_node():
            "edges": [{"u": "a", "v": "b", "distance": 1.5}]}
     g = load_topology(json.dumps(doc))
     assert len(g) == 2
-    assert g.distance("a", "b") == 1.5
+    assert link_distance(g, "a", "b") == 1.5
     assert g.link_energy("a", "b") == 2.0
 
 
@@ -407,7 +407,7 @@ def test_add_edge_stores_each_accepted_distance_as_a_float(distance):
     g.add_vertex("A", 5.0)
     g.add_vertex("B", 5.0)
     g.add_edge("A", "B", distance)
-    stored = g.distance("A", "B")
+    stored = link_distance(g, "A", "B")
     assert type(stored) is float and type(g.links[0].distance) is float
     assert stored == float(distance)
 
@@ -461,7 +461,7 @@ def test_csv_import():
     g = load_topology_csv(nodes, edges)
     assert g.node_ids() == ["a", "b"]
     assert g.node("b").position == (3.0, 4.0)
-    assert g.distance("a", "b") == 5.0
+    assert link_distance(g, "a", "b") == 5.0
 
 
 def test_csv_import_without_positions():

@@ -20,6 +20,7 @@ from clmat.trees import (
 from graphgen import (
     depth_by_walk,
     f4,
+    link_distance,
     random_connected_graph,
     restricted,
     scan_shortest_path_tree,
@@ -201,7 +202,7 @@ def test_search_after_each_mutation_matches_oracle_and_rebuilt_graph(seed, n, da
     for k in range(data.draw(st.integers(1, 8), label="steps")):
         ids = g.node_ids()
         absent = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
-                  if math.isinf(g.distance(u, v))]
+                  if math.isinf(link_distance(g, u, v))]
         kinds = ["vertex"] + ["fresh"] * bool(absent) + ["readd"] * bool(g.links)
         kind = data.draw(st.sampled_from(kinds), label="kind")
         if kind == "vertex":
@@ -267,7 +268,7 @@ def test_parent_consistency_exact():
         root = rng.choice(g.node_ids())
         tree = shortest_path_tree(g, root)
         for v, p in tree.parent.items():
-            assert tree.dist[v] - tree.dist[p] == g.distance(p, v)
+            assert tree.dist[v] - tree.dist[p] == link_distance(g, p, v)
 
 
 def test_build_all_candidates_f4():
@@ -275,7 +276,7 @@ def test_build_all_candidates_f4():
     candidates = build_all_candidates(g)
     assert [c.root for c in candidates] == ["A", "B", "C", "D"]
     assert all(c.spanning for c in candidates)
-    assert candidates[0].metrics.total_distance == 10.0
+    assert candidates[0].distance == 10.0
 
 
 def test_build_all_candidates_metrics_recompute():
@@ -284,9 +285,9 @@ def test_build_all_candidates_metrics_recompute():
         g = random_connected_graph(rng)
         for c in build_all_candidates(g):
             tree = shortest_path_tree(g, c.root)
-            assert c.metrics.tree_energy == tree_energy(tree, g, NODE_MIN)
-            assert c.metrics.tree_cost == tree_cost(tree, g)
-            assert c.metrics.total_distance == total_distance(tree)
+            assert c.energy == tree_energy(tree, g, NODE_MIN)
+            assert c.cost == tree_cost(tree, g)
+            assert c.distance == total_distance(tree)
             assert c.depth == tree.depth
 
 
@@ -295,9 +296,9 @@ def test_build_all_candidates_singleton():
     g.add_vertex("only", 2.0)
     (c,) = build_all_candidates(g)
     assert c.spanning
-    assert c.metrics.tree_energy is None
-    assert c.metrics.tree_cost == 0.0
-    assert c.metrics.total_distance == 0.0
+    assert c.energy is None
+    assert c.cost == 0.0
+    assert c.distance == 0.0
 
 
 def test_build_all_candidates_isolated_node():

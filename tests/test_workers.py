@@ -49,8 +49,8 @@ def _exact(candidates):
     """Candidates with every float as float.hex, so a flipped bit or sign shows."""
     def bits(x):
         return None if x is None else x.hex()
-    return [(c.root, c.depth, c.spanning, bits(c.metrics.tree_energy),
-             bits(c.metrics.tree_cost), bits(c.metrics.total_distance)) for c in candidates]
+    return [(c.root, c.depth, c.spanning, bits(c.energy),
+             bits(c.cost), bits(c.distance)) for c in candidates]
 
 
 def _exact_rows(rows):
@@ -63,10 +63,7 @@ def _selection(graph, cost, energy, rule):
         result = select_aggregator(graph, cost, energy, rule, TX_ENERGY)
     except errors.NoSpanningCandidate as exc:
         return str(exc)
-    tree = result.tree
-    return (result.chosen_root, _exact([result.ranking[0]]), _exact(result.ranking),
-            tree.root, list(tree.parent.items()),
-            [(v, d.hex()) for v, d in tree.dist.items()], tree.depth)
+    return result.chosen_root, _exact(result.ranking)
 
 
 @pytest.mark.referee
@@ -214,7 +211,16 @@ def test_a_missing_tx_energy_raises_before_any_fork():
     # with no link no tree has an edge, so no residual cost needs tx_energy
     lone = load_topology('{"nodes": [{"id": "a", "energy": 1}, {"id": "b", "energy": 2}]}')
     with usable_cpus(3, chunk_work=1):
-        assert [c.metrics.tree_cost for c in build_all_candidates(lone, RESIDUAL)] == [0.0, 0.0]
+        assert [c.cost for c in build_all_candidates(lone, RESIDUAL)] == [0.0, 0.0]
+    assert_no_children()
+
+
+def test_an_unknown_tie_rule_raises_before_any_fork():
+    g = tie_heavy_graph(random.Random(5), 9, isolated=False)
+    with usable_cpus(3, chunk_work=1) as fork:
+        with pytest.raises(ValueError, match="^unknown tie rule 'bogus'$"):
+            select_aggregator(g, tie_rule="bogus")
+    assert fork.call_count == 0
     assert_no_children()
 
 
