@@ -14,6 +14,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 from .errors import ClmatError, NoSpanningCandidate
@@ -203,10 +204,9 @@ def _parse_radio(text: str) -> RadioModel:
     if len(parts) != 4:
         raise UsageError("--radio expects tx_fixed,tx_dist_coeff,exponent,rx_cost")
     try:
-        model = RadioModel(float(parts[0]), float(parts[1]), int(parts[2]), float(parts[3]))
+        return RadioModel(float(parts[0]), float(parts[1]), int(parts[2]), float(parts[3]))
     except ValueError as exc:
         raise UsageError(f"bad --radio value: {exc}") from exc
-    return model
 
 
 def _add_input_args(sub) -> None:
@@ -236,12 +236,13 @@ def _add_selection_args(sub) -> None:
 
 
 def _add_run_args(sub) -> None:
-    sub.add_argument("--rounds", type=int, default=1000, help="horizon (default: %(default)s)")
-    sub.add_argument("--reselect-every", type=int, default=1,
+    sub.add_argument("--rounds", type=int, default=SimConfig.max_rounds,
+                     help="horizon (default: %(default)s)")
+    sub.add_argument("--reselect-every", type=int, default=SimConfig.reselect_every,
                      help="rounds between re-picks by max-energy and random; every "
                           "policy re-picks after a death, and clmat and fixed:<id> "
                           "only then (default: %(default)s)")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=SimConfig.seed)
 
 
 @functools.cache
@@ -360,11 +361,10 @@ def _cmd_select(args) -> int:
 
 def _sim_config(args, policies) -> SimConfig:
     """The run's config, with every argument error raised as a UsageError."""
-    config = SimConfig(radio=args.radio, max_rounds=args.rounds,
-                       reselect_every=args.reselect_every, tie_rule=args.tie,
-                       seed=args.seed)
     try:
-        config.validate()
+        config = SimConfig(radio=args.radio, max_rounds=args.rounds,
+                           reselect_every=args.reselect_every, tie_rule=args.tie,
+                           seed=args.seed)
         for policy in policies:
             check_policy(policy)
     except ValueError as exc:
@@ -373,8 +373,12 @@ def _sim_config(args, policies) -> SimConfig:
 
 
 def _cmd_simulate(args) -> int:
-    graph = _load_input(args)
     config = _sim_config(args, [args.policy])
+    sinks = {None if path in (None, "-") else os.path.realpath(path)
+             for path in (args.output, args.trace)}  # None: stdout
+    if args.trace and len(sinks) == 1:
+        raise UsageError("-o and --trace must name two different outputs")
+    graph = _load_input(args)
     result = run_lifetime(graph, config, policy=args.policy,
                           stop_at_first_death=args.until == "first-death")
     _write_text(args.output, reports_csv(result.reports))
@@ -388,13 +392,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    graph = _load_input(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise UsageError("--policies must name at least one policy")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     config = _sim_config(args, policies)
+    graph = _load_input(args)
     lifetimes = compare_policies(graph, config, policies, random_trials=args.trials)
     rows = [("policy", "lifetime_rounds"), *((name, f"{life:g}") for name, life in lifetimes)]
     _write_text(args.output, (_table if args.format == "table" else _csv)(rows))

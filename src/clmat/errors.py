@@ -39,3 +39,6 @@ class NonPositiveResidual(ClmatError):
 
 class NoSpanningCandidate(ClmatError):
     """No candidate root reaches every node."""
+
+    def __init__(self, message: str = "no candidate tree spans every node"):
+        super().__init__(message)

@@ -27,8 +27,7 @@ COST_VARIANTS = (CLMAT, RESIDUAL)
 def residual_edge_cost(tx_uv: float, tx_vu: float,
                        residual_u: float, residual_v: float) -> float:
     """Per-packet transmission energy in each direction, normalized by residual energy."""
-    if residual_u <= 0:
-        raise NonPositiveResidual(f"residual energy must be positive, got {residual_u!r}")
-    if residual_v <= 0:
-        raise NonPositiveResidual(f"residual energy must be positive, got {residual_v!r}")
+    for residual in (residual_u, residual_v):
+        if residual <= 0:
+            raise NonPositiveResidual(f"residual energy must be positive, got {residual!r}")
     return tx_uv / residual_u + tx_vu / residual_v

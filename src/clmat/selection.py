@@ -47,24 +47,18 @@ def _tie_key(tie_rule: str):
     raise ValueError(f"unknown tie rule {tie_rule!r}")
 
 
-def pick_tree(entries, tie_rule: str = MIN_DEPTH):
-    """The chosen entry among (index, searched, total_distance) spanning candidates."""
-    return min(entries, key=_tie_key(tie_rule))
-
-
 def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> SelectionResult:
-    """Rank every candidate, spanning ones first, by the pick_tree key.
+    """Rank every candidate, spanning ones first, by tie_rule's _tie_key.
 
     The chosen candidate heads the ranking; NoSpanningCandidate is raised
     when it does not span.
     """
     tie_key = _tie_key(tie_rule)
-    candidates = list(candidates)
     entries = [(i, c, c.distance) for i, c in enumerate(candidates)]
     entries.sort(key=lambda e: (not e[1].spanning, tie_key(e)))
     ranking = [c for _, c, _ in entries]
     if not ranking or not ranking[0].spanning:
-        raise NoSpanningCandidate("no candidate tree spans every node")
+        raise NoSpanningCandidate()
     return SelectionResult(ranking[0].root, ranking)
 
 

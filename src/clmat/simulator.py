@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from .errors import NoSpanningCandidate
-from .selection import MIN_DEPTH, TIE_RULES, pick_tree
+from .selection import MIN_DEPTH, _tie_key
 from .trees import ShortestPaths, _fold, shortest_path_search
 
 
@@ -64,21 +64,28 @@ class RadioModel:
         return self.tx_fixed + self.tx_dist_coeff * amplifier
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """One run's settings, checked once, when built or replaced: ValueError if bad.
+
+    radio charges each round; max_rounds, at least 1, is the horizon;
+    reselect_every, at least 1, is the rounds between the cadence re-picks
+    that only max-energy and random make; tie_rule names a selection tie
+    rule; seed seeds random, the only policy that reads it.
+    """
+
     radio: RadioModel = field(default_factory=RadioModel)
     max_rounds: int = 1000
     reselect_every: int = 1
     tie_rule: str = MIN_DEPTH
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         if self.reselect_every < 1:
             raise ValueError("reselect_every must be at least 1")
-        if self.tie_rule not in TIE_RULES:
-            raise ValueError(f"unknown tie rule {self.tie_rule!r}")
+        _tie_key(self.tie_rule)
 
 
 @dataclass
@@ -189,7 +196,7 @@ class _AliveView:
         if paths is None:
             paths = shortest_path_search(self.graph, i, self.mask)
             if paths.reached != len(self.indices):
-                raise NoSpanningCandidate("no candidate tree spans every node")
+                raise NoSpanningCandidate()
             self._searches[i] = paths
         return paths
 
@@ -229,14 +236,14 @@ class _AliveView:
         return costs
 
 
-def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
+def _policy_chooser(policy: str, tie_key, rng: random.Random):
     """Resolve a policy name into (pick(view, state) -> root, reads_residuals).
 
     Each pick only names a root; the view's costs decide whether it has a
     tree. A pick that does not read residuals depends on the alive set
     alone, so its answer is fixed for the life of a view. policy is one
     check_policy has passed: run_lifetime and compare_policies check it
-    before any run.
+    before any run. clmat breaks ties by tie_key, a selection._tie_key.
     """
     if policy == "clmat":
         rows: dict[int, list[float]] = {}  # by root index: best of its latest search
@@ -268,7 +275,7 @@ def _policy_chooser(policy: str, tie_rule: str, rng: random.Random):
                 total = _fold(paths.best, indices)
                 least = min(least, total)
                 entries.append((i, paths, total))  # the tie key reads only .depth
-            return view.graph.nodes[pick_tree(entries, tie_rule)[0]].id
+            return view.graph.nodes[min(entries, key=tie_key)[0]].id
         return pick, False
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
@@ -305,16 +312,12 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
 def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
          first_view: _AliveView) -> LifetimeResult:
     """run_lifetime, with round 1 served by first_view: the view over every node."""
-    config.validate()
     if not graph.nodes:
-        raise NoSpanningCandidate("no candidate tree spans every node")
-    pick, reads_residuals = _policy_chooser(policy, config.tie_rule,
+        raise NoSpanningCandidate()
+    pick, reads_residuals = _policy_chooser(policy, _tie_key(config.tie_rule),
                                             random.Random(config.seed))
-    state = SimState(
-        initial={n.id: n.energy for n in graph.nodes},
-        drained_cum={n.id: 0.0 for n in graph.nodes},
-        alive=[n.id for n in graph.nodes],
-    )
+    state = SimState(initial={n.id: n.energy for n in graph.nodes},
+                     drained_cum={n.id: 0.0 for n in graph.nodes}, alive=graph.node_ids())
     reports: list[RoundReport] = []
     first_death: int | None = None
     delivered = 0

@@ -27,7 +27,6 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .errors import UnknownVertex
 from .metrics import (
     CLMAT,
     COST_VARIANTS,
@@ -150,10 +149,8 @@ def shortest_path_tree(graph, root: str) -> AggregationTree:
     shortest_path_search from root's index, as an AggregationTree whose dist
     and parent list the reached nodes in insertion order.
     """
-    ri = graph.get_index(root)
-    if ri == -1:
-        raise UnknownVertex(f"unknown vertex: {root}")
-    return search_tree(graph.node_ids(), root, shortest_path_search(graph, ri))
+    graph.node(root)  # UnknownVertex unless root is a vertex
+    return search_tree(graph.node_ids(), root, shortest_path_search(graph, graph.get_index(root)))
 
 
 def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
@@ -164,8 +161,7 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
     improves, using neither the adjacency nor a heap. Unreachable nodes keep
     +inf (the tree builder drops them instead).
     """
-    if graph.get_index(root) == -1:
-        raise UnknownVertex(f"unknown vertex: {root}")
+    graph.node(root)  # UnknownVertex unless root is a vertex
     dist = {name: (0.0 if name == root else math.inf) for name in graph.node_ids()}
     arcs = []
     for link in graph.links:

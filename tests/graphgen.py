@@ -355,7 +355,6 @@ def reference_run_lifetime(graph, config, policy="clmat",
     without the simulator's drain_round. run_lifetime must agree with it on
     every output and every exception.
     """
-    config.validate()
     if not graph.nodes:
         raise NoSpanningCandidate("no candidate tree spans every node")
     choose = _reference_chooser(policy, config, random.Random(config.seed))

@@ -246,6 +246,77 @@ def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     assert err.strip().startswith("usage error:")
 
 
+class _UnreadableStdin:
+    """A stdin, text or binary, that fails the test when read."""
+
+    @property
+    def buffer(self):
+        return self
+
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("source", ["{missing}", "-"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{input}", "--rounds", "0"],
+    ["simulate", "{input}", "--reselect-every", "0"],
+    ["simulate", "{input}", "--policy", "fixed:"],
+    ["simulate", "{input}", "--tie", "coin"],
+    ["simulate", "{input}", "-o", "{same}", "--trace", "{same}"],
+    ["simulate", "{input}", "--trace", "-"],
+    ["compare", "{input}", "--trials", "0"],
+    ["compare", "{input}", "--policies", ","],
+    ["compare", "{input}", "--policies", "clmat,bogus"],
+    ["compare", "{input}", "--rounds", "0"],
+])
+def test_usage_errors_come_before_any_input_is_read(capsys, tmp_path, monkeypatch,
+                                                    argv, source):
+    """A bad setting is a usage error (exit 1) even when the input is missing
+    (which alone is exit 2) or is stdin, which is never read."""
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    fill = {"{input}": source.replace("{missing}", str(tmp_path / "missing.json")),
+            "{same}": str(tmp_path / "same.csv")}
+    code, out, err = _run(capsys, [fill.get(a, a) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_TWO_SINKS = "usage error: -o and --trace must name two different outputs\n"
+
+
+@pytest.mark.parametrize("trace", ["same.csv", "./same.csv", "{abs}"])
+def test_simulate_rounds_and_trace_must_be_two_files(capsys, tmp_path, monkeypatch, trace):
+    monkeypatch.chdir(tmp_path)
+    topo = _f4_file(tmp_path)
+    argv = ["simulate", topo, "-o", "same.csv",
+            "--trace", trace.replace("{abs}", str(tmp_path / "same.csv"))]
+    assert _run(capsys, argv) == (1, "", _TWO_SINKS)
+    assert not (tmp_path / "same.csv").exists()
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "-"]])
+def test_simulate_rounds_and_trace_cannot_both_go_to_stdout(capsys, tmp_path, output):
+    topo = _f4_file(tmp_path)
+    assert _run(capsys, ["simulate", topo, *output, "--trace", "-"]) == (1, "", _TWO_SINKS)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f4.json"]
+
+
+def test_simulate_trace_to_stdout_beside_a_rounds_file(capsys, tmp_path):
+    topo = _f4_file(tmp_path)
+    rounds = tmp_path / "rounds.csv"
+    argv = ["simulate", topo, "--radio", "0.3,0.01,2,0.2", "--rounds", "20"]
+    _, rounds_out, _ = _run(capsys, argv)
+    _run(capsys, [*argv, "-o", str(rounds), "--trace", str(tmp_path / "t.csv")])
+    code, out, err = _run(capsys, [*argv, "-o", str(rounds), "--trace", "-"])
+    assert code == 0 and err.startswith("lifetime: ")
+    assert out == (tmp_path / "t.csv").read_text(encoding="utf-8")
+    assert out.startswith("round,node,residual\n")
+    assert rounds.read_text(encoding="utf-8") == rounds_out
+
+
 def _clmat(argv, stdin=b""):
     """Run the clmat CLI in a fresh interpreter in UTF-8 mode, where sys.stdin
     decodes with surrogateescape and translates no newlines."""

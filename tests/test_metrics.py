@@ -115,10 +115,11 @@ def test_residual_edge_cost_example():
 
 
 def test_residual_edge_cost_nonpositive():
-    with pytest.raises(errors.NonPositiveResidual):
-        residual_edge_cost(0.2, 0.2, 0.0, 2.0)
-    with pytest.raises(errors.NonPositiveResidual):
-        residual_edge_cost(0.2, 0.2, 2.0, -1.0)
+    # the first nonpositive residual is named
+    for residuals, named in [((0.0, 2.0), "0.0"), ((2.0, -1.0), "-1.0"), ((-2.0, -1.0), "-2.0")]:
+        with pytest.raises(errors.NonPositiveResidual) as info:
+            residual_edge_cost(0.2, 0.2, *residuals)
+        assert str(info.value) == f"residual energy must be positive, got {named}"
 
 
 def test_clmat_edge_cost_example():

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clmat import cli, errors, simulator
+from clmat.selection import select_aggregator
 from clmat.simulator import (
     RadioModel,
     SimConfig,
@@ -74,15 +75,29 @@ def test_radio_model_rejects_non_finite(field, bad):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(max_rounds=0).validate()
-    with pytest.raises(ValueError):
-        SimConfig(reselect_every=0).validate()
-    with pytest.raises(ValueError):
-        SimConfig(tie_rule="coin").validate()
-    g = two_node()
-    with pytest.raises(ValueError):
-        run_lifetime(g, SimConfig(max_rounds=0))
+    """A SimConfig checks its settings when it is built or replaced, and is frozen."""
+    with pytest.raises(ValueError, match="^max_rounds must be at least 1$"):
+        SimConfig(max_rounds=0)
+    with pytest.raises(ValueError, match="^reselect_every must be at least 1$"):
+        SimConfig(reselect_every=0)
+    cfg = SimConfig()
+    with pytest.raises(ValueError, match="^max_rounds must be at least 1$"):
+        dataclasses.replace(cfg, max_rounds=0)
+    with pytest.raises(ValueError, match="^reselect_every must be at least 1$"):
+        dataclasses.replace(cfg, reselect_every=-3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_rounds = 0
+    assert cfg.max_rounds == 1000
+
+
+def test_config_tie_rule_is_checked_by_selection():
+    with pytest.raises(ValueError) as built:
+        SimConfig(tie_rule="coin")
+    with pytest.raises(ValueError) as selected:
+        select_aggregator(two_node(), tie_rule="coin")
+    assert str(built.value) == str(selected.value) == "unknown tie rule 'coin'"
+    with pytest.raises(ValueError, match="^unknown tie rule 'coin'$"):
+        dataclasses.replace(SimConfig(), tie_rule="coin")
 
 
 def test_drain_star():

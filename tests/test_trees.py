@@ -54,9 +54,9 @@ def test_unreachable_node_absent():
 
 
 def test_unknown_root():
-    with pytest.raises(errors.UnknownVertex):
+    with pytest.raises(errors.UnknownVertex, match="^unknown vertex: Z$"):
         shortest_path_tree(f4(), "Z")
-    with pytest.raises(errors.UnknownVertex):
+    with pytest.raises(errors.UnknownVertex, match="^unknown vertex: Z$"):
         oracle_shortest_paths(f4(), "Z")
 
 
