@@ -2,7 +2,7 @@
 
 from .errors import ClmatError, NoSpanningCandidate
 from .metrics import CLMAT, EDGE_MIN, NODE_MIN, RESIDUAL, residual_edge_cost
-from .selection import FIRST_MIN, MIN_DEPTH, SelectionResult, compare_trees, select_aggregator
+from .selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from .simulator import (
     LifetimeResult,
     RadioModel,
@@ -49,7 +49,6 @@ __all__ = [
     "RESIDUAL",
     "RadioModel",
     "RoundReport",
-    "SelectionResult",
     "SimConfig",
     "SimState",
     "build_all_candidates",

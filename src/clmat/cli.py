@@ -8,6 +8,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -19,11 +20,12 @@ import sys
 
 from .errors import ClmatError, NoSpanningCandidate
 from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN
-from .selection import MIN_DEPTH, TIE_RULES, SelectionResult, select_aggregator
+from .selection import MIN_DEPTH, TIE_RULES, select_aggregator
 from .simulator import (
     RadioModel,
     SimConfig,
     check_policy,
+    check_random_trials,
     compare_policies,
     reports_csv,
     residual_trace_csv,
@@ -117,12 +119,11 @@ def render_candidates(candidates) -> str:
     return _table([_COLUMNS] + [_cells(c) for c in candidates])
 
 
-def render_ranking(result: SelectionResult) -> str:
-    """Ranking table ordered by the selection key, chosen root starred."""
-    rows = [_COLUMNS + ("chosen",)]
-    for c in result.ranking:
-        rows.append(_cells(c) + ["*" if c.root == result.chosen_root else ""])
-    return _table(rows) + f"chosen aggregator: {_escape(result.chosen_root)}\n"
+def render_ranking(ranking) -> str:
+    """Ranking table ordered by the selection key, the chosen root, ranking[0], starred."""
+    rows = [_COLUMNS + ("chosen",), _cells(ranking[0]) + ["*"]]
+    rows += [_cells(c) + [""] for c in ranking[1:]]
+    return _table(rows) + f"chosen aggregator: {_escape(ranking[0].root)}\n"
 
 
 def export_dot(graph: NetworkGraph, tree=None) -> str:
@@ -177,12 +178,26 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write_text(*outputs) -> None:
+    """Write each (path, text) pair to path, or to stdout for None or '-',
+    opening every file before writing any text."""
+    with contextlib.ExitStack() as files:
+        sinks = [sys.stdout if path is None or path == "-"
+                 else files.enter_context(open(path, "w", encoding="utf-8"))
+                 for path, _ in outputs]
+        for sink, (_, text) in zip(sinks, outputs):
+            sink.write(text)
+
+
+def _sink_identity(path: str | None):
+    """(device, inode) of the file path writes to, stdout's for None or '-'; '-'
+    for a stdout with no file, and path resolved while no file is there."""
+    stdout = path is None or path == "-"
+    try:
+        st = os.fstat(sys.stdout.fileno()) if stdout else os.stat(path)
+    except OSError:
+        return "-" if stdout else os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def _load_input(args) -> NetworkGraph:
@@ -324,7 +339,7 @@ def _cmd_gen(args) -> int:
                                 args.energy_lo, args.energy_hi, args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write_text(args.output, export_json(graph))
+    _write_text((args.output, export_json(graph)))
     return 0
 
 
@@ -337,31 +352,32 @@ def _cmd_trees(args) -> int:
         out = _csv([_FIELDS, *map(_cells, candidates)])
     else:
         out = json.dumps({"candidates": [_record(c) for c in candidates]}, indent=2) + "\n"
-    _write_text(args.output, out)
+    _write_text((args.output, out))
     return 0
 
 
 def _cmd_select(args) -> int:
     graph = _load_input(args)
-    result = select_aggregator(graph, args.cost, args.energy, args.tie, args.radio.tx_energy)
+    ranking = select_aggregator(graph, args.cost, args.energy, args.tie, args.radio.tx_energy)
     if args.format == "table":
-        out = render_ranking(result)
+        out = render_ranking(ranking)
     elif args.format == "json":
-        ranking = [_record(c) for c in result.ranking]  # the chosen root's first
+        records = [_record(c) for c in ranking]  # the chosen root's first
         out = json.dumps({
-            "chosen_root": result.chosen_root,
-            "metrics": {key: ranking[0][key] for key in ("energy", "cost", "distance")},
-            "ranking": ranking,
+            "chosen_root": ranking[0].root,
+            "metrics": {key: records[0][key] for key in ("energy", "cost", "distance")},
+            "ranking": records,
         }, indent=2) + "\n"
     else:
-        out = export_dot(graph, shortest_path_tree(graph, result.chosen_root))
-    _write_text(args.output, out)
+        out = export_dot(graph, shortest_path_tree(graph, ranking[0].root))
+    _write_text((args.output, out))
     return 0
 
 
-def _sim_config(args, policies) -> SimConfig:
+def _sim_config(args, policies, random_trials: int = 1) -> SimConfig:
     """The run's config, with every argument error raised as a UsageError."""
     try:
+        check_random_trials(random_trials)
         config = SimConfig(radio=args.radio, max_rounds=args.rounds,
                            reselect_every=args.reselect_every, tie_rule=args.tie,
                            seed=args.seed)
@@ -374,16 +390,13 @@ def _sim_config(args, policies) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     config = _sim_config(args, [args.policy])
-    sinks = {None if path in (None, "-") else os.path.realpath(path)
-             for path in (args.output, args.trace)}  # None: stdout
-    if args.trace and len(sinks) == 1:
+    if args.trace and _sink_identity(args.output) == _sink_identity(args.trace):
         raise UsageError("-o and --trace must name two different outputs")
     graph = _load_input(args)
     result = run_lifetime(graph, config, policy=args.policy,
                           stop_at_first_death=args.until == "first-death")
-    _write_text(args.output, reports_csv(result.reports))
-    if args.trace:
-        _write_text(args.trace, residual_trace_csv(graph, result.reports))
+    trace = [(args.trace, residual_trace_csv(graph, result.reports))] if args.trace else []
+    _write_text((args.output, reports_csv(result.reports)), *trace)
     death = result.first_death_round if result.first_death_round is not None else "none"
     print(f"lifetime: {result.lifetime} rounds (first death: {death}, "
           f"delivered: {result.delivered_packets} packets, "
@@ -395,13 +408,11 @@ def _cmd_compare(args) -> int:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise UsageError("--policies must name at least one policy")
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
-    config = _sim_config(args, policies)
+    config = _sim_config(args, policies, args.trials)
     graph = _load_input(args)
     lifetimes = compare_policies(graph, config, policies, random_trials=args.trials)
     rows = [("policy", "lifetime_rounds"), *((name, f"{life:g}") for name, life in lifetimes)]
-    _write_text(args.output, (_table if args.format == "table" else _csv)(rows))
+    _write_text((args.output, (_table if args.format == "table" else _csv)(rows)))
     return 0
 
 

@@ -6,8 +6,6 @@ the choice; the primary key is total distance alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NoSpanningCandidate
 from .metrics import CLMAT, NODE_MIN
 from .trees import Candidate, build_all_candidates
@@ -15,18 +13,6 @@ from .trees import Candidate, build_all_candidates
 MIN_DEPTH = "min-depth"
 FIRST_MIN = "first-min"
 TIE_RULES = (MIN_DEPTH, FIRST_MIN)
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """The chosen root and the ranking it heads.
-
-    The chosen root's scores are ranking[0]; its tree is
-    shortest_path_tree(graph, chosen_root).
-    """
-
-    chosen_root: str
-    ranking: list[Candidate]
 
 
 def _tie_key(tie_rule: str):
@@ -47,26 +33,24 @@ def _tie_key(tie_rule: str):
     raise ValueError(f"unknown tie rule {tie_rule!r}")
 
 
-def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> SelectionResult:
-    """Rank every candidate, spanning ones first, by tie_rule's _tie_key.
-
-    The chosen candidate heads the ranking; NoSpanningCandidate is raised
-    when it does not span.
-    """
+def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> list[Candidate]:
+    """Every candidate ranked by tie_rule's _tie_key, spanning ones first: the
+    chosen one, whose tree is shortest_path_tree(graph, ranking[0].root), heads
+    the list. NoSpanningCandidate is raised when it does not span."""
     tie_key = _tie_key(tie_rule)
     entries = [(i, c, c.distance) for i, c in enumerate(candidates)]
     entries.sort(key=lambda e: (not e[1].spanning, tie_key(e)))
     ranking = [c for _, c, _ in entries]
     if not ranking or not ranking[0].spanning:
         raise NoSpanningCandidate()
-    return SelectionResult(ranking[0].root, ranking)
+    return ranking
 
 
 def select_aggregator(graph, cost_variant: str = CLMAT,
                       energy_variant: str = NODE_MIN,
                       tie_rule: str = MIN_DEPTH,
-                      tx_energy=None) -> SelectionResult:
-    """Score every candidate root and pick the aggregator.
+                      tx_energy=None) -> list[Candidate]:
+    """Score every candidate root and rank them, the aggregator first.
 
     compare_trees over build_all_candidates: n searches and no tree. An
     unknown tie_rule raises ValueError before any root is scored.

@@ -162,6 +162,12 @@ def check_policy(policy: str) -> None:
         raise ValueError(f"unknown policy {policy!r}")
 
 
+def check_random_trials(random_trials: int) -> None:
+    """Raise ValueError unless the random policy gets at least one trial."""
+    if random_trials < 1:
+        raise ValueError("random_trials must be at least 1")
+
+
 class _AliveView:
     """What one alive set fixes: each root's search over the alive nodes,
     and the round costs of the roots picked.
@@ -364,8 +370,7 @@ def compare_policies(graph, config: SimConfig, policies,
     network, and its round costs computed, at most once. random_trials
     below 1 or an unknown policy name raises ValueError before any run.
     """
-    if random_trials < 1:
-        raise ValueError(f"random_trials must be at least 1, got {random_trials}")
+    check_random_trials(random_trials)
     for policy in policies:
         check_policy(policy)
     first_view = _AliveView(graph, graph.node_ids(), config.radio)

@@ -302,9 +302,9 @@ def _reference_chooser(policy, config, rng):
     """Per-round tree choosers over a view that carries residual energies."""
     if policy == "clmat":
         def choose(view):
-            result = select_aggregator(view, tie_rule=config.tie_rule,
-                                       tx_energy=config.radio.tx_energy)
-            return shortest_path_tree(view, result.chosen_root)
+            ranking = select_aggregator(view, tie_rule=config.tie_rule,
+                                        tx_energy=config.radio.tx_energy)
+            return shortest_path_tree(view, ranking[0].root)
         return choose
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]

@@ -36,10 +36,10 @@ def test_criterion_1_eight_candidate_selection_fixture():
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        result = compare_trees(candidates, MIN_DEPTH)
+        ranking = compare_trees(candidates, MIN_DEPTH)
         best = min(best, time.perf_counter() - t0)
-    assert result.chosen_root == "H"
-    c = result.ranking[0]
+    assert ranking[0].root == "H"
+    c = ranking[0]
     assert (c.energy, c.cost, c.distance) == (3.0, 22.378, 16.0)
     assert best < 0.001
     print(f"criterion 1 PASS: eight-candidate fixture -> H (3 J, 22.378, 16) "
@@ -70,7 +70,7 @@ def test_criterion_3_selection_oracle_equivalence():
         rng = random.Random(2000 + seed)
         g = random_connected_graph(rng)
         for rule in (MIN_DEPTH, FIRST_MIN):
-            assert select_aggregator(g, tie_rule=rule).chosen_root == brute_choice(g, rule)
+            assert select_aggregator(g, tie_rule=rule)[0].root == brute_choice(g, rule)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"criterion 3 PASS: chosen root equals exhaustive oracle on 200 graphs, "
@@ -115,10 +115,10 @@ def test_criterion_6_argmin_invariance():
         rng = random.Random(4000 + seed)
         g = random_connected_graph(rng)
         for rule in (MIN_DEPTH, FIRST_MIN):
-            base = select_aggregator(g, tie_rule=rule).chosen_root
+            base = select_aggregator(g, tie_rule=rule)[0].root
             for k in (0.5, 3.0, 10.0):
                 scaled = _scaled_copy(g, k)
-                assert select_aggregator(scaled, tie_rule=rule).chosen_root == base
+                assert select_aggregator(scaled, tie_rule=rule)[0].root == base
         before = _distance_minimal_roots(g)
         perturbed = with_energies(g, {v: rng.uniform(0.5, 50.0) for v in g.node_ids()})
         assert _distance_minimal_roots(perturbed) == before
@@ -195,7 +195,7 @@ def test_criterion_9_cli_round_trips(capsys, tmp_path):
 
     # deterministic DOT bytes
     g = f4()
-    tree = shortest_path_tree(g, select_aggregator(g).chosen_root)
+    tree = shortest_path_tree(g, select_aggregator(g)[0].root)
     assert export_dot(g, tree) == export_dot(g, tree)
     assert main(["select", str(path), "--format", "dot"]) == 0
     dot1 = capsys.readouterr().out

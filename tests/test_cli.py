@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from clmat import cli, simulator, trees
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
 from clmat.selection import select_aggregator
-from clmat.simulator import RadioModel, SimConfig, run_lifetime
+from clmat.simulator import RadioModel, SimConfig, compare_policies, run_lifetime
 from clmat.topology import NetworkGraph, export_json, load_topology, random_topology
 from clmat.trees import AggregationTree, Candidate, shortest_path_tree
 
@@ -284,17 +284,29 @@ def test_usage_errors_come_before_any_input_is_read(capsys, tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_and_library_state_the_trials_rule_alike(capsys, tmp_path):
+    with pytest.raises(ValueError) as exc:
+        compare_policies(f4(), SimConfig(), ["random"], random_trials=0)
+    assert _run(capsys, ["compare", _f4_file(tmp_path), "--trials", "0"]) == (
+        1, "", f"usage error: {exc.value}\n")
+
+
 _TWO_SINKS = "usage error: -o and --trace must name two different outputs\n"
 
 
-@pytest.mark.parametrize("trace", ["same.csv", "./same.csv", "{abs}"])
+@pytest.mark.parametrize("trace", ["same.csv", "./same.csv", "{abs}", "link.csv"])
 def test_simulate_rounds_and_trace_must_be_two_files(capsys, tmp_path, monkeypatch, trace):
     monkeypatch.chdir(tmp_path)
     topo = _f4_file(tmp_path)
+    if trace == "link.csv":  # a hard link: a second name for one existing file
+        (tmp_path / "same.csv").write_text("kept\n", encoding="utf-8")
+        os.link(tmp_path / "same.csv", tmp_path / "link.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     argv = ["simulate", topo, "-o", "same.csv",
             "--trace", trace.replace("{abs}", str(tmp_path / "same.csv"))]
     assert _run(capsys, argv) == (1, "", _TWO_SINKS)
-    assert not (tmp_path / "same.csv").exists()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert trace == "link.csv" or not (tmp_path / "same.csv").exists()
 
 
 @pytest.mark.parametrize("output", [[], ["-o", "-"]])
@@ -324,6 +336,35 @@ def _clmat(argv, stdin=b""):
     env = dict(os.environ, PYTHONUTF8="1", PYTHONPATH=src)
     return subprocess.run([sys.executable, "-m", "clmat.cli", *argv], input=stdin,
                           capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_simulate_rounds_and_trace_cannot_both_reach_stdout_by_name(tmp_path):
+    """/dev/stdout opens the file that '-' writes to, so the two are one output."""
+    run = _clmat(["simulate", _f4_file(tmp_path), "-o", "/dev/stdout", "--trace", "-"])
+    assert (run.returncode, run.stdout, run.stderr) == (1, b"", _TWO_SINKS.encode())
+
+
+@pytest.mark.parametrize("topology", ["f4", "split"])
+def test_simulate_writes_no_row_unless_every_output_opens(capsys, tmp_path, topology):
+    """Every output is opened after the run and before any is written: a trace
+    that cannot be opened leaves the rounds file empty (exit 2), and a network
+    that never spanned opens none (exit 3)."""
+    topo = _f4_file(tmp_path)
+    if topology == "split":
+        topo = tmp_path / "split.json"
+        topo.write_text('{"nodes": [{"id": "a", "energy": 1}, {"id": "b", "energy": 2}]}',
+                        encoding="utf-8")
+    rounds = tmp_path / "rounds.csv"
+    code, out, err = _run(capsys, ["simulate", str(topo), "-o", str(rounds),
+                                   "--trace", str(tmp_path / "nodir" / "t.csv")])
+    assert out == "" and err.count("\n") == 1
+    if topology == "f4":
+        assert code == 2 and err.startswith("error: ") and "nodir" in err
+        assert rounds.read_text(encoding="utf-8") == ""
+    else:
+        assert (code, err) == (3, "error: no candidate tree spans every node\n")
+        assert not rounds.exists()
 
 
 def test_stdin_is_read_exactly_like_a_path(tmp_path):
@@ -801,8 +842,8 @@ def test_display_graph_escapes_ids():
 
 
 def test_render_ranking_infinite_cost_cell(tmp_path):
-    result = select_aggregator(f4())
-    text = render_ranking(result)
+    ranking = select_aggregator(f4())
+    text = render_ranking(ranking)
     assert "inf" in text
 
 

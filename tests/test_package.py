@@ -24,7 +24,6 @@ EXPORTED = {
     "RESIDUAL",
     "RadioModel",
     "RoundReport",
-    "SelectionResult",
     "SimConfig",
     "SimState",
     "build_all_candidates",

@@ -37,46 +37,46 @@ def _candidate(root, distance, depth=1, energy=1.0, cost=0.0, spanning=True):
 
 
 def test_eight_candidate_fixture_min_depth_chooses_h():
-    result = compare_trees(eight_candidates(), MIN_DEPTH)
-    assert result.chosen_root == "H"
-    c = result.ranking[0]
+    ranking = compare_trees(eight_candidates(), MIN_DEPTH)
+    assert ranking[0].root == "H"
+    c = ranking[0]
     assert (c.energy, c.cost, c.distance) == (3.0, 22.378, 16.0)
 
 
 def test_eight_candidate_fixture_first_min_keeps_g():
-    result = compare_trees(eight_candidates(), FIRST_MIN)
-    assert result.chosen_root == "G"
-    assert result.ranking[0].distance == 16.0
+    ranking = compare_trees(eight_candidates(), FIRST_MIN)
+    assert ranking[0].root == "G"
+    assert ranking[0].distance == 16.0
 
 
 def test_eight_candidate_fixture_shallower_h_also_wins():
-    result = compare_trees(eight_candidates(g_depth=3, h_depth=2), MIN_DEPTH)
-    assert result.chosen_root == "H"
+    ranking = compare_trees(eight_candidates(g_depth=3, h_depth=2), MIN_DEPTH)
+    assert ranking[0].root == "H"
 
 
 def test_depth_beats_insertion_order():
     # on a distance tie the shallower tree wins even when inserted earlier
-    result = compare_trees(eight_candidates(g_depth=2, h_depth=3), MIN_DEPTH)
-    assert result.chosen_root == "G"
+    ranking = compare_trees(eight_candidates(g_depth=2, h_depth=3), MIN_DEPTH)
+    assert ranking[0].root == "G"
 
 
 def test_single_candidate():
     (only,) = [_candidate("X", 42.0)]
-    result = compare_trees([only])
-    assert result.chosen_root == "X"
+    ranking = compare_trees([only])
+    assert ranking[0].root == "X"
 
 
 def test_unique_minimum():
     cands = [_candidate("a", 10.0), _candidate("b", 7.0), _candidate("c", 9.0)]
     for rule in (MIN_DEPTH, FIRST_MIN):
-        assert compare_trees(cands, rule).chosen_root == "b"
+        assert compare_trees(cands, rule)[0].root == "b"
 
 
 def test_non_spanning_excluded():
     cands = [_candidate("near", 1.0, spanning=False), _candidate("far", 50.0)]
-    result = compare_trees(cands)
-    assert result.chosen_root == "far"
-    assert [c.root for c in result.ranking] == ["far", "near"]
+    ranking = compare_trees(cands)
+    assert ranking[0].root == "far"
+    assert [c.root for c in ranking] == ["far", "near"]
 
 
 def test_no_spanning_candidate_raises():
@@ -93,9 +93,9 @@ def test_bad_tie_rule():
 
 def test_f4_tie_rules_differ():
     g = f4()
-    assert select_aggregator(g, tie_rule=MIN_DEPTH).chosen_root == "C"
-    assert select_aggregator(g, tie_rule=FIRST_MIN).chosen_root == "B"
-    assert select_aggregator(g).ranking[0].distance == 6.0
+    assert select_aggregator(g, tie_rule=MIN_DEPTH)[0].root == "C"
+    assert select_aggregator(g, tie_rule=FIRST_MIN)[0].root == "B"
+    assert select_aggregator(g)[0].distance == 6.0
 
 
 def test_complete_graph_symmetry_tie():
@@ -104,24 +104,24 @@ def test_complete_graph_symmetry_tie():
         g.add_vertex(name, 1.0)
     for u, v in [("n0", "n1"), ("n0", "n2"), ("n1", "n2")]:
         g.add_edge(u, v, 1.0)
-    assert select_aggregator(g, tie_rule=MIN_DEPTH).chosen_root == "n2"
-    assert select_aggregator(g, tie_rule=FIRST_MIN).chosen_root == "n0"
+    assert select_aggregator(g, tie_rule=MIN_DEPTH)[0].root == "n2"
+    assert select_aggregator(g, tie_rule=FIRST_MIN)[0].root == "n0"
 
 
 def test_singleton_graph():
     g = NetworkGraph()
     g.add_vertex("solo", 4.0)
-    result = select_aggregator(g)
-    assert result.chosen_root == "solo"
-    c = result.ranking[0]
+    ranking = select_aggregator(g)
+    assert ranking[0].root == "solo"
+    c = ranking[0]
     assert (c.energy, c.cost, c.distance) == (None, 0.0, 0.0)
 
 
 def test_ranking_order():
     g = f4()
-    result = select_aggregator(g)
-    assert result.ranking[0].root == result.chosen_root
-    distances = [c.distance for c in result.ranking]
+    ranking = select_aggregator(g)
+    assert ranking[0].root == brute_choice(g, MIN_DEPTH)
+    distances = [c.distance for c in ranking]
     assert distances == sorted(distances)
 
 
@@ -129,9 +129,9 @@ def test_chosen_distance_is_minimal_over_spanning():
     rng = random.Random(24)
     for _ in range(20):
         g = random_connected_graph(rng)
-        result = select_aggregator(g)
-        floor = min(c.distance for c in result.ranking if c.spanning)
-        assert result.ranking[0].distance == floor
+        ranking = select_aggregator(g)
+        floor = min(c.distance for c in ranking if c.spanning)
+        assert ranking[0].distance == floor
 
 
 def test_ranking_puts_non_spanning_last():
@@ -144,9 +144,9 @@ def test_ranking_puts_non_spanning_last():
         compare_trees(cands)
     # force one spanning entry to check ordering of the rest
     cands = [dataclasses.replace(c, spanning=c.root == "A") for c in cands]
-    result = compare_trees(cands)
-    assert result.ranking[0].root == "A"
-    assert all(not c.spanning for c in result.ranking[1:])
+    ranking = compare_trees(cands)
+    assert ranking[0].root == "A"
+    assert all(not c.spanning for c in ranking[1:])
 
 
 def _scaled_copy(g, k):
@@ -163,9 +163,9 @@ def test_scaling_leaves_choice_unchanged():
     for _ in range(20):
         g = random_connected_graph(rng)
         for rule in (MIN_DEPTH, FIRST_MIN):
-            base = select_aggregator(g, tie_rule=rule).chosen_root
+            base = select_aggregator(g, tie_rule=rule)[0].root
             for k in (0.5, 3.0, 10.0):
-                assert select_aggregator(_scaled_copy(g, k), tie_rule=rule).chosen_root == base
+                assert select_aggregator(_scaled_copy(g, k), tie_rule=rule)[0].root == base
 
 
 def _distance_minimal_roots(g):
@@ -215,7 +215,7 @@ def test_brute_force_oracle_agreement():
     for _ in range(40):
         g = random_connected_graph(rng)
         for rule in (MIN_DEPTH, FIRST_MIN):
-            assert select_aggregator(g, tie_rule=rule).chosen_root == brute_choice(g, rule)
+            assert select_aggregator(g, tie_rule=rule)[0].root == brute_choice(g, rule)
 
 
 TX_ENERGY = RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy
@@ -254,7 +254,7 @@ def test_scores_match_trees_built_independently(seed, n, isolated):
                         select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
                     continue
                 ranked = compare_trees(got, rule)
-                assert ranked.ranking == compare_trees(want, rule).ranking
-                result = select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
-                assert result.chosen_root == ranked.chosen_root == brute_choice(g, rule)
-                assert result.ranking == ranked.ranking
+                assert ranked == compare_trees(want, rule)
+                ranking = select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
+                assert ranking[0].root == ranked[0].root == brute_choice(g, rule)
+                assert ranking == ranked

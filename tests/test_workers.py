@@ -60,10 +60,10 @@ def _exact_rows(rows):
 def _selection(graph, cost, energy, rule):
     """A selection's exact outcome, or the NoSpanningCandidate message."""
     try:
-        result = select_aggregator(graph, cost, energy, rule, TX_ENERGY)
+        ranking = select_aggregator(graph, cost, energy, rule, TX_ENERGY)
     except errors.NoSpanningCandidate as exc:
         return str(exc)
-    return result.chosen_root, _exact(result.ranking)
+    return ranking[0].root, _exact(ranking)
 
 
 @pytest.mark.referee
