@@ -11,11 +11,13 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import functools
 import io
 import json
 import math
 import os
+import stat
 import sys
 
 from .errors import ClmatError, NoSpanningCandidate
@@ -178,13 +180,48 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
+def _stdout():
+    """sys.stdout, or an OSError when the process started with fd 1 closed."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
+def _open_in_place(path, flags):
+    # open()'s flags without O_TRUNC: an existing file keeps its blocks
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _cut(fh) -> None:
+    """Flush fh and cut its file at the bytes written, even when the flush fails."""
+    try:
+        fh.flush()
+    finally:
+        fd = fh.fileno()
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _write_text(*outputs) -> None:
     """Write each (path, text) pair to path, or to stdout for None or '-',
-    opening every file before writing any text."""
+    opening every file before writing any text.
+
+    An existing file is rewritten in place, not truncated on open: each regular
+    file is cut to the bytes written when the writes end, so a run that
+    succeeds leaves exactly its text, a failed open leaves the files opened
+    before it empty, and a failed write leaves none of the old bytes after the
+    new ones. Without an fsync, a crash may leave old bytes in a rewritten file
+    where truncating on open would have left it empty. Devices, pipes and
+    stdout are never cut."""
     with contextlib.ExitStack() as files:
-        sinks = [sys.stdout if path is None or path == "-"
-                 else files.enter_context(open(path, "w", encoding="utf-8"))
-                 for path, _ in outputs]
+        sinks = []
+        for path, _ in outputs:
+            if path is None or path == "-":
+                sinks.append(_stdout())
+                continue
+            fh = files.enter_context(open(path, "w", encoding="utf-8", opener=_open_in_place))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                files.callback(_cut, fh)
+            sinks.append(fh)
         for sink, (_, text) in zip(sinks, outputs):
             sink.write(text)
 
@@ -194,7 +231,7 @@ def _sink_identity(path: str | None):
     for a stdout with no file, and path resolved while no file is there."""
     stdout = path is None or path == "-"
     try:
-        st = os.fstat(sys.stdout.fileno()) if stdout else os.stat(path)
+        st = os.fstat(_stdout().fileno()) if stdout else os.stat(path)
     except OSError:
         return "-" if stdout else os.path.realpath(path)
     return st.st_dev, st.st_ino
@@ -512,7 +549,7 @@ def _menu_add_edge(graph, ask, say) -> None:
 
 
 def _cmd_menu(args) -> int:
-    run_menu(sys.stdin, sys.stdout)
+    run_menu(sys.stdin, _stdout())
     return 0
 
 

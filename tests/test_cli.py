@@ -1,11 +1,13 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -329,12 +331,12 @@ def test_simulate_trace_to_stdout_beside_a_rounds_file(capsys, tmp_path):
     assert rounds.read_text(encoding="utf-8") == rounds_out
 
 
-def _clmat(argv, stdin=b""):
+def _clmat(argv, stdin=b"", python=("-m", "clmat.cli")):
     """Run the clmat CLI in a fresh interpreter in UTF-8 mode, where sys.stdin
     decodes with surrogateescape and translates no newlines."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONUTF8="1", PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "clmat.cli", *argv], input=stdin,
+    return subprocess.run([sys.executable, *python, *argv], input=stdin,
                           capture_output=True, env=env, timeout=60)
 
 
@@ -356,15 +358,132 @@ def test_simulate_writes_no_row_unless_every_output_opens(capsys, tmp_path, topo
         topo.write_text('{"nodes": [{"id": "a", "energy": 1}, {"id": "b", "energy": 2}]}',
                         encoding="utf-8")
     rounds = tmp_path / "rounds.csv"
+    trace = tmp_path / "nodir" / "t.csv"
+    if topology == "f4":  # an earlier run's rows, which the failed run must not leave
+        rounds.write_text("round,aggregator,total_drained,alive,deaths\n" + "1,C,0.5,4,\n" * 500,
+                          encoding="utf-8")
     code, out, err = _run(capsys, ["simulate", str(topo), "-o", str(rounds),
-                                   "--trace", str(tmp_path / "nodir" / "t.csv")])
+                                   "--trace", str(trace)])
     assert out == "" and err.count("\n") == 1
     if topology == "f4":
-        assert code == 2 and err.startswith("error: ") and "nodir" in err
-        assert rounds.read_text(encoding="utf-8") == ""
+        assert (code, err) == (2, f"error: [Errno {errno.ENOENT}] "
+                                  f"No such file or directory: {str(trace)!r}\n")
+        assert rounds.read_bytes() == b""
     else:
         assert (code, err) == (3, "error: no candidate tree spans every node\n")
         assert not rounds.exists()
+
+
+_CLOSED_STDOUT = f"error: [Errno {errno.EBADF}] stdout is closed\n".encode()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="starts a process with fd 1 closed")
+@pytest.mark.parametrize("command", ["gen", "simulate", "menu"])
+def test_closed_stdout_is_a_data_error(tmp_path, command):
+    """With fd 1 closed Python sets sys.stdout to None: stdout is then an output
+    that cannot be opened, a one-line data error (exit 2), and a trace file
+    named after it is never opened."""
+    trace = tmp_path / "t.csv"
+    argv = {"gen": ["gen", "--nodes", "3"], "menu": ["menu"],
+            "simulate": ["simulate", _f4_file(tmp_path), "--trace", str(trace)]}[command]
+    run = _clmat(argv, b"6\n", python=("-c", "import os, sys\nos.close(1)\nos.execv(sys.executable, "
+                                     "[sys.executable, '-m', 'clmat.cli', *sys.argv[1:]])"))
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", _CLOSED_STDOUT)
+    assert not trace.exists()
+
+
+def _gen_big(capsys, path):
+    """A complete 40-node graph: its outputs are longer than f4's."""
+    assert _run(capsys, ["gen", "--nodes", "40", "--seed", "1", "--range", "150",
+                         "-o", str(path)]) == (0, "", "")
+
+
+_REWRITES = {
+    "gen": (["gen", "--nodes", "40", "--seed", "1"], ["gen", "--nodes", "3", "--seed", "1"]),
+    "select": (["select", "{big}"], ["select", "{f4}", "--format", "json"]),
+    "compare": (["compare", "{big}", "--policies", "clmat,max-energy,random", "--rounds", "20"],
+                ["compare", "{f4}", "--policies", "clmat", "--format", "csv"]),
+    "simulate": (["simulate", "{big}", "--rounds", "30"], ["simulate", "{f4}", "--rounds", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REWRITES))
+def test_rewriting_an_output_leaves_the_bytes_of_a_fresh_write(capsys, tmp_path, command):
+    """An existing output is rewritten in place and cut to length: a short output
+    over a long one, and a long one over a short one, leave exactly the bytes
+    that a write to a new path leaves, for -o and --trace alike."""
+    big = tmp_path / "big.json"
+    _gen_big(capsys, big)
+    long_argv, short_argv = ([a.replace("{big}", str(big)).replace("{f4}", _f4_file(tmp_path))
+                              for a in argv] for argv in _REWRITES[command])
+    names = ["out.txt", "trace.csv"] if command == "simulate" else ["out.txt"]
+
+    def write(argv, directory):
+        directory.mkdir(exist_ok=True)
+        outputs = ["-o", str(directory / names[0])]
+        if command == "simulate":
+            outputs += ["--trace", str(directory / names[1])]
+        code, out, _ = _run(capsys, [*argv, *outputs])
+        assert (code, out) == (0, "")
+        return [(directory / name).read_bytes() for name in names]
+
+    fresh_long = write(long_argv, tmp_path / "long")
+    fresh_short = write(short_argv, tmp_path / "short")
+    assert all(len(s) < len(lo) for s, lo in zip(fresh_short, fresh_long))
+    for argv, fresh in [(long_argv, fresh_long), (short_argv, fresh_short),
+                        (long_argv, fresh_long)]:
+        assert write(argv, tmp_path / "reused") == fresh
+
+
+def test_rewriting_through_a_link_keeps_the_link(capsys, tmp_path):
+    """A symbolic link stays a link and its target gets the bytes; a hard link
+    keeps its inode, so every name of the file reads the new bytes."""
+    short = ["gen", "--nodes", "3", "--seed", "1"]
+    fresh = tmp_path / "fresh.json"
+    assert _run(capsys, [*short, "-o", str(fresh)]) == (0, "", "")
+    target, symlink, hardlink = (tmp_path / f"{name}.json" for name in ("target", "sym", "hard"))
+    _gen_big(capsys, target)
+    inode = target.stat().st_ino
+    os.symlink(target, symlink)
+    os.link(target, hardlink)
+    for link in (symlink, hardlink):
+        _gen_big(capsys, target)
+        assert _run(capsys, [*short, "-o", str(link)]) == (0, "", "")
+        assert target.read_bytes() == hardlink.read_bytes() == fresh.read_bytes()
+    assert symlink.is_symlink() and os.readlink(symlink) == str(target)
+    assert target.stat().st_ino == hardlink.stat().st_ino == inode
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_outputs_to_dev_null_are_not_cut(capsys, tmp_path):
+    """A device is written and never truncated."""
+    assert _run(capsys, ["gen", "--nodes", "3", "-o", "/dev/null"]) == (0, "", "")
+    code, out, err = _run(capsys, ["simulate", _f4_file(tmp_path), "-o", "/dev/null",
+                                   "--trace", str(tmp_path / "t.csv")])
+    assert (code, out) == (0, "") and err.startswith("lifetime: ")
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8").startswith("round,node,residual\n")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file-size limit")
+@pytest.mark.parametrize("nodes, limit", [(40, 20_000), (10, 1_000)])
+def test_a_write_that_fails_partway_leaves_none_of_the_old_bytes(tmp_path, nodes, limit):
+    """A file-size limit stops the write partway (EFBIG): the output then holds
+    the new text up to the limit and none of the old bytes after it, as when it
+    was truncated on open. The 40-node text fails in write(); the 10-node text
+    fits the write buffer, so it fails in the flush at the end."""
+    out = tmp_path / "out.json"
+    out.write_bytes(b"x" * 200_000)
+    argv = ["gen", "--nodes", str(nodes), "--seed", "1", "--range", "150"]
+    fresh = _clmat(argv).stdout
+    assert 2 * limit < len(fresh)
+    run = _clmat([*argv, "-o", str(out)],
+                 python=("-c", "import resource, sys\n"
+                               "from clmat.cli import main\n"
+                               f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+                               "sys.exit(main(sys.argv[1:]))"))
+    expected = f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n".encode()
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", expected)
+    assert out.read_bytes() == fresh[:limit]
 
 
 def test_stdin_is_read_exactly_like_a_path(tmp_path):
