@@ -1,8 +1,9 @@
 """Command-line front end: batch subcommands plus the interactive menu.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 no spanning candidate.
-All rendering is a pure function of the inputs, so identical invocations
-produce byte-identical output.
+A closed or failing standard stream is a data error, and an error line that
+cannot be written still leaves its exit code. All rendering is a pure function
+of the inputs, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -175,9 +176,16 @@ def display_graph(graph: NetworkGraph) -> str:
 def _read_bytes(path: str) -> bytes:
     """A file's bytes, or stdin's for '-'; the loaders decode them."""
     if path == "-":
-        return sys.stdin.buffer.read()
+        return _stdin().buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _stdin():
+    """sys.stdin, or an OSError when the process started with fd 0 closed."""
+    if sys.stdin is None:
+        raise OSError(errno.EBADF, "stdin is closed")
+    return sys.stdin
 
 
 def _stdout():
@@ -185,6 +193,35 @@ def _stdout():
     if sys.stdout is None:
         raise OSError(errno.EBADF, "stdout is closed")
     return sys.stdout
+
+
+def _stderr():
+    """sys.stderr, or an OSError when the process started with fd 2 closed."""
+    if sys.stderr is None:
+        raise OSError(errno.EBADF, "stderr is closed")
+    return sys.stderr
+
+
+def _discard_unwritten(stream) -> None:
+    """Point a failed stream's fd at os.devnull, unless the stream is None.
+
+    A failed flush keeps its bytes, and Python flushes stdout and stderr again
+    at exit, where a second failure would print an "Exception ignored" line
+    and exit 120; on os.devnull that last flush succeeds."""
+    if stream is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
+def _flush_stdout() -> None:
+    """Flush stdout, if open, so that a failed write to it is this run's error."""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        _discard_unwritten(sys.stdout)
+        raise
 
 
 def _open_in_place(path, flags):
@@ -435,9 +472,10 @@ def _cmd_simulate(args) -> int:
     trace = [(args.trace, residual_trace_csv(graph, result.reports))] if args.trace else []
     _write_text((args.output, reports_csv(result.reports)), *trace)
     death = result.first_death_round if result.first_death_round is not None else "none"
+    # an output too: a lifetime line that cannot be written is a data error
     print(f"lifetime: {result.lifetime} rounds (first death: {death}, "
           f"delivered: {result.delivered_packets} packets, "
-          f"partitioned: {'yes' if result.partitioned else 'no'})", file=sys.stderr)
+          f"partitioned: {'yes' if result.partitioned else 'no'})", file=_stderr())
     return 0
 
 
@@ -549,23 +587,34 @@ def _menu_add_edge(graph, ask, say) -> None:
 
 
 def _cmd_menu(args) -> int:
-    run_menu(sys.stdin, _stdout())
+    run_menu(_stdin(), _stdout())
     return 0
+
+
+def _complain(line: str) -> None:
+    """Write line to stderr when it can be: the exit code tells of the error anyway."""
+    try:
+        print(line, file=_stderr())
+    except OSError:
+        _discard_unwritten(sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            _flush_stdout()
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _complain(f"usage error: {exc}")
         return 1
     except NoSpanningCandidate as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 3
     except (ClmatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(f"error: {exc}")
         return 2
 
 

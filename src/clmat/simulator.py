@@ -175,13 +175,14 @@ class _AliveView:
     A view keeps the original graph, the alive ids and their insertion
     indices (both in insertion order) and, unless every node is alive, a
     mask by insertion index that the searches skip dead nodes by; it copies
-    no graph. Searches and round costs are kept by root index, each
-    computed on first use. None of this reads energy, so a view answers for
-    as long as the alive set stays the same. The view alone decides whether
-    a root has a tree, so a policy only names one.
+    no graph. Round costs are kept by root index, each computed on first
+    use, and searches in searches, the run's one store, which every view of
+    the run shares (see search). None of this reads energy, so a view
+    answers for as long as the alive set stays the same. The view alone
+    decides whether a root has a tree, so a policy only names one.
     """
 
-    def __init__(self, graph, alive, radio: RadioModel):
+    def __init__(self, graph, alive, radio: RadioModel, searches: dict[int, ShortestPaths]):
         self.graph = graph
         self.radio = radio
         self.ids = alive
@@ -191,19 +192,21 @@ class _AliveView:
             self.mask = bytearray(len(graph))
             for i in self.indices:
                 self.mask[i] = 1
-        self._searches: dict[int, ShortestPaths] = {}
+        self.searches = searches
         self._costs: dict[int, Mapping[str, float]] = {}
 
     def search(self, i: int) -> ShortestPaths:
         """shortest_path_search over the alive nodes from the alive node at index i,
-        kept once it reaches every one of them, else NoSpanningCandidate. Links
-        are undirected, so one root spans exactly when every root does."""
-        paths = self._searches.get(i)
-        if paths is None:
+        stored once it reaches every one of them, else NoSpanningCandidate. Links
+        are undirected, so one root spans exactly when every root does. A stored
+        search is reused only if it spans this view: a run's alive sets strictly
+        shrink, so an earlier view's spanning search reached more nodes."""
+        paths = self.searches.get(i)
+        if paths is None or paths.reached != len(self.indices):
             paths = shortest_path_search(self.graph, i, self.mask)
             if paths.reached != len(self.indices):
                 raise NoSpanningCandidate()
-            self._searches[i] = paths
+            self.searches[i] = paths
         return paths
 
     def costs(self, root: str) -> Mapping[str, float]:
@@ -249,35 +252,30 @@ def _policy_chooser(policy: str, tie_key, rng: random.Random):
     tree. A pick that does not read residuals depends on the alive set
     alone, so its answer is fixed for the life of a view. policy is one
     check_policy has passed: run_lifetime and compare_policies check it
-    before any run. clmat breaks ties by tie_key, a selection._tie_key.
+    before any run. clmat breaks ties by tie_key, a selection._tie_key, and
+    reads its bounds from the view's store, which holds no stale search as current.
     """
     if policy == "clmat":
-        rows: dict[int, list[float]] = {}  # by root index: best of its latest search
-
         def pick(view, state):
             """The least-total root, searched only from roots whose bound can still win.
 
             A death only removes paths, and float rounding is monotone, so no
-            distance falls: a root's stored row, which spanned an earlier
-            alive set, folded over the alive nodes in index order, as a
-            total distance is, is a lower bound on its new total. Roots are
+            distance falls: a root's stored row, which spanned this alive set
+            or an earlier one, folded over the alive nodes in index order, as
+            a total distance is, is a lower bound on its total here. Roots are
             searched in (bound, index) order until the next bound is
             strictly above the least total found, so every skipped root
             totals strictly more than the winner and cannot even tie.
             """
-            indices = view.indices
-            bounds = []
-            for i in indices:
-                row = rows.get(i)
-                bounds.append((-math.inf if row is None else _fold(row, indices), i))
-            bounds.sort()
+            indices, searches = view.indices, view.searches
+            bounds = sorted((_fold(searches[i].best, indices) if i in searches else -math.inf, i)
+                            for i in indices)
             entries = []
             least = math.inf
             for bound, i in bounds:
                 if bound > least:
                     break
                 paths = view.search(i)
-                rows[i] = paths.best
                 total = _fold(paths.best, indices)
                 least = min(least, total)
                 entries.append((i, paths, total))  # the tie key reads only .depth
@@ -299,10 +297,11 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     The shortest-path searches, and the round costs read off them, depend
     only on which nodes are alive, so they are computed at most once per
     alive set: in round 1 and after each death, by searches that skip the
-    dead nodes through an alive mask rather than on a copy of the graph.
-    No tree object is built. clmat and fixed:<id> pick their root then and
-    keep it; after a death clmat searches only the roots that can still
-    win. max-energy and random also re-pick every reselect_every rounds,
+    dead nodes through an alive mask, kept in one store for the run that
+    reuses a search only while it spans the alive set. No tree object is
+    built. clmat and fixed:<id> pick their root then and keep it; after a
+    death clmat searches only the roots whose stored search can still win.
+    max-energy and random also re-pick every reselect_every rounds,
     reading current residuals, so the cadence matters only for them.
     With stop_at_first_death False the run continues past deaths until the
     horizon or until the survivors are disconnected or all dead
@@ -312,12 +311,12 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     """
     check_policy(policy)
     return _run(graph, config, policy, stop_at_first_death,
-                _AliveView(graph, graph.node_ids(), config.radio))
+                _AliveView(graph, graph.node_ids(), config.radio, {}))
 
 
 def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
          first_view: _AliveView) -> LifetimeResult:
-    """run_lifetime, with round 1 served by first_view: the view over every node."""
+    """run_lifetime from first_view, the view over every node, whose store later views share."""
     if not graph.nodes:
         raise NoSpanningCandidate()
     pick, reads_residuals = _policy_chooser(policy, _tie_key(config.tie_rule),
@@ -335,7 +334,7 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
             break
         if r == 1 or view is None or (reads_residuals and (r - 1) % config.reselect_every == 0):
             if view is None:
-                view = _AliveView(graph, state.alive, config.radio)
+                view = _AliveView(graph, state.alive, config.radio, first_view.searches)
             try:
                 root = pick(view, state)
                 costs = view.costs(root)
@@ -366,14 +365,15 @@ def compare_policies(graph, config: SimConfig, policies,
     config.seed * 100003 + t. The random-root policy runs random_trials
     trials; every other policy is deterministic, reads no seed and runs
     one. Every run starts from the full alive set with the same radio, so
-    all of them share one first view: each root is searched over the full
-    network, and its round costs computed, at most once. random_trials
+    all of them share one first view, and no run goes past its first death
+    to need a second: each root is searched over the full network, and its
+    round costs computed, at most once, whichever policy asks. random_trials
     below 1 or an unknown policy name raises ValueError before any run.
     """
     check_random_trials(random_trials)
     for policy in policies:
         check_policy(policy)
-    first_view = _AliveView(graph, graph.node_ids(), config.radio)
+    first_view = _AliveView(graph, graph.node_ids(), config.radio, {})
     rows: list[tuple[str, float]] = []
     for policy in policies:
         trials = random_trials if policy == "random" else 1

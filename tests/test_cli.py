@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -390,6 +391,119 @@ def test_closed_stdout_is_a_data_error(tmp_path, command):
                                      "[sys.executable, '-m', 'clmat.cli', *sys.argv[1:]])"))
     assert (run.returncode, run.stdout, run.stderr) == (2, b"", _CLOSED_STDOUT)
     assert not trace.exists()
+
+
+# closes fd argv[1], or, with a second argument "failing", leaves it open the
+# wrong way for its stream, then runs clmat with the arguments after that
+_BAD_STREAM = ("import os, sys\n"
+               "fd, failing = int(sys.argv[1]), sys.argv[2] == 'failing'\n"
+               "os.close(fd)\n"
+               "if failing:\n"
+               "    bad = os.open(os.devnull, os.O_WRONLY if fd == 0 else os.O_RDONLY)\n"
+               "    assert bad == fd\n"
+               "    os.set_inheritable(fd, True)\n"
+               "os.execv(sys.executable, [sys.executable, '-m', 'clmat.cli', *sys.argv[3:]])")
+
+
+def _clmat_with_bad_stream(fd, how, argv, stdin=b""):
+    """_clmat with fd 0, 1 or 2 closed, so that Python sets its sys stream to
+    None, or, for how "failing", open so that every read or write on it fails."""
+    return _clmat([str(fd), how, *argv], stdin, python=("-c", _BAD_STREAM))
+
+
+_STREAM_ARGV = {
+    "gen": ["gen", "--nodes", "3"],
+    "trees": ["trees", "-"],
+    "select": ["select", "-"],
+    "simulate": ["simulate", "-", "--rounds", "3"],
+    "compare": ["compare", "-", "--rounds", "3"],
+    "menu": ["menu"],
+}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="starts a process with a standard fd closed")
+@pytest.mark.parametrize("stream", ["stdin", "stdout", "stderr"])
+@pytest.mark.parametrize("command", sorted(_STREAM_ARGV))
+def test_every_command_with_a_closed_standard_stream(tmp_path, command, stream):
+    """A closed stream that a command reads or writes is a one-line data error
+    (exit 2); one it does not use changes nothing. simulate writes its lifetime
+    line to stderr as an output, so a closed stderr fails it after its rows are
+    written, and no error line can then be printed. No run prints a traceback."""
+    argv = _STREAM_ARGV[command]
+    stdin = b"6\n" if command == "menu" else Path(_f4_file(tmp_path)).read_bytes()
+    fine = _clmat(argv, stdin)
+    assert fine.returncode == 0 and fine.stdout
+    run = _clmat_with_bad_stream(["stdin", "stdout", "stderr"].index(stream), "closed",
+                                 argv, stdin)
+    assert b"Traceback" not in run.stdout + run.stderr
+    closed = f"error: [Errno {errno.EBADF}] {stream} is closed\n".encode()
+    if stream == "stdin":
+        want = (0, fine.stdout, b"") if command == "gen" else (2, b"", closed)
+    elif stream == "stdout":
+        want = (2, b"", closed)
+    else:
+        want = (2 if command == "simulate" else 0, fine.stdout, b"")
+    assert (run.returncode, run.stdout, run.stderr) == want
+
+
+@pytest.mark.skipif(os.name != "posix", reason="starts a process with fd 2 closed")
+@pytest.mark.parametrize("how", ["closed", "failing"])
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--nodes", "3", "-o", "{tmp}/nodir/x.json"], 2),
+    (["simulate", "{f4}", "--rounds", "0"], 1),
+    (["select", "{tmp}/split.json"], 3),
+    (["simulate", "{f4}", "--rounds", "3", "-o", "{tmp}/rounds.csv"], 2),
+])
+def test_an_error_line_that_cannot_be_written_keeps_its_exit_code(tmp_path, how, argv, code):
+    """With stderr closed or failing, each error still exits with its own code,
+    and its line goes nowhere else: not to stdout, nor into an output file."""
+    (tmp_path / "split.json").write_text('{"nodes": [{"id": "a", "energy": 1}, '
+                                         '{"id": "b", "energy": 2}]}', encoding="utf-8")
+    argv = [a.format(tmp=tmp_path, f4=_f4_file(tmp_path)) for a in argv]
+    run = _clmat_with_bad_stream(2, how, argv)
+    assert (run.returncode, run.stdout, run.stderr) == (code, b"", b"")
+    if argv[-2:] == ["-o", f"{tmp_path}/rounds.csv"]:
+        assert (tmp_path / "rounds.csv").read_text().splitlines()[-1].startswith("3,")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="starts a process with a standard fd failing")
+@pytest.mark.parametrize("command", ["menu", "select"])
+def test_a_failing_stdin_or_stdout_is_a_data_error(tmp_path, command):
+    """A stream that is open but cannot be read or written gives its OSError's
+    line and exit 2, as a closed one does."""
+    argv = ["menu"] if command == "menu" else ["select", _f4_file(tmp_path)]
+    bad = f"error: [Errno {errno.EBADF}] Bad file descriptor\n".encode()
+    run = _clmat_with_bad_stream(0, "failing", argv)
+    if command == "menu":
+        assert (run.returncode, run.stdout.endswith(b"choice: "), run.stderr) == (2, True, bad)
+    else:  # select reads no stdin
+        assert (run.returncode, run.stderr) == (0, b"")
+    run = _clmat_with_bad_stream(1, "failing", argv, b"6\n")
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", bad)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a pipe with no reader")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["gen", "select", "simulate", "menu"])
+def test_a_broken_stdout_pipe_is_a_data_error(tmp_path, command, unbuffered):
+    """Writing to a pipe whose reader is gone is a one-line data error (exit 2),
+    whether stdout is block-buffered, so that the write fails only when flushed,
+    or unbuffered."""
+    argv = {"gen": ["gen", "--nodes", "1"], "select": ["select", _f4_file(tmp_path)],
+            "simulate": ["simulate", _f4_file(tmp_path), "--rounds", "2"],
+            "menu": ["menu"]}[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as pipe:
+        run = subprocess.run([sys.executable, "-m", "clmat.cli", *argv], input=b"6\n",
+                             stdout=pipe, stderr=subprocess.PIPE, env=env, timeout=60)
+    broken = f"error: [Errno {errno.EPIPE}] Broken pipe\n".encode()
+    assert run.returncode == 2 and run.stderr.endswith(broken), run.stderr
+    assert run.stderr.count(b"\n") == (2 if command == "simulate" and not unbuffered else 1)
 
 
 def _gen_big(capsys, path):

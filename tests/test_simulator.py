@@ -148,13 +148,13 @@ def test_drain_on_a_kept_tree_reports_each_death_once_in_alive_order():
 
 def test_alive_view_knows_dead_and_unknown_roots():
     g = f4()
-    view = simulator._AliveView(g, ["A", "C", "D"], FLAT)
+    view = simulator._AliveView(g, ["A", "C", "D"], FLAT, {})
     for v in ("A", "C", "D"):
         assert list(view.costs(v)) == ["A", "C", "D"]
     for v in ("B", "Z"):
         with pytest.raises(errors.NoSpanningCandidate, match=f"^root {v} is not in the alive network$"):
             view.costs(v)
-    full = simulator._AliveView(g, g.node_ids(), FLAT)
+    full = simulator._AliveView(g, g.node_ids(), FLAT, {})
     assert full.mask is None
     assert list(full.costs("B")) == g.node_ids()
     with pytest.raises(errors.NoSpanningCandidate, match="^root Z is not in the alive network$"):
@@ -439,6 +439,92 @@ def test_compare_policies_builds_each_full_network_tree_once(monkeypatch):
     assert full == g.node_ids()
 
 
+def test_views_of_one_run_share_a_store_but_never_reuse_a_stale_search(monkeypatch):
+    """A later view searches again a root whose stored search spanned the
+    larger alive set of an earlier view, overwrites the entry, and reuses
+    its own; a stale entry whose root no longer spans is never returned."""
+    g = NetworkGraph()
+    for v in "abcd":
+        g.add_vertex(v, 1.0)
+    for u, v in [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]:
+        g.add_edge(u, v, 1.0)
+    built = []
+    search = simulator.shortest_path_search
+
+    def spy_search(graph, ri, alive=None):
+        built.append(graph.nodes[ri].id)
+        return search(graph, ri, alive)
+
+    monkeypatch.setattr(simulator, "shortest_path_search", spy_search)
+    store = {}
+    first = simulator._AliveView(g, g.node_ids(), FLAT, store)
+    full = {v: first.search(g.get_index(v)) for v in "abc"}
+    assert first.search(g.get_index("a")) is full["a"]
+    assert built == ["a", "b", "c"]
+    assert store == {g.get_index(v): full[v] for v in "abc"}
+    # d dies: a, b and c still span, as a path
+    second = simulator._AliveView(g, ["a", "b", "c"], FLAT, store)
+    assert second.searches is store
+    a = second.search(g.get_index("a"))
+    assert a is not full["a"] and a.reached == 3
+    assert second.search(g.get_index("a")) is a
+    assert store[g.get_index("a")] is a
+    assert built == ["a", "b", "c", "a"]
+    # then b dies: neither a nor c spans, and b's stale entry stays unused
+    third = simulator._AliveView(g, ["a", "c"], FLAT, store)
+    for _ in range(2):
+        with pytest.raises(errors.NoSpanningCandidate):
+            third.search(g.get_index("a"))
+    assert built == ["a", "b", "c", "a", "a", "a"]
+    assert store[g.get_index("a")] is a and store[g.get_index("b")] is full["b"]
+
+
+@pytest.mark.parametrize("policies", ["max-energy,random,clmat", "clmat,max-energy,random"])
+def test_compare_makes_one_search_per_root_in_any_policy_order(tmp_path, monkeypatch, policies):
+    """compare's runs share one store, so each root is searched once whichever
+    policy asks first; when clmat comes last it reads the searches that
+    max-energy and random left, and every lifetime is the same in both orders."""
+    g = random_topology(12, 100.0, 80.0, 0.1, 0.15, seed=3)
+    topo = tmp_path / "topo.json"
+    topo.write_text(export_json(g), encoding="utf-8")
+    search = simulator.shortest_path_search
+    chooser = simulator._policy_chooser
+
+    def compare(order):
+        """The lifetimes by policy, and the run's events: ("run", policy) as
+        each run starts, ("search", root) as each search does."""
+        events = []
+
+        def spy_search(graph, ri, alive=None):
+            events.append(("search", graph.nodes[ri].id))
+            return search(graph, ri, alive)
+
+        def spy_chooser(policy, tie_key, rng):
+            events.append(("run", policy))
+            return chooser(policy, tie_key, rng)
+
+        monkeypatch.setattr(simulator, "shortest_path_search", spy_search)
+        monkeypatch.setattr(simulator, "_policy_chooser", spy_chooser)
+        out = tmp_path / "compare.txt"
+        assert cli.main(["compare", str(topo), "--policies", order, "--trials", "3",
+                         "--radio", "1e-2,1e-5,2,5e-3", "--format", "csv",
+                         "-o", str(out)]) == 0
+        monkeypatch.undo()
+        return dict(line.split(",") for line in out.read_text().splitlines()[1:]), events
+
+    lifetimes, events = compare(policies)
+    searched = [root for kind, root in events if kind == "search"]
+    assert sorted(searched) == sorted(g.node_ids())
+    clmat_run = events.index(("run", "clmat"))
+    by_clmat = [root for kind, root in events[clmat_run:] if kind == "search"]
+    if policies.startswith("clmat"):
+        assert by_clmat == g.node_ids()
+    else:  # the others left entries, which clmat read and did not search again
+        assert 0 < len(by_clmat) < len(g)
+    other = "clmat,max-energy,random" if policies.startswith("max") else "max-energy,random,clmat"
+    assert compare(other)[0] == lifetimes
+
+
 def test_reports_csv_shape():
     g = two_node(e_first=3.0, e_second=5.0)
     result = run_lifetime(g, SimConfig(radio=FLAT, max_rounds=10))
@@ -497,7 +583,7 @@ def test_view_costs_match_round_costs_of_the_searched_tree(seed, n, isolated, ra
     keep = data.draw(st.lists(st.booleans(), min_size=len(g), max_size=len(g)))
     assume(any(keep))
     alive = [v for v, k in zip(g.node_ids(), keep) if k]
-    view = simulator._AliveView(g, alive, radio)
+    view = simulator._AliveView(g, alive, radio, {})
     for root in alive:
         paths = shortest_path_search(g, g.get_index(root), bytearray(keep))
         if paths.reached != len(alive):
@@ -715,9 +801,9 @@ def _spied_simulate(tmp_path, monkeypatch, g, policy):
     make_view = simulator._AliveView.__init__
     search = simulator.shortest_path_search
 
-    def spy_view(self, graph, alive, radio):
+    def spy_view(self, graph, alive, radio, searches):
         views.append(tuple(alive))
-        make_view(self, graph, alive, radio)
+        make_view(self, graph, alive, radio, searches)
 
     def spy_search(graph, ri, alive=None):
         built.append((len(views), graph.nodes[ri].id))
