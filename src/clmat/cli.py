@@ -53,6 +53,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    # help is an output like any other: argparse's own writer drops a failed
+    # write, and falls back to stderr when stdout is closed
+    def print_help(self):
+        _write_text((None, self.format_help()))
+
 
 def _jsonable(x):
     """x as a standard JSON value: an infinite float becomes the string "inf"."""
@@ -176,51 +181,35 @@ def display_graph(graph: NetworkGraph) -> str:
 def _read_bytes(path: str) -> bytes:
     """A file's bytes, or stdin's for '-'; the loaders decode them."""
     if path == "-":
-        return _stdin().buffer.read()
+        return _std("stdin").buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
 
 
-def _stdin():
-    """sys.stdin, or an OSError when the process started with fd 0 closed."""
-    if sys.stdin is None:
-        raise OSError(errno.EBADF, "stdin is closed")
-    return sys.stdin
+def _std(name: str):
+    """sys.stdin, sys.stdout or sys.stderr by name, or an OSError when the
+    process started with that fd closed."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, f"{name} is closed")
+    return stream
 
 
-def _stdout():
-    """sys.stdout, or an OSError when the process started with fd 1 closed."""
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, "stdout is closed")
-    return sys.stdout
+def _put(name: str, text: str = "") -> None:
+    """Write text to a standard stream and flush it; a closed one raises as in _std.
 
-
-def _stderr():
-    """sys.stderr, or an OSError when the process started with fd 2 closed."""
-    if sys.stderr is None:
-        raise OSError(errno.EBADF, "stderr is closed")
-    return sys.stderr
-
-
-def _discard_unwritten(stream) -> None:
-    """Point a failed stream's fd at os.devnull, unless the stream is None.
-
-    A failed flush keeps its bytes, and Python flushes stdout and stderr again
-    at exit, where a second failure would print an "Exception ignored" line
-    and exit 120; on os.devnull that last flush succeeds."""
-    if stream is not None:
+    A failed write or flush keeps its bytes, and Python flushes stdout and
+    stderr again at exit, where a second failure would print an "Exception
+    ignored" line and exit 120; so the stream's fd is pointed at os.devnull,
+    where that last flush succeeds, before the error is raised."""
+    stream = _std(name)
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, stream.fileno())
         os.close(devnull)
-
-
-def _flush_stdout() -> None:
-    """Flush stdout, if open, so that a failed write to it is this run's error."""
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:
-        _discard_unwritten(sys.stdout)
         raise
 
 
@@ -253,7 +242,7 @@ def _write_text(*outputs) -> None:
         sinks = []
         for path, _ in outputs:
             if path is None or path == "-":
-                sinks.append(_stdout())
+                sinks.append(_std("stdout"))
                 continue
             fh = files.enter_context(open(path, "w", encoding="utf-8", opener=_open_in_place))
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -268,7 +257,7 @@ def _sink_identity(path: str | None):
     for a stdout with no file, and path resolved while no file is there."""
     stdout = path is None or path == "-"
     try:
-        st = os.fstat(_stdout().fileno()) if stdout else os.stat(path)
+        st = os.fstat(_std("stdout").fileno()) if stdout else os.stat(path)
     except OSError:
         return "-" if stdout else os.path.realpath(path)
     return st.st_dev, st.st_ino
@@ -473,9 +462,9 @@ def _cmd_simulate(args) -> int:
     _write_text((args.output, reports_csv(result.reports)), *trace)
     death = result.first_death_round if result.first_death_round is not None else "none"
     # an output too: a lifetime line that cannot be written is a data error
-    print(f"lifetime: {result.lifetime} rounds (first death: {death}, "
-          f"delivered: {result.delivered_packets} packets, "
-          f"partitioned: {'yes' if result.partitioned else 'no'})", file=_stderr())
+    _put("stderr", f"lifetime: {result.lifetime} rounds (first death: {death}, "
+                   f"delivered: {result.delivered_packets} packets, "
+                   f"partitioned: {'yes' if result.partitioned else 'no'})\n")
     return 0
 
 
@@ -512,6 +501,7 @@ def run_menu(in_stream, out_stream) -> None:
 
     def ask(prompt):
         out_stream.write(prompt)
+        out_stream.flush()
         line = in_stream.readline()
         if not line:
             raise EOFError
@@ -587,35 +577,29 @@ def _menu_add_edge(graph, ask, say) -> None:
 
 
 def _cmd_menu(args) -> int:
-    run_menu(_stdin(), _stdout())
+    run_menu(_std("stdin"), _std("stdout"))
     return 0
 
 
-def _complain(line: str) -> None:
-    """Write line to stderr when it can be: the exit code tells of the error anyway."""
-    try:
-        print(line, file=_stderr())
-    except OSError:
-        _discard_unwritten(sys.stderr)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
         try:
+            # help raises SystemExit from here, after writing to stdout
+            args = _build_parser().parse_args(argv)
             return args.func(args)
         finally:
-            _flush_stdout()
+            if sys.stdout is not None:
+                _put("stdout")  # so that a failed write to stdout is this run's error
     except UsageError as exc:
-        _complain(f"usage error: {exc}")
-        return 1
+        code, line = 1, f"usage error: {exc}"
     except NoSpanningCandidate as exc:
-        _complain(f"error: {exc}")
-        return 3
+        code, line = 3, f"error: {exc}"
     except (ClmatError, OSError) as exc:
-        _complain(f"error: {exc}")
-        return 2
+        code, line = 2, f"error: {exc}"
+    # the exit code tells of the error even when its line cannot be written
+    with contextlib.suppress(OSError):
+        _put("stderr", line + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 The references are the tree-walk scorers (tree_energy, tree_cost,
 total_distance, clmat_edge_cost), the pairwise link_distance, the graph
-copies (restricted, with_energies), round_costs and
-reference_run_lifetime. The library computes every score and every
+copies (restricted, with_energies), round_costs, reference_run_lifetime
+and first_death_bound. The library computes every score and every
 round's drains in closed form from a search's lists and restricts a
 graph through an alive mask; these are the plain definitions the tests
 hold it to.
@@ -173,6 +173,30 @@ def spanning_topologies(count, n=20, side=100.0, radio_range=45.0,
             found.append(g)
         seed += 1
     return found
+
+
+def first_death_bound(graph, radio) -> float:
+    """A round that no first death of a connected graph can come at or after.
+
+    Until the first death every node is alive and in the tree, so each of the
+    n - 1 non-root nodes transmits at least over its shortest link, and there
+    are n - 1 receptions. A round then drains at least
+    D = sum_v tx(m_v) - max_v tx(m_v) + (n - 1) * rx, where m_v is v's
+    shortest link. The L - 1 rounds before a first death in round L leave
+    every residual positive, so (L - 1) * D < sum E, and L < sum E / D + 1.
+    inf when n < 2 or D == 0.
+    """
+    shortest = {}
+    for link in graph.links:
+        for v in (link.u, link.v):
+            shortest[v] = min(shortest.get(v, math.inf), link.distance)
+    if len(graph) < 2:
+        return math.inf
+    tx = [radio.tx_energy(shortest[v]) for v in graph.node_ids()]
+    least_drain = sum(tx) - max(tx) + (len(graph) - 1) * radio.rx_cost
+    if least_drain == 0:
+        return math.inf
+    return sum(graph.energy(v) for v in graph.node_ids()) / least_drain + 1
 
 
 class SingletonTree(ClmatError):

@@ -418,27 +418,42 @@ _STREAM_ARGV = {
     "simulate": ["simulate", "-", "--rounds", "3"],
     "compare": ["compare", "-", "--rounds", "3"],
     "menu": ["menu"],
+    "help": ["--help"],
+    "select-help": ["select", "--help"],
 }
+
+
+def _help_text(argv):
+    """The help that argparse formats for clmat, or for argv's subcommand."""
+    parser = cli._build_parser()
+    if argv[0] != "--help":
+        parser = parser._subparsers._group_actions[0].choices[argv[0]]
+    return parser.format_help().encode()
 
 
 @pytest.mark.skipif(os.name != "posix", reason="starts a process with a standard fd closed")
 @pytest.mark.parametrize("stream", ["stdin", "stdout", "stderr"])
 @pytest.mark.parametrize("command", sorted(_STREAM_ARGV))
-def test_every_command_with_a_closed_standard_stream(tmp_path, command, stream):
+def test_every_command_with_a_closed_standard_stream(monkeypatch, tmp_path, command, stream):
     """A closed stream that a command reads or writes is a one-line data error
-    (exit 2); one it does not use changes nothing. simulate writes its lifetime
-    line to stderr as an output, so a closed stderr fails it after its rows are
-    written, and no error line can then be printed. No run prints a traceback."""
+    (exit 2); one it does not use changes nothing. Help is an output like any
+    other, and reads no stdin. simulate writes its lifetime line to stderr as
+    an output, so a closed stderr fails it after its rows are written, and no
+    error line can then be printed. No run prints a traceback."""
+    monkeypatch.setenv("COLUMNS", "80")  # the child and format_help() below wrap alike
     argv = _STREAM_ARGV[command]
     stdin = b"6\n" if command == "menu" else Path(_f4_file(tmp_path)).read_bytes()
     fine = _clmat(argv, stdin)
     assert fine.returncode == 0 and fine.stdout
+    if argv[-1] == "--help":
+        assert (fine.stdout, fine.stderr) == (_help_text(argv), b"")
     run = _clmat_with_bad_stream(["stdin", "stdout", "stderr"].index(stream), "closed",
                                  argv, stdin)
     assert b"Traceback" not in run.stdout + run.stderr
     closed = f"error: [Errno {errno.EBADF}] {stream} is closed\n".encode()
     if stream == "stdin":
-        want = (0, fine.stdout, b"") if command == "gen" else (2, b"", closed)
+        reads_stdin = command not in ("gen", "help", "select-help")
+        want = (2, b"", closed) if reads_stdin else (0, fine.stdout, b"")
     elif stream == "stdout":
         want = (2, b"", closed)
     else:
@@ -484,14 +499,14 @@ def test_a_failing_stdin_or_stdout_is_a_data_error(tmp_path, command):
 
 @pytest.mark.skipif(os.name != "posix", reason="needs a pipe with no reader")
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("command", ["gen", "select", "simulate", "menu"])
+@pytest.mark.parametrize("command", ["gen", "select", "simulate", "menu", "help", "select-help"])
 def test_a_broken_stdout_pipe_is_a_data_error(tmp_path, command, unbuffered):
     """Writing to a pipe whose reader is gone is a one-line data error (exit 2),
     whether stdout is block-buffered, so that the write fails only when flushed,
-    or unbuffered."""
+    or unbuffered; help is written as any other output is."""
     argv = {"gen": ["gen", "--nodes", "1"], "select": ["select", _f4_file(tmp_path)],
             "simulate": ["simulate", _f4_file(tmp_path), "--rounds", "2"],
-            "menu": ["menu"]}[command]
+            "menu": ["menu"], "help": ["--help"], "select-help": ["select", "--help"]}[command]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
     if unbuffered:
@@ -970,6 +985,34 @@ def _menu(session: str) -> str:
     out = io.StringIO()
     run_menu(io.StringIO(session), out)
     return out.getvalue()
+
+
+class _Unflushed(io.StringIO):
+    """An output that keeps the text written to it since its last flush."""
+
+    pending = ""
+
+    def write(self, text):
+        self.pending += text
+        return super().write(text)
+
+    def flush(self):
+        self.pending = ""
+        super().flush()
+
+
+def test_menu_flushes_each_prompt_before_it_reads():
+    """A terminal shows a prompt only once it is flushed, so nothing the menu
+    has written may still be buffered when it waits for an answer."""
+    out = _Unflushed()
+
+    class Answers(io.StringIO):
+        def readline(self, *args):
+            assert out.pending == "", out.pending
+            return super().readline(*args)
+
+    run_menu(Answers("1\nA\n5\n1\nB\n3\n2\nA\nB\n2\n9\n6\n"), out)
+    assert out.getvalue().count("choice: ") == 5
 
 
 def test_menu_immediate_exit():

@@ -26,6 +26,7 @@ from clmat.trees import search_tree, shortest_path_search, shortest_path_tree
 
 from graphgen import (
     f4,
+    first_death_bound,
     random_connected_graph,
     reference_run_lifetime,
     restricted,
@@ -724,6 +725,43 @@ def test_fixed_root_death_matches_reference(g, data, stop_at_first_death):
     assume(any(root in r.deaths for r in reference.reports))
     assert (_outcome(run_lifetime, g, config, policy, stop_at_first_death)
             == _outcome(reference_run_lifetime, g, config, policy, stop_at_first_death))
+
+
+# harsh enough that most runs see a death well within a few hundred rounds
+_HARSH_RADIOS = st.builds(RadioModel, tx_fixed=st.sampled_from([0.05, 0.2]),
+                          tx_dist_coeff=st.sampled_from([0.0, 0.001, 0.005]),
+                          exponent=st.sampled_from([2, 4]), rx_cost=st.sampled_from([0.0, 0.1]))
+
+
+@pytest.mark.referee
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), radio=_HARSH_RADIOS,
+       tie_rule=st.sampled_from(["min-depth", "first-min"]))
+def test_clmat_first_death_run_equals_its_fixed_root(seed, radio, tie_rule):
+    """clmat re-picks only after a death, so up to the first death it drains the
+    tree of its round-1 root: the run of fixed:<that root> is the same run, in
+    lifetime and in every final residual, bit for bit."""
+    g = random_connected_graph(random.Random(seed))
+    config = SimConfig(radio=radio, max_rounds=300, tie_rule=tie_rule)
+    clmat = run_lifetime(g, config, "clmat")
+    fixed = run_lifetime(g, config, f"fixed:{clmat.reports[0].aggregator}")
+    assert fixed.lifetime == clmat.lifetime
+    assert ({v: r.hex() for v, r in fixed.final_residuals.items()}
+            == {v: r.hex() for v, r in clmat.final_residuals.items()})
+
+
+@pytest.mark.referee
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), radio=_HARSH_RADIOS)
+def test_no_policy_outlives_the_first_death_energy_bound(seed, radio):
+    """Every policy's first-death lifetime, each fixed root's included, stays
+    below the bound that the least possible drain per round gives."""
+    g = random_connected_graph(random.Random(seed))
+    policies = ["clmat", "max-energy", "random", *(f"fixed:{v}" for v in g.node_ids())]
+    bound = first_death_bound(g, radio)
+    for policy, life in compare_policies(g, SimConfig(radio=radio, max_rounds=300), policies,
+                                         random_trials=2):
+        assert life < bound * (1 + 1e-9), (policy, life, bound)
 
 
 @pytest.mark.referee
