@@ -8,9 +8,7 @@ from .simulator import (
     RadioModel,
     RoundReport,
     SimConfig,
-    SimState,
     compare_policies,
-    drain_round,
     reports_csv,
     residual_trace_csv,
     run_lifetime,
@@ -50,11 +48,9 @@ __all__ = [
     "RadioModel",
     "RoundReport",
     "SimConfig",
-    "SimState",
     "build_all_candidates",
     "compare_policies",
     "compare_trees",
-    "drain_round",
     "export_json",
     "load_topology",
     "load_topology_csv",

@@ -5,8 +5,9 @@ perfect aggregation (one transmission per non-root node, regardless of how
 many descendants feed it). Energies drain per a first-order radio model;
 lifetime is the round of the first battery death.
 
-Conservation ledger: residuals are derived, never decremented. Per node we
-accumulate drains in round order and define residual = initial - cumulative.
+Conservation ledger: residuals are derived, never decremented. Per node, by
+insertion index, a run folds drains in round order and defines residual =
+initial - cumulative.
 The mandated conservation check is therefore exact in floating point: fold
 each node's reported drains in round order, and the final residual equals
 initial minus that fold, bit for bit (totals likewise, summing nodes in
@@ -25,6 +26,7 @@ from types import MappingProxyType
 
 from .errors import NoSpanningCandidate
 from .selection import MIN_DEPTH, _tie_key
+from .topology import _is_int
 from .trees import ShortestPaths, _fold, shortest_path_search
 
 
@@ -68,10 +70,11 @@ class RadioModel:
 class SimConfig:
     """One run's settings, checked once, when built or replaced: ValueError if bad.
 
-    radio charges each round; max_rounds, at least 1, is the horizon;
-    reselect_every, at least 1, is the rounds between the cadence re-picks
-    that only max-energy and random make; tie_rule names a selection tie
-    rule; seed seeds random, the only policy that reads it.
+    radio, a RadioModel, charges each round; max_rounds, at least 1, is the
+    horizon; reselect_every, at least 1, is the rounds between the cadence
+    re-picks that only max-energy and random make; tie_rule names a
+    selection tie rule; seed seeds random, the only policy that reads it.
+    The counts and the seed are ints; a bool is not one.
     """
 
     radio: RadioModel = field(default_factory=RadioModel)
@@ -81,22 +84,16 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.radio, RadioModel):
+            raise ValueError("radio must be a RadioModel")
+        for name in ("max_rounds", "reselect_every", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         if self.reselect_every < 1:
             raise ValueError("reselect_every must be at least 1")
         _tie_key(self.tie_rule)
-
-
-@dataclass
-class SimState:
-    initial: dict[str, float]
-    drained_cum: dict[str, float]
-    alive: list[str]
-    round: int = 0
-
-    def residual(self, v: str) -> float:
-        return self.initial[v] - self.drained_cum[v]
 
 
 @dataclass
@@ -119,40 +116,6 @@ class LifetimeResult:
     final_residuals: dict[str, float]
 
 
-def drain_round(state: SimState, root: str, costs: Mapping[str, float]) -> RoundReport:
-    """Charge one round of traffic on the tree aggregated at root and record deaths.
-
-    costs maps each tree node to its drain for one round, taken as an
-    argument so that a caller keeping one tree for many rounds computes
-    them once. The report keeps costs itself as its drained, not a copy,
-    so a caller that passes a read-only mapping shares it between every
-    round of the tree.
-    Nodes finish the round before a residual of <= 0 removes them, and
-    deaths come in the order of state.alive. A residual changes only when
-    its node is charged, so each node is tested for death in the same pass
-    that charges it, and state.alive is scanned only in a round where a
-    charged node is at or below 0.
-    Every alive node of a state that starts from positive energies and is
-    only ever drained here starts each round above 0, so no death is missed.
-    """
-    state.round += 1
-    initial = state.initial
-    drained_cum = state.drained_cum
-    total = 0.0
-    died = False
-    for v, cost in costs.items():
-        spent = drained_cum[v] + cost
-        drained_cum[v] = spent
-        total += cost
-        if initial[v] - spent <= 0:  # SimState.residual, inlined
-            died = True
-    deaths = [v for v in state.alive if state.residual(v) <= 0] if died else []
-    if deaths:
-        dead = set(deaths)
-        state.alive = [v for v in state.alive if v not in dead]
-    return RoundReport(state.round, root, costs, total, len(state.alive), deaths)
-
-
 POLICIES = ("clmat", "max-energy", "random")  # plus "fixed:<id>"
 
 
@@ -163,7 +126,9 @@ def check_policy(policy: str) -> None:
 
 
 def check_random_trials(random_trials: int) -> None:
-    """Raise ValueError unless the random policy gets at least one trial."""
+    """Raise ValueError unless the random policy gets at least one trial, as an int."""
+    if not _is_int(random_trials):
+        raise ValueError("random_trials must be an int")
     if random_trials < 1:
         raise ValueError("random_trials must be at least 1")
 
@@ -246,7 +211,8 @@ class _AliveView:
 
 
 def _policy_chooser(policy: str, tie_key, rng: random.Random):
-    """Resolve a policy name into (pick(view, state) -> root, reads_residuals).
+    """Resolve a policy name into (pick(view, residual) -> root, reads_residuals),
+    residual giving a node's current residual by insertion index.
 
     Each pick only names a root; the view's costs decide whether it has a
     tree. A pick that does not read residuals depends on the alive set
@@ -256,7 +222,7 @@ def _policy_chooser(policy: str, tie_key, rng: random.Random):
     reads its bounds from the view's store, which holds no stale search as current.
     """
     if policy == "clmat":
-        def pick(view, state):
+        def pick(view, residual):
             """The least-total root, searched only from roots whose bound can still win.
 
             A death only removes paths, and float rounding is monotone, so no
@@ -283,11 +249,11 @@ def _policy_chooser(policy: str, tie_key, rng: random.Random):
         return pick, False
     if policy.startswith("fixed:"):
         root = policy.split(":", 1)[1]
-        return (lambda view, state: root), False
+        return (lambda view, residual: root), False
     if policy == "max-energy":
         # max keeps the first of equal residuals
-        return (lambda view, state: max(view.ids, key=state.residual)), True
-    return (lambda view, state: rng.choice(view.ids)), True
+        return (lambda view, residual: view.graph.nodes[max(view.indices, key=residual)].id), True
+    return (lambda view, residual: rng.choice(view.ids)), True
 
 
 def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
@@ -303,6 +269,10 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     death clmat searches only the roots whose stored search can still win.
     max-energy and random also re-pick every reselect_every rounds,
     reading current residuals, so the cadence matters only for them.
+    Every alive node is charged each round and finishes it; those then at
+    or below 0 are that round's deaths, in insertion order. A report's
+    drained is the picked tree's read-only costs mapping itself, which
+    every round on that tree shares.
     With stop_at_first_death False the run continues past deaths until the
     horizon or until the survivors are disconnected or all dead
     (partitioned=True).
@@ -321,39 +291,47 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
         raise NoSpanningCandidate()
     pick, reads_residuals = _policy_chooser(policy, _tie_key(config.tie_rule),
                                             random.Random(config.seed))
-    state = SimState(initial={n.id: n.energy for n in graph.nodes},
-                     drained_cum={n.id: 0.0 for n in graph.nodes}, alive=graph.node_ids())
+    # the ledger, by insertion index: initial energies, and drains folded in round order
+    energy = [n.energy for n in graph.nodes]
+    spent = [0.0] * len(energy)
     reports: list[RoundReport] = []
-    first_death: int | None = None
-    delivered = 0
     partitioned = False
     view = first_view
     for r in range(1, config.max_rounds + 1):
-        if not state.alive:  # the last survivors died together
-            partitioned = True
-            break
         if r == 1 or view is None or (reads_residuals and (r - 1) % config.reselect_every == 0):
             if view is None:
-                view = _AliveView(graph, state.alive, config.radio, first_view.searches)
+                if not alive:  # the last survivors died together
+                    partitioned = True
+                    break
+                view = _AliveView(graph, alive, config.radio, first_view.searches)
             try:
-                root = pick(view, state)
+                root = pick(view, lambda i: energy[i] - spent[i])
                 costs = view.costs(root)
             except NoSpanningCandidate:
                 if r == 1:
                     raise
                 partitioned = True
                 break
-        report = drain_round(state, root, costs)
-        reports.append(report)
-        delivered += len(costs)  # one reading from every tree node
-        if report.deaths:
-            if first_death is None:
-                first_death = r
+        # costs holds the view's nodes in its order: each is tested for death as it is charged
+        total = 0.0
+        deaths = []
+        for v, i, cost in zip(view.ids, view.indices, costs.values()):
+            paid = spent[i] + cost
+            spent[i] = paid
+            total += cost
+            if energy[i] - paid <= 0:
+                deaths.append(v)
+        reports.append(RoundReport(r, root, costs, total, len(view.ids) - len(deaths), deaths))
+        if deaths:
+            dead = set(deaths)
+            alive = [v for v in view.ids if v not in dead]
             view = None
             if stop_at_first_death:
                 break
+    first_death = next((rep.round for rep in reports if rep.deaths), None)
     lifetime = first_death if first_death is not None else config.max_rounds
-    final = {v: state.residual(v) for v in state.initial}
+    delivered = sum(len(rep.drained) for rep in reports)  # one reading from every tree node
+    final = {n.id: e - d for n, e, d in zip(graph.nodes, energy, spent)}
     return LifetimeResult(lifetime, reports, first_death, delivered, partitioned, final)
 
 

@@ -164,10 +164,13 @@ def random_topology(n: int, side: float, radio_range: float,
 
     Link distances are the Euclidean separations; node energies are uniform
     in [energy_lo, energy_hi]. Fully determined by the seed. A disconnected
-    result is valid. A side so small that two nodes land on the same point,
-    or so large that a linked pair's distance overflows to inf, raises
-    ValueError, since no link may have such a distance.
+    result is valid. An n that is not an int (a bool is not one) or is
+    below 1 raises ValueError. So does a side so small that two nodes land
+    on the same point, or so large that a linked pair's distance overflows
+    to inf, since no link may have such a distance.
     """
+    if not _is_int(n):
+        raise ValueError("the node count must be an int")
     if n < 1:
         raise ValueError("need at least one node")
     # written as "not x > 0" so that NaN fails too; an infinite range links every pair
@@ -257,6 +260,11 @@ def _require(cond, msg: str) -> None:
 def _is_number(x) -> bool:
     """JSON number test; bool is an int subclass but JSON true is not a number."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    """A count or seed test: an int, and, as for _is_number, not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_finite(x) -> bool:

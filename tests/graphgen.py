@@ -23,7 +23,7 @@ from clmat.metrics import (
     residual_edge_cost,
 )
 from clmat.selection import select_aggregator
-from clmat.simulator import LifetimeResult, RadioModel, RoundReport, SimState
+from clmat.simulator import LifetimeResult, RadioModel, RoundReport
 from clmat.topology import NetworkGraph, random_topology
 from clmat.trees import AggregationTree, Candidate, oracle_shortest_paths, shortest_path_tree
 
@@ -376,15 +376,20 @@ def reference_run_lifetime(graph, config, policy="clmat",
     for every policy) copies the alive subgraph with residuals as node
     energies and runs the full scored selection on it. Each round charges
     every tree node and then scans every alive node for a residual of <= 0,
-    without the simulator's drain_round. run_lifetime must agree with it on
-    every output and every exception.
+    on dicts keyed by id rather than the simulator's ledger by insertion
+    index. run_lifetime must agree with it on every output and every
+    exception.
     """
     if not graph.nodes:
         raise NoSpanningCandidate("no candidate tree spans every node")
     choose = _reference_chooser(policy, config, random.Random(config.seed))
-    state = SimState(initial={n.id: n.energy for n in graph.nodes},
-                     drained_cum={n.id: 0.0 for n in graph.nodes},
-                     alive=[n.id for n in graph.nodes])
+    initial = {n.id: n.energy for n in graph.nodes}
+    drained_cum = {n.id: 0.0 for n in graph.nodes}
+    alive = [n.id for n in graph.nodes]
+
+    def residual(v):
+        return initial[v] - drained_cum[v]
+
     reports = []
     first_death = None
     delivered = 0
@@ -392,7 +397,7 @@ def reference_run_lifetime(graph, config, policy="clmat",
     need_select = True
     for r in range(1, config.max_rounds + 1):
         if need_select or (r - 1) % config.reselect_every == 0:
-            view = restricted(graph, state.alive, {v: state.residual(v) for v in state.alive})
+            view = restricted(graph, alive, {v: residual(v) for v in alive})
             try:
                 tree = choose(view)
             except NoSpanningCandidate:
@@ -405,12 +410,12 @@ def reference_run_lifetime(graph, config, policy="clmat",
         costs = round_costs(tree, config.radio, graph)
         total = 0.0
         for v, cost in costs.items():
-            state.drained_cum[v] += cost
+            drained_cum[v] += cost
             total += cost
-        deaths = [v for v in state.alive if state.residual(v) <= 0]
-        state.alive = [v for v in state.alive if v not in deaths]
+        deaths = [v for v in alive if residual(v) <= 0]
+        alive = [v for v in alive if v not in deaths]
         report = RoundReport(r, tree.root, dict(costs), total,
-                             len(state.alive), deaths)
+                             len(alive), deaths)
         reports.append(report)
         delivered += len(tree.dist)
         if report.deaths:
@@ -420,5 +425,5 @@ def reference_run_lifetime(graph, config, policy="clmat",
             if stop_at_first_death:
                 break
     lifetime = first_death if first_death is not None else config.max_rounds
-    final = {v: state.residual(v) for v in state.initial}
+    final = {v: residual(v) for v in initial}
     return LifetimeResult(lifetime, reports, first_death, delivered, partitioned, final)

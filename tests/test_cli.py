@@ -478,7 +478,8 @@ def test_an_error_line_that_cannot_be_written_keeps_its_exit_code(tmp_path, how,
     run = _clmat_with_bad_stream(2, how, argv)
     assert (run.returncode, run.stdout, run.stderr) == (code, b"", b"")
     if argv[-2:] == ["-o", f"{tmp_path}/rounds.csv"]:
-        assert (tmp_path / "rounds.csv").read_text().splitlines()[-1].startswith("3,")
+        rounds = (tmp_path / "rounds.csv").read_text(encoding="utf-8")
+        assert rounds.splitlines()[-1].startswith("3,")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="starts a process with a standard fd failing")

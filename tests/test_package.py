@@ -25,11 +25,9 @@ EXPORTED = {
     "RadioModel",
     "RoundReport",
     "SimConfig",
-    "SimState",
     "build_all_candidates",
     "compare_policies",
     "compare_trees",
-    "drain_round",
     "export_json",
     "load_topology",
     "load_topology_csv",

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -14,9 +16,7 @@ from clmat.selection import select_aggregator
 from clmat.simulator import (
     RadioModel,
     SimConfig,
-    SimState,
     compare_policies,
-    drain_round,
     reports_csv,
     residual_trace_csv,
     run_lifetime,
@@ -38,12 +38,6 @@ from graphgen import (
 )
 
 FLAT = RadioModel(tx_fixed=1.0, tx_dist_coeff=0.0, exponent=2, rx_cost=0.5)
-
-
-def _state_for(graph):
-    return SimState(initial={n.id: n.energy for n in graph.nodes},
-                    drained_cum={n.id: 0.0 for n in graph.nodes},
-                    alive=graph.node_ids())
 
 
 def test_radio_model_tx_energy():
@@ -91,6 +85,23 @@ def test_config_validation():
     assert cfg.max_rounds == 1000
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"max_rounds": 2.5}, "max_rounds must be an int"),
+    ({"max_rounds": True}, "max_rounds must be an int"),
+    ({"reselect_every": 1.5}, "reselect_every must be an int"),
+    ({"radio": None}, "radio must be a RadioModel"),
+    ({"seed": "a"}, "seed must be an int"),
+])
+def test_config_checks_types(setting, message):
+    """A setting of the wrong type is a ValueError when the config is built or
+    replaced, not a TypeError, a wrong run or an AttributeError mid-run; a bool
+    is not a count, as in the loaders."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimConfig(**setting)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(SimConfig(), **setting)
+
+
 def test_config_tie_rule_is_checked_by_selection():
     with pytest.raises(ValueError) as built:
         SimConfig(tie_rule="coin")
@@ -107,9 +118,7 @@ def test_drain_star():
     for i in range(3):
         g.add_vertex(f"leaf{i}", 10.0)
         g.add_edge("hub", f"leaf{i}", 1.0)
-    tree = shortest_path_tree(g, "hub")
-    state = _state_for(g)
-    report = drain_round(state, tree.root, round_costs(tree, FLAT, g))
+    [report] = run_lifetime(g, SimConfig(radio=FLAT, max_rounds=1), policy="fixed:hub").reports
     assert report.drained["hub"] == 1.5
     assert all(report.drained[f"leaf{i}"] == 1.0 for i in range(3))
     assert report.total_drained == 4.5
@@ -122,29 +131,27 @@ def test_drain_chain():
         g.add_vertex(name, 10.0)
     g.add_edge("A", "B", 1.0)
     g.add_edge("B", "C", 1.0)
-    tree = shortest_path_tree(g, "A")
-    report = drain_round(_state_for(g), tree.root, round_costs(tree, FLAT, g))
+    [report] = run_lifetime(g, SimConfig(radio=FLAT, max_rounds=1), policy="fixed:A").reports
     assert report.drained == {"A": 0.5, "B": 1.5, "C": 1.0}
 
 
 def test_drain_on_a_kept_tree_reports_each_death_once_in_alive_order():
-    """A caller may keep a tree after a death and list its costs in any order:
-    deaths are the alive nodes at or below 0, in the order of state.alive."""
+    """Nodes that die in one round are charged in it and listed in insertion
+    order, not tree order; the survivors' tree is then kept to the horizon,
+    and no dead node is charged again."""
     g = NetworkGraph()
-    for name, energy in [("A", 10.0), ("B", 1.5), ("C", 1.0)]:
+    for name, energy in [("C", 1.0), ("A", 10.0), ("B", 1.5)]:
         g.add_vertex(name, energy)
     g.add_edge("A", "B", 1.0)
     g.add_edge("B", "C", 1.0)
-    tree = shortest_path_tree(g, "A")
-    costs = round_costs(tree, FLAT, g)
-    backwards = dict(reversed(list(costs.items())))
-    state = _state_for(g)
-    assert drain_round(state, tree.root, backwards).deaths == ["B", "C"]
-    assert state.alive == ["A"]
-    report = drain_round(state, tree.root, backwards)  # B and C are charged again
-    assert report.deaths == []
-    assert state.alive == ["A"]
-    assert report.drained == costs
+    result = run_lifetime(g, SimConfig(radio=FLAT, max_rounds=3), policy="fixed:A",
+                          stop_at_first_death=False)
+    first, *kept = result.reports
+    assert first.drained == round_costs(shortest_path_tree(g, "A"), FLAT, g)
+    assert (first.deaths, first.alive_count) == (["C", "B"], 1)
+    assert [(r.drained, r.deaths, r.alive_count) for r in kept] == [({"A": 0.0}, [], 1)] * 2
+    assert result.final_residuals == {"C": 0.0, "A": 9.5, "B": 0.0}
+    assert (result.lifetime, result.partitioned) == (1, False)
 
 
 def test_alive_view_knows_dead_and_unknown_roots():
@@ -208,7 +215,9 @@ def test_conservation_is_exact():
     # must equal initial minus that fold, bit for bit
     refold = {v: 0.0 for v in g.node_ids()}
     for report in result.reports:
-        assert report.total_drained == sum(report.drained.values())
+        # the plain left fold: from 3.12, sum() compensates and can differ in the last bit
+        fold = functools.reduce(operator.add, report.drained.values(), 0.0)
+        assert report.total_drained == fold
         for v, d in report.drained.items():
             refold[v] += d
     total_final = 0.0
@@ -218,6 +227,21 @@ def test_conservation_is_exact():
         total_final += result.final_residuals[n.id]
         total_expected += n.energy - refold[n.id]
     assert total_final == total_expected
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, cfg: run_lifetime(g, cfg, "max-energy"),
+    lambda g, cfg: run_lifetime(g, cfg, "clmat", stop_at_first_death=False),
+    lambda g, cfg: compare_policies(g, cfg, ["clmat", "max-energy", "random", "fixed:n0"]),
+    lambda g, cfg: select_aggregator(g),
+], ids=["first-death", "exhaustion", "compare", "select"])
+def test_no_run_writes_to_its_graph(run):
+    """Residuals live in the run's ledger: the graph's text and energies stay as loaded."""
+    g = random_topology(15, 100.0, 60.0, 0.1, 0.15, seed=5)
+    text, energies = export_json(g), [n.energy for n in g.nodes]
+    run(g, SimConfig(radio=RadioModel(1e-3, 1e-6, 2, 5e-4), max_rounds=400))
+    assert export_json(g) == text
+    assert [n.energy for n in g.nodes] == energies
 
 
 def test_monotone_residuals():
@@ -357,6 +381,15 @@ def test_compare_policies_rejects_fewer_than_one_random_trial(trials):
     cfg = SimConfig(radio=FLAT, max_rounds=20)
     with pytest.raises(ValueError, match="random_trials"):
         compare_policies(f4(), cfg, ["clmat", "random"], random_trials=trials)
+
+
+def test_compare_policies_needs_an_int_trial_count_before_any_run(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a policy ran before the trial count was checked")
+
+    monkeypatch.setattr(simulator, "_run", no_run)
+    with pytest.raises(ValueError, match="^random_trials must be an int$"):
+        compare_policies(f4(), SimConfig(radio=FLAT), ["clmat", "random"], random_trials=2.5)
 
 
 def test_compare_policies_checks_every_name_before_any_run(monkeypatch):
@@ -511,7 +544,8 @@ def test_compare_makes_one_search_per_root_in_any_policy_order(tmp_path, monkeyp
                          "--radio", "1e-2,1e-5,2,5e-3", "--format", "csv",
                          "-o", str(out)]) == 0
         monkeypatch.undo()
-        return dict(line.split(",") for line in out.read_text().splitlines()[1:]), events
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        return dict(line.split(",") for line in rows), events
 
     lifetimes, events = compare(policies)
     searched = [root for kind, root in events if kind == "search"]
@@ -853,7 +887,7 @@ def _spied_simulate(tmp_path, monkeypatch, g, policy):
                      "--until", "exhaustion", "--radio", "1e-3,1e-6,2,5e-4",
                      "-o", str(rounds_csv)])
     assert code == 0
-    rows = [line.split(",") for line in rounds_csv.read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in rounds_csv.read_text(encoding="utf-8").splitlines()[1:]]
     return views, built, rows
 
 

@@ -228,6 +228,13 @@ def test_random_topology_single_node():
     assert not g.links
 
 
+@pytest.mark.parametrize("n", [2.5, True])
+def test_random_topology_needs_an_int_node_count(n):
+    """A float count fails range(), and True, an int subclass, would build one node."""
+    with pytest.raises(ValueError, match="^the node count must be an int$"):
+        random_topology(n, 10.0, 5.0, 1.0, 2.0, seed=0)
+
+
 def test_random_topology_same_seed_identical():
     a = random_topology(8, 50.0, 20.0, 1.0, 5.0, seed=42)
     b = random_topology(8, 50.0, 20.0, 1.0, 5.0, seed=42)
