@@ -21,18 +21,11 @@ from .topology import (
     load_topology_csv,
     random_topology,
 )
-from .trees import (
-    AggregationTree,
-    Candidate,
-    build_all_candidates,
-    oracle_shortest_paths,
-    shortest_path_tree,
-)
+from .trees import Candidate, build_all_candidates, oracle_shortest_paths
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationTree",
     "CLMAT",
     "Candidate",
     "ClmatError",
@@ -61,5 +54,4 @@ __all__ = [
     "residual_trace_csv",
     "run_lifetime",
     "select_aggregator",
-    "shortest_path_tree",
 ]

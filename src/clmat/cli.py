@@ -41,7 +41,7 @@ from .topology import (
     load_topology_csv,
     random_topology,
 )
-from .trees import Candidate, build_all_candidates, shortest_path_tree
+from .trees import Candidate, build_all_candidates, shortest_path_search
 
 
 class UsageError(Exception):
@@ -134,30 +134,29 @@ def render_ranking(ranking) -> str:
     return _table(rows) + f"chosen aggregator: {_escape(ranking[0].root)}\n"
 
 
-def export_dot(graph: NetworkGraph, tree=None) -> str:
-    """Deterministic DOT text; tree edges bold, the root double-circled.
+def export_dot(graph: NetworkGraph, root: str) -> str:
+    """Deterministic DOT text; root double-circled, the links of its tree bold.
 
-    A backslash in a node id is written as \\\\ and a double quote as \\", in
-    both the id and its label.
+    The tree is shortest_path_search from root's index: a link is bold when
+    one endpoint is the other's parent. UnknownVertex unless root is a
+    vertex. A backslash in a node id is written as \\\\ and a double quote
+    as \\", in both the id and its label.
     """
     def quoted(name):
         return name.replace("\\", "\\\\").replace('"', '\\"')
 
+    graph.node(root)  # UnknownVertex unless root is a vertex
+    parent = shortest_path_search(graph, graph.get_index(root)).parent
     lines = ["graph sensors {"]
-    root = tree.root if tree is not None else None
     for n in graph.nodes:
         attrs = [f'label="{quoted(n.id)}\\n{n.energy:.3f} J"']
         if n.id == root:
             attrs.append("shape=doublecircle")
         lines.append(f'  "{quoted(n.id)}" [{", ".join(attrs)}];')
-    marked = set()
-    if tree is not None:
-        for p, v in tree.edges():
-            marked.add((p, v))
-            marked.add((v, p))
     for link in sorted(graph.links, key=lambda l: (l.u, l.v)):
         attrs = [f'label="{link.distance:g}"']
-        if (link.u, link.v) in marked:
+        i, j = graph.get_index(link.u), graph.get_index(link.v)
+        if parent[i] == j or parent[j] == i:
             attrs.append("style=bold")
         lines.append(f'  "{quoted(link.u)}" -- "{quoted(link.v)}" [{", ".join(attrs)}];')
     lines.append("}")
@@ -432,7 +431,7 @@ def _cmd_select(args) -> int:
             "ranking": records,
         }, indent=2) + "\n"
     else:
-        out = export_dot(graph, shortest_path_tree(graph, ranking[0].root))
+        out = export_dot(graph, ranking[0].root)
     _write_text((args.output, out))
     return 0
 

@@ -35,8 +35,8 @@ def _tie_key(tie_rule: str):
 
 def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> list[Candidate]:
     """Every candidate ranked by tie_rule's _tie_key, spanning ones first: the
-    chosen one, whose tree is shortest_path_tree(graph, ranking[0].root), heads
-    the list. NoSpanningCandidate is raised when it does not span."""
+    chosen one heads the list, and its tree is trees.shortest_path_search
+    from its root's index. NoSpanningCandidate is raised when it does not span."""
     tie_key = _tie_key(tie_rule)
     entries = [(i, c, c.distance) for i, c in enumerate(candidates)]
     entries.sort(key=lambda e: (not e[1].spanning, tie_key(e)))

@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .errors import NoSpanningCandidate
 from .selection import MIN_DEPTH, _tie_key
-from .topology import _is_int
+from .topology import _is_finite, _is_int
 from .trees import ShortestPaths, _fold, shortest_path_search
 
 
@@ -35,7 +35,9 @@ class RadioModel:
     """First-order radio: tx = tx_fixed + tx_dist_coeff * d**exponent, flat rx.
 
     Costs are Joules per packet; defaults are packet-normalized values for
-    a 50 nJ electronics hit and a 100 pJ/length^2 amplifier term.
+    a 50 nJ electronics hit and a 100 pJ/length^2 amplifier term. Each
+    coefficient is a finite, nonnegative int or float, and exponent is the
+    int 2 or 4; a bool is neither. Anything else raises ValueError.
     """
 
     tx_fixed: float = 50e-9
@@ -45,10 +47,10 @@ class RadioModel:
 
     def __post_init__(self):
         # NaN compares false against 0, so finiteness is tested explicitly
-        if not all(math.isfinite(c) and c >= 0
+        if not all(_is_finite(c) and c >= 0
                    for c in (self.tx_fixed, self.tx_dist_coeff, self.rx_cost)):
             raise ValueError("radio coefficients must be finite and nonnegative")
-        if self.exponent not in (2, 4):
+        if not (_is_int(self.exponent) and self.exponent in (2, 4)):
             raise ValueError("path-loss exponent must be 2 or 4")
 
     def tx_energy(self, distance: float) -> float:
@@ -120,8 +122,9 @@ POLICIES = ("clmat", "max-energy", "random")  # plus "fixed:<id>"
 
 
 def check_policy(policy: str) -> None:
-    """Raise ValueError unless policy is one of POLICIES or fixed:<id>, id nonempty."""
-    if policy not in POLICIES and not (policy.startswith("fixed:") and policy != "fixed:"):
+    """Raise ValueError unless policy is a str, one of POLICIES or fixed:<id>, id nonempty."""
+    if not (isinstance(policy, str)
+            and (policy in POLICIES or (policy.startswith("fixed:") and policy != "fixed:"))):
         raise ValueError(f"unknown policy {policy!r}")
 
 

@@ -1,17 +1,19 @@
 """Per-root shortest-path aggregation trees, plus an independent relaxation oracle.
 
-Tree construction is deterministic: the heap Dijkstra runs on insertion
-indices, over list-held distances, parents and hop counts, and breaks
-distance ties by the lowest index; the relaxation loop sweeps links in
-insertion order, so ties always resolve the same way. The Dijkstra also
-yields each tree's depth in the same pass, and can skip the nodes an
-alive mask excludes instead of searching a copy without them. Per-root
-builds are independent pure computations over the immutable graph, so
-build_all_candidates splits a large graph's roots into contiguous chunks
-and scores all but the first in forked workers, one per usable CPU,
-which send their scores back exactly; a process without fork, with a
-second thread, or with one usable CPU scores every root itself, with the
-same result.
+A root's tree is the ShortestPaths that shortest_path_search returns from
+the root's insertion index: parents and distances in lists by index, and
+the depth; no other tree record is built. The search is deterministic:
+the heap Dijkstra runs on insertion indices, over list-held distances,
+parents and hop counts, and breaks distance ties by the lowest index; the
+relaxation loop sweeps links in insertion order, so ties always resolve
+the same way. The Dijkstra also yields each tree's depth in the same
+pass, and can skip the nodes an alive mask excludes instead of searching
+a copy without them. Per-root searches are independent pure computations
+over the immutable graph, so build_all_candidates splits a large graph's
+roots into contiguous chunks and scores all but the first in forked
+workers, one per usable CPU, which send their scores back exactly; a
+process without fork, with a second thread, or with one usable CPU
+scores every root itself, with the same result.
 """
 
 from __future__ import annotations
@@ -35,26 +37,6 @@ from .metrics import (
     RESIDUAL,
     residual_edge_cost,
 )
-
-
-@dataclass(frozen=True)
-class AggregationTree:
-    """Rooted shortest-path tree: parent pointers, root distances and depth.
-
-    parent maps every spanned non-root node to its parent; dist maps every
-    spanned node to its shortest distance from the root. Nodes the root
-    cannot reach are simply absent. depth is the longest root-to-node hop
-    count, 0 for a singleton; shortest_path_tree finds it during its search.
-    """
-
-    root: str
-    parent: dict[str, str]
-    dist: dict[str, float]
-    depth: int
-
-    def edges(self) -> list[tuple[str, str]]:
-        """Tree links as (parent, child), in spanned-node order."""
-        return [(self.parent[v], v) for v in self.dist if v != self.root]
 
 
 class ShortestPaths(NamedTuple):
@@ -128,38 +110,13 @@ def shortest_path_search(graph, ri: int, alive=None) -> ShortestPaths:
     return ShortestPaths(best, parent, depth, reached)
 
 
-def search_tree(ids: list[str], root: str, paths: ShortestPaths) -> AggregationTree:
-    """The AggregationTree of a shortest_path_search rooted at root.
-
-    ids is the searched graph's node_ids(); dist and parent list the
-    reached nodes in insertion order.
-    """
-    inf = math.inf
-    return AggregationTree(
-        root=root,
-        parent={ids[w]: ids[p] for w, p in enumerate(paths.parent) if p != -1},
-        dist={ids[w]: d for w, d in enumerate(paths.best) if -inf < d < inf},
-        depth=paths.depth,
-    )
-
-
-def shortest_path_tree(graph, root: str) -> AggregationTree:
-    """Single-source shortest paths from root, with parent pointers and depth.
-
-    shortest_path_search from root's index, as an AggregationTree whose dist
-    and parent list the reached nodes in insertion order.
-    """
-    graph.node(root)  # UnknownVertex unless root is a vertex
-    return search_tree(graph.node_ids(), root, shortest_path_search(graph, graph.get_index(root)))
-
-
 def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
     """Shortest distances by edge relaxation iterated to a fixpoint.
 
-    Deliberately shares no structure with shortest_path_tree: it sweeps the
-    stored link list, both directions of each link, until no distance
+    Deliberately shares no structure with shortest_path_search: it sweeps
+    the stored link list, both directions of each link, until no distance
     improves, using neither the adjacency nor a heap. Unreachable nodes keep
-    +inf (the tree builder drops them instead).
+    +inf, as in the search's best list.
     """
     graph.node(root)  # UnknownVertex unless root is a vertex
     dist = {name: (0.0 if name == root else math.inf) for name in graph.node_ids()}
@@ -185,7 +142,7 @@ class Candidate:
 
     energy is None for a single-node tree, where the bottleneck battery is
     undefined; cost may be +inf. Only scores are kept, not the tree: the
-    tree of any root is shortest_path_tree(graph, root).
+    tree of any root is shortest_path_search(graph, graph.get_index(root)).
     """
 
     root: str
@@ -211,9 +168,9 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
                          tx_energy=None) -> list[Candidate]:
     """Each root's Candidate, in insertion order, scored on every usable CPU.
 
-    One search per root and no AggregationTree. Every score is read
-    straight off the search's lists and equals, bit for bit, the score
-    defined by a walk over search_tree of that search:
+    One search per root and no tree record. Every score is read straight
+    off the search's lists and equals, bit for bit, the score that the
+    tests' reference scorers define by a walk over the tree:
     - total distance: _fold of the reached distances in index order, the
       left fold of the tree's distances over its non-root nodes, in the
       tree's order.
@@ -222,7 +179,7 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
       such energy. A single-node tree has none.
     - cost: 0 for a single-node tree, +inf under clmat for any other, and
       under residual the sum over (parent, child) links in child index
-      order, the order of AggregationTree.edges().
+      order.
     Entries whose tree fails to reach every node are flagged non-spanning;
     their scores still describe the partial tree.
 

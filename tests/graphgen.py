@@ -1,17 +1,20 @@
 """Seeded fixtures shared across the test modules, and the references they score against.
 
-The references are the tree-walk scorers (tree_energy, tree_cost,
-total_distance, clmat_edge_cost), the pairwise link_distance, the graph
-copies (restricted, with_energies), round_costs, reference_run_lifetime
-and first_death_bound. The library computes every score and every
-round's drains in closed form from a search's lists and restricts a
-graph through an alive mask; these are the plain definitions the tests
-hold it to.
+The references are the name-keyed AggregationTree and its builders
+(search_tree, shortest_path_tree, scan_shortest_path_tree), the
+tree-walk scorers (tree_energy, tree_cost, total_distance,
+clmat_edge_cost), the pairwise link_distance, the graph copies
+(restricted, with_energies), round_costs, reference_run_lifetime and
+first_death_bound. The library builds no tree record: it computes every
+score and every round's drains in closed form from a search's lists by
+insertion index and restricts a graph through an alive mask; these are
+the plain definitions the tests hold it to.
 """
 
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 from clmat.errors import ClmatError, NoSpanningCandidate
 from clmat.metrics import (
@@ -25,7 +28,51 @@ from clmat.metrics import (
 from clmat.selection import select_aggregator
 from clmat.simulator import LifetimeResult, RadioModel, RoundReport
 from clmat.topology import NetworkGraph, random_topology
-from clmat.trees import AggregationTree, Candidate, oracle_shortest_paths, shortest_path_tree
+from clmat.trees import Candidate, ShortestPaths, oracle_shortest_paths, shortest_path_search
+
+
+@dataclass(frozen=True)
+class AggregationTree:
+    """Rooted shortest-path tree by node id: parent pointers, root distances and depth.
+
+    parent maps every spanned non-root node to its parent; dist maps every
+    spanned node to its shortest distance from the root. Nodes the root
+    cannot reach are simply absent. depth is the longest root-to-node hop
+    count, 0 for a singleton.
+    """
+
+    root: str
+    parent: dict[str, str]
+    dist: dict[str, float]
+    depth: int
+
+    def edges(self) -> list[tuple[str, str]]:
+        """Tree links as (parent, child), in spanned-node order."""
+        return [(self.parent[v], v) for v in self.dist if v != self.root]
+
+
+def search_tree(ids: list[str], root: str, paths: ShortestPaths) -> AggregationTree:
+    """The AggregationTree of a shortest_path_search rooted at root.
+
+    ids is the searched graph's node_ids(); dist and parent list the
+    reached nodes in insertion order.
+    """
+    inf = math.inf
+    return AggregationTree(
+        root=root,
+        parent={ids[w]: ids[p] for w, p in enumerate(paths.parent) if p != -1},
+        dist={ids[w]: d for w, d in enumerate(paths.best) if -inf < d < inf},
+        depth=paths.depth,
+    )
+
+
+def shortest_path_tree(graph, root: str) -> AggregationTree:
+    """shortest_path_search from root's index, as an AggregationTree.
+
+    UnknownVertex unless root is a vertex.
+    """
+    graph.node(root)
+    return search_tree(graph.node_ids(), root, shortest_path_search(graph, graph.get_index(root)))
 
 
 def f4() -> NetworkGraph:
@@ -93,7 +140,7 @@ def scan_shortest_path_tree(graph, root: str) -> AggregationTree:
     Repeatedly finalize the unfinalized node of minimum tentative distance,
     walking indices in insertion order so the lowest index wins ties. A
     parent is recorded only on strict improvement, so the first-found
-    parent survives equal-distance alternatives. shortest_path_tree must
+    parent survives equal-distance alternatives. shortest_path_search must
     agree with it on parents, distances (in key order) and depth.
     """
     ids = graph.node_ids()

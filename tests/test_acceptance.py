@@ -16,7 +16,7 @@ from clmat.metrics import EDGE_MIN, NODE_MIN, residual_edge_cost
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel, SimConfig, reports_csv, run_lifetime
 from clmat.topology import export_json, load_topology
-from clmat.trees import oracle_shortest_paths, shortest_path_tree
+from clmat.trees import oracle_shortest_paths
 from clmat.cli import export_dot, main, run_menu
 
 from graphgen import (
@@ -24,6 +24,7 @@ from graphgen import (
     eight_candidates,
     f4,
     random_connected_graph,
+    shortest_path_tree,
     spanning_topologies,
     total_distance,
     tree_energy,
@@ -199,8 +200,8 @@ def test_criterion_9_cli_round_trips(capsys, tmp_path):
 
     # deterministic DOT bytes
     g = f4()
-    tree = shortest_path_tree(g, select_aggregator(g)[0].root)
-    assert export_dot(g, tree) == export_dot(g, tree)
+    root = select_aggregator(g)[0].root
+    assert export_dot(g, root) == export_dot(g, root)
     assert main(["select", str(path), "--format", "dot"]) == 0
     dot1 = capsys.readouterr().out
     assert main(["select", str(path), "--format", "dot"]) == 0

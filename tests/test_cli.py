@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -19,12 +20,13 @@ from hypothesis import strategies as st
 
 from clmat import cli, simulator, trees
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
+from clmat.errors import UnknownVertex
 from clmat.selection import select_aggregator
 from clmat.simulator import RadioModel, SimConfig, compare_policies, run_lifetime
 from clmat.topology import NetworkGraph, export_json, load_topology, random_topology
-from clmat.trees import AggregationTree, Candidate, shortest_path_tree
+from clmat.trees import Candidate
 
-from graphgen import f4, spanning_topologies, two_node
+from graphgen import f4, scan_shortest_path_tree, spanning_topologies, tie_heavy_graph, two_node
 
 
 def _run(capsys, argv):
@@ -111,12 +113,17 @@ def test_select_dot_output(capsys, tmp_path):
 
 
 def test_export_dot_singleton_and_tree():
+    lone = NetworkGraph()
+    lone.add_vertex("x", 1.0)
+    assert export_dot(lone, "x") == (
+        'graph sensors {\n  "x" [label="x\\n1.000 J", shape=doublecircle];\n}\n')
     g = two_node()
-    text = export_dot(g)
-    assert text.count(" -- ") == 1 and "doublecircle" not in text
-    tree = shortest_path_tree(g, "a")
-    text = export_dot(g, tree)
-    assert "doublecircle" in text
+    text = export_dot(g, "b")
+    assert text.count(" -- ") == 1 and text.count("style=bold") == 1
+    assert text.count("doublecircle") == 1
+    assert '"b" [label="b\\n5.000 J", shape=doublecircle]' in text
+    with pytest.raises(UnknownVertex):
+        export_dot(g, "z")
 
 
 def test_trees_formats(capsys, tmp_path):
@@ -926,7 +933,7 @@ def test_export_dot_quoted_strings_scan_back_to_ids(ids):
         g.add_vertex(name, 1.0)
     for u, v in zip(ids, ids[1:]):
         g.add_edge(u, v, 1.0)
-    lines = export_dot(g, shortest_path_tree(g, ids[0])).splitlines()
+    lines = export_dot(g, ids[0]).splitlines()
     assert lines[0] == "graph sensors {" and lines[-1] == "}"
     nodes, edges = [], set()
     for line in lines[1:-1]:
@@ -941,6 +948,26 @@ def test_export_dot_quoted_strings_scan_back_to_ids(ids):
             edges.add(frozenset(map(_dot_unescape, raws[:2])))
     assert nodes == ids
     assert edges == {frozenset(pair) for pair in zip(ids, ids[1:])}
+
+
+@pytest.mark.referee
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 9), isolated=st.booleans())
+def test_export_dot_bolds_exactly_the_scanned_tree(seed, n, isolated):
+    """On graphs full of equal-distance paths, the bold links of every root's
+    drawing are the links of the reference scan's tree, first-found parents
+    included, and only the root is double-circled."""
+    g = tie_heavy_graph(random.Random(seed), n, isolated)
+    for root in g.node_ids():
+        bold, circled = set(), []
+        for line in export_dot(g, root).splitlines()[1:-1]:
+            names = [_dot_unescape(raw) for raw in _DOT_QUOTED.findall(line)]
+            if " -- " in line and "style=bold" in line:
+                bold.add(frozenset(names[:2]))
+            elif "shape=doublecircle" in line:
+                circled.append(names[0])
+        assert bold == {frozenset(e) for e in scan_shortest_path_tree(g, root).edges()}, root
+        assert circled == [root]
 
 
 def test_no_spanning_exit_3(capsys, tmp_path):
@@ -1147,25 +1174,20 @@ def test_render_ranking_single_candidate():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Counts of shortest_path_search calls and AggregationTree constructions.
+    """Counts of shortest_path_search calls.
 
-    The simulator calls the search through the name it imported, so both
-    names are patched.
+    The simulator and the CLI call the search through the names they
+    imported, so all three names are patched.
     """
-    made = {"searches": 0, "trees": 0}
-    search, init = trees.shortest_path_search, AggregationTree.__init__
+    made = {"searches": 0}
+    search = trees.shortest_path_search
 
     def counted_search(*args, **kwargs):
         made["searches"] += 1
         return search(*args, **kwargs)
 
-    def counted_init(self, *args, **kwargs):
-        made["trees"] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(trees, "shortest_path_search", counted_search)
-    monkeypatch.setattr(simulator, "shortest_path_search", counted_search)
-    monkeypatch.setattr(AggregationTree, "__init__", counted_init)
+    for module in (trees, simulator, cli):
+        monkeypatch.setattr(module, "shortest_path_search", counted_search)
     return made
 
 
@@ -1182,18 +1204,18 @@ def test_scoring_searches_each_root_once_and_builds_only_the_chosen_tree(
     built = {("select", "table"): 0, ("select", "json"): 0, ("select", "dot"): 1,
              ("trees", "table"): 0, ("trees", "csv"): 0, ("trees", "json"): 0}
     for (command, fmt), trees_built in built.items():
-        counts.update(searches=0, trees=0)
+        counts.update(searches=0)
         assert main([command, str(path), "--format", fmt, *flags]) == 0
-        assert counts == {"searches": len(g) + trees_built, "trees": trees_built}, (command, fmt)
+        assert counts == {"searches": len(g) + trees_built}, (command, fmt)
     capsys.readouterr()
-    counts.update(searches=0, trees=0)
+    counts.update(searches=0)
     select_aggregator(g, cost, energy, tx_energy=RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy)
-    assert counts == {"searches": len(g), "trees": 0}
+    assert counts == {"searches": len(g)}
 
 
 def test_simulate_and_compare_build_no_tree_and_share_drains(tmp_path, capsys, counts):
-    """Round costs come straight from the searches: no AggregationTree is made,
-    and the rounds of one tree share one read-only drained mapping."""
+    """Round costs come straight from the searches, and the rounds of one
+    tree share one read-only drained mapping."""
     g = random_topology(12, 100.0, 60.0, 0.1, 0.15, seed=3)
     path = tmp_path / "topo.json"
     path.write_text(export_json(g), encoding="utf-8")
@@ -1205,13 +1227,11 @@ def test_simulate_and_compare_build_no_tree_and_share_drains(tmp_path, capsys, c
     assert main(["compare", str(path), "--policies", "clmat,max-energy,random,fixed:n0",
                  "--trials", "2", *radio, "-o", str(tmp_path / "compare.txt")]) == 0
     capsys.readouterr()
-    assert counts["trees"] == 0
     reports = run_lifetime(g, SimConfig(radio=RadioModel(1e-3, 1e-6, 2, 5e-4), max_rounds=400),
                            stop_at_first_death=False).reports
     kept = [(a, b) for a, b in zip(reports, reports[1:]) if not a.deaths]
     assert len(kept) > 10 and len(kept) > len(reports) - len(kept)
     assert all(b.drained is a.drained for a, b in kept)
-    assert counts["trees"] == 0
     with pytest.raises(TypeError):
         reports[0].drained["n0"] = 0.0
 
@@ -1220,12 +1240,12 @@ def test_menu_listings_build_at_most_the_chosen_tree(counts):
     session = "".join(f"1\nn{i}\n{i + 1}\n" for i in range(4))
     session += "".join(f"2\nn{i}\nn{i + 1}\n1\n" for i in range(3))
     _menu(session + "6\n")
-    counts.update(searches=0, trees=0)
+    counts.update(searches=0)
     _menu(session + "4\n6\n")
-    assert counts == {"searches": 4, "trees": 0}
-    counts.update(searches=0, trees=0)
+    assert counts == {"searches": 4}
+    counts.update(searches=0)
     _menu(session + "5\n6\n")
-    assert counts == {"searches": 4, "trees": 0}
+    assert counts == {"searches": 4}
 
 
 @pytest.fixture

@@ -12,14 +12,16 @@ from clmat.metrics import (
     RESIDUAL,
     residual_edge_cost,
 )
-from clmat.trees import AggregationTree, build_all_candidates, shortest_path_tree
+from clmat.trees import build_all_candidates
 
 from graphgen import (
+    AggregationTree,
     SingletonTree,
     UnreachableNode,
     clmat_edge_cost,
     f4,
     random_connected_graph,
+    shortest_path_tree,
     total_distance,
     tree_cost,
     tree_energy,

@@ -9,7 +9,6 @@ from clmat.topology import NetworkGraph
 
 # Every name the package exports; changing the export list means editing this set.
 EXPORTED = {
-    "AggregationTree",
     "CLMAT",
     "Candidate",
     "ClmatError",
@@ -38,7 +37,6 @@ EXPORTED = {
     "residual_trace_csv",
     "run_lifetime",
     "select_aggregator",
-    "shortest_path_tree",
 }
 
 

@@ -16,7 +16,7 @@ from clmat.metrics import (
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel
 from clmat.topology import NetworkGraph
-from clmat.trees import Candidate, build_all_candidates, oracle_shortest_paths, shortest_path_tree
+from clmat.trees import Candidate, build_all_candidates, oracle_shortest_paths
 
 from graphgen import (
     SingletonTree,
@@ -24,6 +24,7 @@ from graphgen import (
     eight_candidates,
     f4,
     random_connected_graph,
+    shortest_path_tree,
     tie_heavy_graph,
     total_distance,
     tree_cost,

@@ -22,7 +22,7 @@ from clmat.simulator import (
     run_lifetime,
 )
 from clmat.topology import NetworkGraph, export_json, random_topology
-from clmat.trees import search_tree, shortest_path_search, shortest_path_tree
+from clmat.trees import shortest_path_search
 
 from graphgen import (
     f4,
@@ -31,6 +31,8 @@ from graphgen import (
     reference_run_lifetime,
     restricted,
     round_costs,
+    search_tree,
+    shortest_path_tree,
     tie_heavy_graph,
     total_distance,
     two_node,
@@ -67,6 +69,23 @@ def test_radio_model_validation():
 def test_radio_model_rejects_non_finite(field, bad):
     with pytest.raises(ValueError):
         RadioModel(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("tx_fixed", "a"), ("tx_fixed", None), ("tx_fixed", True),
+    pytest.param("tx_fixed", 10**400, id="tx_fixed-10**400"),
+    ("tx_dist_coeff", False), ("tx_dist_coeff", [1.0]), ("rx_cost", None), ("rx_cost", "0"),
+    ("exponent", 2.0), ("exponent", 4.0), ("exponent", "2")])
+def test_radio_model_rejects_what_is_not_a_number(field, bad):
+    """A coefficient must be a finite int or float, the exponent the int 2 or 4;
+    a bool is neither, and every bad value is a ValueError."""
+    with pytest.raises(ValueError):
+        RadioModel(**{field: bad})
+
+
+def test_radio_model_takes_int_coefficients():
+    radio = RadioModel(tx_fixed=1, tx_dist_coeff=0, exponent=4, rx_cost=2)
+    assert radio.tx_energy(3.0) == 1 and radio.rx_cost == 2
 
 
 def test_config_validation():
@@ -400,6 +419,21 @@ def test_compare_policies_checks_every_name_before_any_run(monkeypatch):
     cfg = SimConfig(radio=FLAT, max_rounds=20)
     with pytest.raises(ValueError, match="unknown policy 'nope'"):
         compare_policies(f4(), cfg, ["clmat", "max-energy", "nope"])
+
+
+@pytest.mark.parametrize("policy", [None, 5, b"clmat", ["clmat"]])
+def test_a_policy_that_is_not_a_str_is_a_value_error_before_any_run(monkeypatch, policy):
+    def no_run(*args):
+        raise AssertionError("a policy ran before its name was checked")
+
+    monkeypatch.setattr(simulator, "_run", no_run)
+    cfg = SimConfig(radio=FLAT, max_rounds=20)
+    with pytest.raises(ValueError, match="^unknown policy "):
+        simulator.check_policy(policy)
+    with pytest.raises(ValueError, match="^unknown policy "):
+        run_lifetime(f4(), cfg, policy=policy)
+    with pytest.raises(ValueError, match="^unknown policy "):
+        compare_policies(f4(), cfg, ["clmat", policy])
 
 
 def test_fixed_policy_needs_a_node_id():

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from clmat import errors
 from clmat.metrics import NODE_MIN
 from clmat.topology import NetworkGraph
-from clmat.trees import (
-    build_all_candidates,
-    oracle_shortest_paths,
-    search_tree,
-    shortest_path_search,
-    shortest_path_tree,
-)
+from clmat.trees import build_all_candidates, oracle_shortest_paths, shortest_path_search
 
 from graphgen import (
     depth_by_walk,
@@ -24,6 +18,8 @@ from graphgen import (
     random_connected_graph,
     restricted,
     scan_shortest_path_tree,
+    search_tree,
+    shortest_path_tree,
     tie_heavy_graph,
     total_distance,
     tree_cost,
