@@ -1,7 +1,7 @@
 """Lifetime-maximizing aggregation trees for energy-annotated sensor networks."""
 
 from .errors import ClmatError, NoSpanningCandidate
-from .metrics import CLMAT, EDGE_MIN, NODE_MIN, RESIDUAL, residual_edge_cost
+from .metrics import CLMAT, EDGE_MIN, NODE_MIN, RESIDUAL
 from .selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from .simulator import (
     LifetimeResult,
@@ -50,7 +50,6 @@ __all__ = [
     "oracle_shortest_paths",
     "random_topology",
     "reports_csv",
-    "residual_edge_cost",
     "residual_trace_csv",
     "run_lifetime",
     "select_aggregator",

@@ -33,10 +33,6 @@ class SemanticError(ClmatError):
     """Well-formed topology input that contradicts itself."""
 
 
-class NonPositiveResidual(ClmatError):
-    pass
-
-
 class NoSpanningCandidate(ClmatError):
     """No candidate root reaches every node."""
 

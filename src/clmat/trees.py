@@ -29,14 +29,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .metrics import (
-    CLMAT,
-    COST_VARIANTS,
-    ENERGY_VARIANTS,
-    NODE_MIN,
-    RESIDUAL,
-    residual_edge_cost,
-)
+from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN, RESIDUAL
 
 
 class ShortestPaths(NamedTuple):
@@ -225,12 +218,17 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
 
 
 def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:
-    """The residual cost of a search's tree: residual_edge_cost summed over its links."""
+    """The residual cost of a search's tree, summed over its links in child index order.
+
+    A link's cost is its per-packet transmission energy over each
+    endpoint's residual energy, parent first. add_vertex keeps every
+    energy positive, so no term divides by zero.
+    """
     total = 0.0
     for w, p in enumerate(paths.parent):
         if p != -1:
             tx = tx_energy(adj[p][w].distance)
-            total += residual_edge_cost(tx, tx, energies[p], energies[w])
+            total += tx / energies[p] + tx / energies[w]
     return total
 
 

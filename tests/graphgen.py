@@ -2,12 +2,13 @@
 
 The references are the name-keyed AggregationTree and its builders
 (search_tree, shortest_path_tree, scan_shortest_path_tree), the
-tree-walk scorers (tree_energy, tree_cost, total_distance,
-clmat_edge_cost), the pairwise link_distance, the graph copies
-(restricted, with_energies), round_costs, reference_run_lifetime and
-first_death_bound. The library builds no tree record: it computes every
-score and every round's drains in closed form from a search's lists by
-insertion index and restricts a graph through an alive mask; these are
+tree-walk scorers (tree_energy, tree_cost, total_distance), the per-link
+costs (clmat_edge_cost, residual_edge_cost), the pairwise link_distance,
+the graph copies (restricted, with_energies), round_costs,
+reference_run_lifetime and first_death_bound. The library builds no tree
+record: it computes every score and every round's drains in closed form
+from a search's lists by insertion index, sums the residual cost's
+formula inline, and restricts a graph through an alive mask; these are
 the plain definitions the tests hold it to.
 """
 
@@ -17,14 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from clmat.errors import ClmatError, NoSpanningCandidate
-from clmat.metrics import (
-    CLMAT,
-    COST_VARIANTS,
-    EDGE_MIN,
-    ENERGY_VARIANTS,
-    NODE_MIN,
-    residual_edge_cost,
-)
+from clmat.metrics import CLMAT, COST_VARIANTS, EDGE_MIN, ENERGY_VARIANTS, NODE_MIN
 from clmat.selection import select_aggregator
 from clmat.simulator import LifetimeResult, RadioModel, RoundReport
 from clmat.topology import NetworkGraph, random_topology
@@ -282,6 +276,12 @@ def clmat_edge_cost(energy_u: float, energy_v: float, tree_energy: float) -> flo
     if head_u <= 0 or head_v <= 0:
         return math.inf
     return energy_u / head_u + energy_v / head_v
+
+
+def residual_edge_cost(tx_uv: float, tx_vu: float,
+                       residual_u: float, residual_v: float) -> float:
+    """Per-packet transmission energy in each direction over the sender's residual energy."""
+    return tx_uv / residual_u + tx_vu / residual_v
 
 
 def tree_cost(tree, graph, variant: str = CLMAT, *, tx_energy=None) -> float:

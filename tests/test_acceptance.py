@@ -12,7 +12,7 @@ import operator
 import random
 import time
 
-from clmat.metrics import EDGE_MIN, NODE_MIN, residual_edge_cost
+from clmat.metrics import EDGE_MIN, NODE_MIN
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel, SimConfig, reports_csv, run_lifetime
 from clmat.topology import export_json, load_topology
@@ -24,6 +24,7 @@ from graphgen import (
     eight_candidates,
     f4,
     random_connected_graph,
+    residual_edge_cost,
     shortest_path_tree,
     spanning_topologies,
     total_distance,

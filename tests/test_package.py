@@ -33,7 +33,6 @@ EXPORTED = {
     "oracle_shortest_paths",
     "random_topology",
     "reports_csv",
-    "residual_edge_cost",
     "residual_trace_csv",
     "run_lifetime",
     "select_aggregator",
@@ -52,12 +51,13 @@ def test_exported_names_are_exactly_the_pinned_set():
 
 def test_tree_walk_scorers_and_graph_copies_are_not_in_the_library():
     """The tree-walk scorers and the graph copies are test references now."""
-    for name in ("tree_energy", "tree_cost", "total_distance", "clmat_edge_cost"):
+    for name in ("tree_energy", "tree_cost", "total_distance", "clmat_edge_cost",
+                 "residual_edge_cost"):
         assert not hasattr(clmat, name)
         assert not hasattr(clmat.metrics, name)
     for name in ("restricted", "with_energies", "distance"):
         assert not hasattr(NetworkGraph, name)
-    for name in ("SingletonTree", "UnreachableNode"):
+    for name in ("SingletonTree", "UnreachableNode", "NonPositiveResidual"):
         assert not hasattr(errors, name)
 
 

@@ -92,11 +92,19 @@ def test_search_depth_matches_walked_depth():
                 assert tree.depth == depth_by_walk(root, tree.parent, tree.dist)
 
 
-def test_built_tree_is_frozen():
-    tree = shortest_path_tree(f4(), "A")
-    for name, value in (("root", "B"), ("parent", {}), ("dist", {}), ("depth", 0)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(tree, name, value)
+def test_scored_records_are_frozen():
+    g = f4()
+    candidates = build_all_candidates(g)
+    for candidate in candidates:
+        for field in dataclasses.fields(candidate):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(candidate, field.name, None)
+    assert candidates == build_all_candidates(g)
+    paths = shortest_path_search(g, 0)
+    for name in paths._fields:
+        with pytest.raises(AttributeError):
+            setattr(paths, name, None)
+    assert paths == shortest_path_search(g, 0)
 
 
 def test_rebuild_is_deterministic():
