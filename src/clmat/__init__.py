@@ -1,11 +1,10 @@
 """Lifetime-maximizing aggregation trees for energy-annotated sensor networks."""
 
 from .errors import ClmatError, NoSpanningCandidate
-from .metrics import CLMAT, EDGE_MIN, NODE_MIN, RESIDUAL
+from .metrics import RadioModel
 from .selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from .simulator import (
     LifetimeResult,
-    RadioModel,
     RoundReport,
     SimConfig,
     compare_policies,
@@ -26,18 +25,14 @@ from .trees import Candidate, build_all_candidates, oracle_shortest_paths
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLMAT",
     "Candidate",
     "ClmatError",
-    "EDGE_MIN",
     "FIRST_MIN",
     "LifetimeResult",
     "MIN_DEPTH",
-    "NODE_MIN",
     "NetworkGraph",
     "Node",
     "NoSpanningCandidate",
-    "RESIDUAL",
     "RadioModel",
     "RoundReport",
     "SimConfig",

@@ -22,10 +22,9 @@ import stat
 import sys
 
 from .errors import ClmatError, NoSpanningCandidate
-from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN
+from .metrics import RadioModel
 from .selection import MIN_DEPTH, TIE_RULES, select_aggregator
 from .simulator import (
-    RadioModel,
     SimConfig,
     check_policy,
     check_random_trials,
@@ -73,8 +72,9 @@ def _fmt(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
     if isinstance(x, float):
-        # fixed point would spell out every digit of a huge distance
-        return f"{x:.3f}" if abs(x) < 1e15 else f"{x:.6g}"
+        # fixed point would spell out every digit of a huge distance, and
+        # would round a small nonzero cost to 0.000
+        return f"{x:.3f}" if x == 0 or 1e-3 <= abs(x) < 1e15 else f"{x:.6g}"
     return str(x)
 
 
@@ -292,17 +292,9 @@ def _add_input_args(sub) -> None:
     sub.add_argument("--nodes-csv", help="node CSV (id,energy[,x,y]) instead of JSON")
     sub.add_argument("--edges-csv", help="edge CSV (u,v,distance) instead of JSON")
     sub.add_argument("--radio", type=_parse_radio, default=RadioModel(),
-                     help="radio model tx_fixed,tx_dist_coeff,exponent,rx_cost "
-                          "(default: 50e-9,100e-12,2,50e-9)")
-
-
-def _add_scoring_args(sub) -> None:
-    sub.add_argument("--cost", choices=COST_VARIANTS, default=CLMAT,
-                     help="edge cost formula (default: %(default)s; residual divides "
-                          "per-packet tx energy by residual energy and needs --radio)")
-    sub.add_argument("--energy", choices=ENERGY_VARIANTS, default=NODE_MIN,
-                     help="tree energy: min non-root node energy, or min over edges "
-                          "of min endpoint energy (default: %(default)s)")
+                     help="radio model tx_fixed,tx_dist_coeff,exponent,rx_cost; it "
+                          "prices each tree's cost column as well as each round's "
+                          "drains (default: 50e-9,100e-12,2,50e-9)")
 
 
 def _add_selection_args(sub) -> None:
@@ -349,14 +341,12 @@ def _build_parser() -> _Parser:
 
     trees = subs.add_parser("trees", help="score the candidate tree of every root")
     _add_input_args(trees)
-    _add_scoring_args(trees)
     trees.add_argument("--format", choices=("table", "csv", "json"), default="table")
     trees.add_argument("-o", "--output", default=None)
     trees.set_defaults(func=_cmd_trees)
 
     select = subs.add_parser("select", help="pick the lifetime-maximizing aggregator")
     _add_input_args(select)
-    _add_scoring_args(select)
     _add_selection_args(select)
     select.add_argument("--format", choices=("table", "json", "dot"), default="table")
     select.add_argument("-o", "--output", default=None)
@@ -407,7 +397,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_trees(args) -> int:
     graph = _load_input(args)
-    candidates = build_all_candidates(graph, args.cost, args.energy, args.radio.tx_energy)
+    candidates = build_all_candidates(graph, args.radio.tx_energy)
     if args.format == "table":
         out = render_candidates(candidates)
     elif args.format == "csv":
@@ -420,7 +410,7 @@ def _cmd_trees(args) -> int:
 
 def _cmd_select(args) -> int:
     graph = _load_input(args)
-    ranking = select_aggregator(graph, args.cost, args.energy, args.tie, args.radio.tx_energy)
+    ranking = select_aggregator(graph, args.tie, args.radio.tx_energy)
     if args.format == "table":
         out = render_ranking(ranking)
     elif args.format == "json":

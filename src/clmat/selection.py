@@ -7,7 +7,6 @@ the choice; the primary key is total distance alone.
 from __future__ import annotations
 
 from .errors import NoSpanningCandidate
-from .metrics import CLMAT, NODE_MIN
 from .trees import Candidate, build_all_candidates
 
 MIN_DEPTH = "min-depth"
@@ -46,16 +45,12 @@ def compare_trees(candidates, tie_rule: str = MIN_DEPTH) -> list[Candidate]:
     return ranking
 
 
-def select_aggregator(graph, cost_variant: str = CLMAT,
-                      energy_variant: str = NODE_MIN,
-                      tie_rule: str = MIN_DEPTH,
-                      tx_energy=None) -> list[Candidate]:
+def select_aggregator(graph, tie_rule: str = MIN_DEPTH, tx_energy=None) -> list[Candidate]:
     """Score every candidate root and rank them, the aggregator first.
 
-    compare_trees over build_all_candidates: n searches and no tree. An
-    unknown tie_rule raises ValueError before any root is scored.
-    Deterministic for a fixed graph and configuration.
+    compare_trees over build_all_candidates(graph, tx_energy): n searches
+    and no tree. An unknown tie_rule raises ValueError before any root is
+    scored. Deterministic for a fixed graph and configuration.
     """
     _tie_key(tie_rule)
-    return compare_trees(build_all_candidates(graph, cost_variant, energy_variant, tx_energy),
-                         tie_rule)
+    return compare_trees(build_all_candidates(graph, tx_energy), tie_rule)

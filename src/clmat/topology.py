@@ -22,9 +22,12 @@ from .errors import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
-    """A sensor: unique name, battery in Joules, optional planar position."""
+    """A sensor: unique name, battery in Joules, optional planar position.
+
+    Frozen: assigning to a field raises dataclasses.FrozenInstanceError.
+    """
 
     id: str
     energy: float

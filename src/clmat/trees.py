@@ -8,12 +8,15 @@ parents and hop counts, and breaks distance ties by the lowest index; the
 relaxation loop sweeps links in insertion order, so ties always resolve
 the same way. The Dijkstra also yields each tree's depth in the same
 pass, and can skip the nodes an alive mask excludes instead of searching
-a copy without them. Per-root searches are independent pure computations
-over the immutable graph, so build_all_candidates splits a large graph's
-roots into contiguous chunks and scores all but the first in forked
-workers, one per usable CPU, which send their scores back exactly; a
-process without fork, with a second thread, or with one usable CPU
-scores every root itself, with the same result.
+a copy without them. build_all_candidates scores every root's tree by
+one energy (the least non-root energy), one cost (the residual cost under
+a radio model, see metrics) and its total distance. Per-root searches are
+independent pure computations over the immutable graph, so
+build_all_candidates splits a large graph's roots into contiguous chunks
+and scores all but the first in forked workers, one per usable CPU, which
+send their scores back exactly; a process without fork, with a second
+thread, or with one usable CPU scores every root itself, with the same
+result.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .metrics import CLMAT, COST_VARIANTS, ENERGY_VARIANTS, NODE_MIN, RESIDUAL
+from .metrics import RadioModel
 
 
 class ShortestPaths(NamedTuple):
@@ -157,8 +160,7 @@ def _fold(row: list[float], indices=None) -> float:
     return reduce(add, row if indices is None else map(row.__getitem__, indices), 0.0)
 
 
-def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str = NODE_MIN,
-                         tx_energy=None) -> list[Candidate]:
+def build_all_candidates(graph, tx_energy=None) -> list[Candidate]:
     """Each root's Candidate, in insertion order, scored on every usable CPU.
 
     One search per root and no tree record. Every score is read straight
@@ -168,11 +170,13 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
       left fold of the tree's distances over its non-root nodes, in the
       tree's order.
     - energy: the energy of the first node, in ascending energy order,
-      that the search reached, skipping the root under node-min: the least
-      such energy. A single-node tree has none.
-    - cost: 0 for a single-node tree, +inf under clmat for any other, and
-      under residual the sum over (parent, child) links in child index
-      order.
+      that the search reached, the root skipped: the least such energy. A
+      single-node tree has none.
+    - cost: the residual cost, a left fold over the (parent, child) links
+      in child index order of tx/E_parent + tx/E_child, where tx is
+      tx_energy of the link's distance; 0 for a single-node tree, and +inf
+      only where a transmission overflows. tx_energy defaults to the
+      default RadioModel's.
     Entries whose tree fails to reach every node are flagged non-spanning;
     their scores still describe the partial tree.
 
@@ -180,17 +184,12 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
     CPU, in forked workers (see _in_chunks); the candidates, their order
     and every float are the same as a serial run's.
     """
-    if energy_variant not in ENERGY_VARIANTS:
-        raise ValueError(f"unknown energy variant {energy_variant!r}")
-    if cost_variant not in COST_VARIANTS:
-        raise ValueError(f"unknown cost variant {cost_variant!r}")
-    if cost_variant == RESIDUAL and tx_energy is None and graph.links:
-        raise ValueError("the residual cost variant needs a tx_energy(distance) callable")
+    if tx_energy is None:
+        tx_energy = RadioModel().tx_energy
     n = len(graph)
     energies = [node.energy for node in graph.nodes]
     by_energy = sorted(range(n), key=energies.__getitem__)
-    skip_root = energy_variant == NODE_MIN
-    adj = graph._adj
+    terms = _cost_terms(graph, energies, tx_energy)  # before any fork, so the workers share it
     inf = math.inf
     bounds = _chunk_bounds(n, n * (n + 2 * len(graph.links)))
     if len(bounds) > 2:
@@ -203,33 +202,34 @@ def build_all_candidates(graph, cost_variant: str = CLMAT, energy_variant: str =
             paths = shortest_path_search(graph, i)
             spanning = paths.reached == n
             best = paths.best if spanning else [d for d in paths.best if d < inf]
-            total = _fold(best)
-            if paths.reached == 1:
-                energy, cost = None, 0.0
-            else:
-                energy = next(energies[w] for w in by_energy
-                              if paths.best[w] < inf and not (skip_root and w == i))
-                cost = inf if cost_variant == CLMAT else _residual_cost(paths, adj, energies, tx_energy)
-            rows.append((energy, cost, total, paths.depth, spanning))
+            energy = None
+            if paths.reached > 1:
+                energy = next(energies[w] for w in by_energy if paths.best[w] < inf and w != i)
+            cost = reduce(add, map(dict.__getitem__, terms, paths.parent), 0.0)
+            rows.append((energy, cost, _fold(best), paths.depth, spanning))
         return rows
 
     ids = graph.node_ids()
     return [Candidate(ids[i], *row) for i, row in enumerate(_in_chunks(score, bounds))]
 
 
-def _residual_cost(paths: ShortestPaths, adj, energies: list[float], tx_energy) -> float:
-    """The residual cost of a search's tree, summed over its links in child index order.
+def _cost_terms(graph, energies: list[float], tx_energy) -> list[dict[int, float]]:
+    """Each node's residual-cost term as a child, by its parent's index; -1 maps to 0.0.
 
-    A link's cost is its per-packet transmission energy over each
-    endpoint's residual energy, parent first. add_vertex keeps every
-    energy positive, so no term divides by zero.
+    A link's term is tx/E_parent + tx/E_child, tx being the link's
+    per-packet transmission energy; float addition commutes, so both
+    directions of a link share one term, priced once. add_vertex keeps
+    every energy positive, so no term divides by zero. The -1 entry lets a
+    fold over a search's parent list add 0.0 for the root and every
+    unreached node, which leaves a nonnegative sum's bits as they are.
     """
-    total = 0.0
-    for w, p in enumerate(paths.parent):
-        if p != -1:
-            tx = tx_energy(adj[p][w].distance)
-            total += tx / energies[p] + tx / energies[w]
-    return total
+    terms = [{-1: 0.0} for _ in energies]
+    for w, row in enumerate(graph._adj):
+        for p, link in row.items():
+            if p < w:
+                tx = tx_energy(link.distance)
+                terms[w][p] = terms[p][w] = tx / energies[p] + tx / energies[w]
+    return terms
 
 
 # Least search work worth one chunk, in roots x (roots + 2 x links) units,

@@ -2,8 +2,9 @@
 
 The references are the name-keyed AggregationTree and its builders
 (search_tree, shortest_path_tree, scan_shortest_path_tree), the
-tree-walk scorers (tree_energy, tree_cost, total_distance), the per-link
-costs (clmat_edge_cost, residual_edge_cost), the pairwise link_distance,
+tree-walk scorers (tree_energy, tree_cost, total_distance) with the
+variant names they read, the per-link costs (clmat_edge_cost,
+residual_edge_cost), the pairwise link_distance,
 the graph copies (restricted, with_energies), round_costs,
 reference_run_lifetime and first_death_bound. The library builds no tree
 record: it computes every score and every round's drains in closed form
@@ -18,9 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from clmat.errors import ClmatError, NoSpanningCandidate
-from clmat.metrics import CLMAT, COST_VARIANTS, EDGE_MIN, ENERGY_VARIANTS, NODE_MIN
+from clmat.metrics import RadioModel
 from clmat.selection import select_aggregator
-from clmat.simulator import LifetimeResult, RadioModel, RoundReport
+from clmat.simulator import LifetimeResult, RoundReport
 from clmat.topology import NetworkGraph, random_topology
 from clmat.trees import Candidate, ShortestPaths, oracle_shortest_paths, shortest_path_search
 
@@ -238,6 +239,18 @@ def first_death_bound(graph, radio) -> float:
     if least_drain == 0:
         return math.inf
     return sum(graph.energy(v) for v in graph.node_ids()) / least_drain + 1
+
+
+# The scoring variants the references define. The library scores only node-min
+# energy and residual cost; edge-min and the clmat headroom cost stay here as
+# definitions that the acceptance criteria check.
+NODE_MIN = "node-min"
+EDGE_MIN = "edge-min"
+ENERGY_VARIANTS = (NODE_MIN, EDGE_MIN)
+
+CLMAT = "clmat"
+RESIDUAL = "residual"
+COST_VARIANTS = (CLMAT, RESIDUAL)
 
 
 class SingletonTree(ClmatError):

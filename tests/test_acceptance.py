@@ -12,7 +12,6 @@ import operator
 import random
 import time
 
-from clmat.metrics import EDGE_MIN, NODE_MIN
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel, SimConfig, reports_csv, run_lifetime
 from clmat.topology import export_json, load_topology
@@ -20,6 +19,8 @@ from clmat.trees import oracle_shortest_paths
 from clmat.cli import export_dot, main, run_menu
 
 from graphgen import (
+    EDGE_MIN,
+    NODE_MIN,
     clmat_edge_cost,
     eight_candidates,
     f4,

@@ -79,7 +79,11 @@ def test_select_json_format(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["chosen_root"] == "C"
     assert doc["metrics"]["distance"] == 6.0
-    assert doc["metrics"]["cost"] == "inf"
+    # C's tree is A-B, B-C and C-D; under the default radio each link costs its
+    # transmission energy over each endpoint's energy, summed in child order A, B, D
+    tx1, tx2 = 50e-9 + 100e-12 * 1.0, 50e-9 + 100e-12 * 4.0
+    assert doc["metrics"]["cost"] == (tx2 / 4.0 + tx2 / 5.0) + (tx1 / 3.0 + tx1 / 4.0) + (
+        tx2 / 3.0 + tx2 / 6.0)
     assert len(doc["ranking"]) == 4
 
 
@@ -247,6 +251,11 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     ["compare", "{topo}", "--policies", "clmat,fixed:"],
     ["trees", "{topo}", "--tie", "min-depth"],  # trees never picks a root
     ["trees", "--nodes-csv", "-", "--edges-csv", "-"],  # stdin can feed one input only
+    # trees and select score one cost and one energy, which no option chooses
+    ["select", "{topo}", "--cost", "residual"],
+    ["trees", "{topo}", "--cost", "clmat"],
+    ["trees", "{topo}", "--energy", "edge-min"],
+    ["select", "{topo}", "--energy", "node-min"],
 ])
 def test_bad_arguments_are_usage_errors(capsys, tmp_path, argv):
     topo = _f4_file(tmp_path)
@@ -776,8 +785,7 @@ def test_overflowing_tx_energy_is_infinite(capsys, tmp_path):
     assert out.splitlines()[1:] == ["1,b,inf,1,a"]
     assert "lifetime: 1 rounds" in err
     assert "nan" not in (out + err + trace.read_text(encoding="utf-8")).lower()
-    code, out, err = _run(capsys, ["select", str(path), "--cost", "residual",
-                                   "--format", "json"])
+    code, out, err = _run(capsys, ["select", str(path), "--format", "json"])
     assert code == 0 and err == ""
     assert "nan" not in out.lower()
     assert json.loads(out)["metrics"]["cost"] == "inf"
@@ -1129,9 +1137,7 @@ def test_menu_subcommand_reads_stdin(capsys, monkeypatch):
 
 def test_display_graph_function():
     assert display_graph(f4()).splitlines()[0] == "A  5.000 J"
-    g = two_node()
-    g.nodes[0].energy = 1.5
-    assert "a -- b  4  1.500" in display_graph(g)
+    assert "a -- b  4  1.500" in display_graph(two_node(e_first=1.5))
 
 
 def test_display_graph_escapes_ids():
@@ -1146,9 +1152,10 @@ def test_display_graph_escapes_ids():
 
 
 def test_render_ranking_infinite_cost_cell(tmp_path):
-    ranking = select_aggregator(f4())
-    text = render_ranking(ranking)
-    assert "inf" in text
+    # 1e200 ** 2 leaves the float range, so either root's one link costs inf
+    ranking = select_aggregator(two_node(d=1e200))
+    assert [c.cost for c in ranking] == [math.inf, math.inf]
+    assert render_ranking(ranking).splitlines()[1].split()[2] == "inf"
 
 
 def test_render_ranking_eight_candidates():
@@ -1191,25 +1198,27 @@ def counts(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("scoring", [("clmat", "node-min"), ("clmat", "edge-min"),
-                                     ("residual", "node-min"), ("residual", "edge-min")])
+# the radio prices the cost column: the default, a harsh one, one whose every
+# transmission overflows, and one that ignores distance
+@pytest.mark.parametrize("scoring", [[], ["--radio", "1e-3,1e-6,2,5e-4"],
+                                     ["--radio", "1e-3,1e300,4,5e-4"],
+                                     ["--radio", "1e-3,0,2,5e-4"]])
 def test_scoring_searches_each_root_once_and_builds_only_the_chosen_tree(
         tmp_path, capsys, counts, scoring):
     g = spanning_topologies(1, n=12)[0]
     path = tmp_path / "topo.json"
     path.write_text(export_json(g), encoding="utf-8")
-    cost, energy = scoring
-    flags = ["--cost", cost, "--energy", energy, "--radio", "1e-3,1e-6,2,5e-4"]
     # DOT draws the chosen tree, which is searched once more after ranking
     built = {("select", "table"): 0, ("select", "json"): 0, ("select", "dot"): 1,
              ("trees", "table"): 0, ("trees", "csv"): 0, ("trees", "json"): 0}
     for (command, fmt), trees_built in built.items():
         counts.update(searches=0)
-        assert main([command, str(path), "--format", fmt, *flags]) == 0
+        assert main([command, str(path), "--format", fmt, *scoring]) == 0
         assert counts == {"searches": len(g) + trees_built}, (command, fmt)
     capsys.readouterr()
     counts.update(searches=0)
-    select_aggregator(g, cost, energy, tx_energy=RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy)
+    radio = cli._parse_radio(scoring[1]) if scoring else RadioModel()
+    select_aggregator(g, tx_energy=radio.tx_energy)
     assert counts == {"searches": len(g)}
 
 
@@ -1368,8 +1377,8 @@ def test_cli_contract_on_drawn_topologies(topology, as_csv, until):
             (["select", "--format", "table"], None),
             (["select", "--format", "json"], "json"),
             (["select", "--format", "dot"], None),
-            (["trees", "--cost", "clmat", "--format", "csv"], "csv"),
-            (["trees", "--cost", "residual", "--format", "json"], "json"),
+            (["trees", "--format", "csv"], "csv"),
+            (["trees", "--radio", "1e-3,1e300,4,5e-4", "--format", "json"], "json"),
             (["simulate", "--rounds", "40", "--until", until, "--trace", trace], "csv"),
             (["compare", "--rounds", "40", "--trials", "2", "--format", "csv",
               "--policies", f"clmat,max-energy,random,{fixed}"], "csv"),

@@ -47,8 +47,7 @@ def outputs(seed: int) -> dict[str, str]:
         select, _ = _invoke(["select", topo, "--format", "json"])
         trees = {fmt: _invoke(["trees", topo, "--format", fmt])[0]
                  for fmt in ("table", "csv", "json")}
-        residual, _ = _invoke(["trees", topo, "--format", "json", "--cost", "residual",
-                               "--energy", "edge-min", "--radio", RADIO])
+        residual, _ = _invoke(["trees", topo, "--format", "json", "--radio", RADIO])
         select_table, _ = _invoke(["select", topo])
         select_dot, _ = _invoke(["select", topo, "--format", "dot"])
         first_min, _ = _invoke(["select", topo, "--tie", "first-min", "--format", "json"])
@@ -74,14 +73,13 @@ def outputs(seed: int) -> dict[str, str]:
 
 
 def partial_outputs() -> dict[str, str]:
-    """trees rows on a topology that no root spans, under both scoring variants."""
+    """trees rows on a topology that no root spans, under the default radio and RADIO."""
     with tempfile.TemporaryDirectory() as tmp:
         topo = os.path.join(tmp, "topo.json")
         _invoke(["gen", "--nodes", "14", "--side", "100", "--range", "30",
                  "--energy-lo", "0.1", "--energy-hi", "0.15", "--seed", "19", "-o", topo])
         trees, _ = _invoke(["trees", topo, "--format", "json"])
-        residual, _ = _invoke(["trees", topo, "--format", "json", "--cost", "residual",
-                               "--energy", "edge-min", "--radio", RADIO])
+        residual, _ = _invoke(["trees", topo, "--format", "json", "--radio", RADIO])
         return {
             "topo.json": Path(topo).read_text(encoding="utf-8"),
             "trees.json": trees,

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from clmat.metrics import EDGE_MIN, NODE_MIN, RESIDUAL
 from clmat.trees import build_all_candidates
 
 from graphgen import (
+    EDGE_MIN,
+    NODE_MIN,
+    RESIDUAL,
     AggregationTree,
     SingletonTree,
     UnreachableNode,
@@ -95,15 +97,11 @@ def test_scored_tree_energy_matches_tree_energy_on_every_root(energies, connecte
                     g.add_edge(f"m{rng.randrange(k)}", f"m{k}", float(rng.randint(1, 20)))
         if energies is not None:
             g = with_energies(g, {v: rng.choice(energies) for v in g.node_ids()})
-        for variant in (NODE_MIN, EDGE_MIN):
-            expected = []
-            for v in g.node_ids():
-                tree = shortest_path_tree(g, v)
-                expected.append(tree_energy(tree, g, variant) if tree.parent else None)
-            scored = build_all_candidates(g, energy_variant=variant)
-            assert [c.energy for c in scored] == expected
-    with pytest.raises(ValueError):
-        build_all_candidates(f4(), energy_variant="median")
+        expected = []
+        for v in g.node_ids():
+            tree = shortest_path_tree(g, v)
+            expected.append(tree_energy(tree, g, NODE_MIN) if tree.parent else None)
+        assert [c.energy for c in build_all_candidates(g)] == expected
 
 
 def test_residual_edge_cost_example():

@@ -9,18 +9,14 @@ from clmat.topology import NetworkGraph
 
 # Every name the package exports; changing the export list means editing this set.
 EXPORTED = {
-    "CLMAT",
     "Candidate",
     "ClmatError",
-    "EDGE_MIN",
     "FIRST_MIN",
     "LifetimeResult",
     "MIN_DEPTH",
-    "NODE_MIN",
     "NetworkGraph",
     "Node",
     "NoSpanningCandidate",
-    "RESIDUAL",
     "RadioModel",
     "RoundReport",
     "SimConfig",
@@ -50,9 +46,11 @@ def test_exported_names_are_exactly_the_pinned_set():
 
 
 def test_tree_walk_scorers_and_graph_copies_are_not_in_the_library():
-    """The tree-walk scorers and the graph copies are test references now."""
+    """The tree-walk scorers, the scoring variant names and the graph copies are
+    test references now: the library scores one energy and one cost."""
     for name in ("tree_energy", "tree_cost", "total_distance", "clmat_edge_cost",
-                 "residual_edge_cost"):
+                 "residual_edge_cost", "CLMAT", "EDGE_MIN", "NODE_MIN", "RESIDUAL",
+                 "COST_VARIANTS", "ENERGY_VARIANTS"):
         assert not hasattr(clmat, name)
         assert not hasattr(clmat.metrics, name)
     for name in ("restricted", "with_energies", "distance"):

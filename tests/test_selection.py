@@ -7,18 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmat import errors
-from clmat.metrics import (
-    CLMAT,
-    EDGE_MIN,
-    NODE_MIN,
-    RESIDUAL,
-)
 from clmat.selection import FIRST_MIN, MIN_DEPTH, compare_trees, select_aggregator
 from clmat.simulator import RadioModel
 from clmat.topology import NetworkGraph
 from clmat.trees import Candidate, build_all_candidates, oracle_shortest_paths
 
 from graphgen import (
+    NODE_MIN,
+    RESIDUAL,
     SingletonTree,
     depth_by_walk,
     eight_candidates,
@@ -219,43 +215,46 @@ def test_brute_force_oracle_agreement():
             assert select_aggregator(g, tie_rule=rule)[0].root == brute_choice(g, rule)
 
 
-TX_ENERGY = RadioModel(1e-3, 1e-6, 2, 5e-4).tx_energy
+# The radios the residual cost is refereed under: a harsh one, one whose
+# transmissions all overflow (every tree with a link costs inf), and one that
+# ignores distance.
+RADIOS = [RadioModel(1e-3, 1e-6, 2, 5e-4), RadioModel(1e-3, 1e300, 4, 5e-4),
+          RadioModel(1e-3, 0, 2, 5e-4)]
 
 
-def _reference_candidate(g, root, cost_variant, energy_variant):
+def _reference_candidate(g, root, tx_energy):
     """A candidate scored through an AggregationTree built on its own."""
     tree = shortest_path_tree(g, root)
     try:
-        energy = tree_energy(tree, g, energy_variant)
+        energy = tree_energy(tree, g, NODE_MIN)
     except SingletonTree:
         energy = None
-    cost = tree_cost(tree, g, cost_variant, tx_energy=TX_ENERGY)
+    cost = tree_cost(tree, g, RESIDUAL, tx_energy=tx_energy)
     return Candidate(root, energy, cost, total_distance(tree), tree.depth,
                      len(tree.dist) == len(g))
 
 
 @pytest.mark.referee
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 9), isolated=st.booleans())
-def test_scores_match_trees_built_independently(seed, n, isolated):
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 9), isolated=st.booleans(),
+       radio=st.sampled_from(RADIOS))
+def test_scores_match_trees_built_independently(seed, n, isolated, radio):
     """Every score read off the search lists equals the tree-built one, bit for bit,
     and both rank and choose alike."""
     g = tie_heavy_graph(random.Random(seed), n, isolated)
-    for cost_variant in (CLMAT, RESIDUAL):
-        for energy_variant in (NODE_MIN, EDGE_MIN):
-            got = build_all_candidates(g, cost_variant, energy_variant, TX_ENERGY)
-            want = [_reference_candidate(g, root, cost_variant, energy_variant)
-                    for root in g.node_ids()]
-            assert got == want
-            for rule in (MIN_DEPTH, FIRST_MIN):
-                if not any(c.spanning for c in want):
-                    with pytest.raises(errors.NoSpanningCandidate):
-                        compare_trees(got, rule)
-                    with pytest.raises(errors.NoSpanningCandidate):
-                        select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
-                    continue
-                ranked = compare_trees(got, rule)
-                assert ranked == compare_trees(want, rule)
-                ranking = select_aggregator(g, cost_variant, energy_variant, rule, TX_ENERGY)
-                assert ranking[0].root == ranked[0].root == brute_choice(g, rule)
-                assert ranking == ranked
+    got = build_all_candidates(g, radio.tx_energy)
+    want = [_reference_candidate(g, root, radio.tx_energy) for root in g.node_ids()]
+    assert got == want
+    assert [c.cost.hex() for c in got] == [c.cost.hex() for c in want]
+    for rule in (MIN_DEPTH, FIRST_MIN):
+        if not any(c.spanning for c in want):
+            with pytest.raises(errors.NoSpanningCandidate):
+                compare_trees(got, rule)
+            with pytest.raises(errors.NoSpanningCandidate):
+                select_aggregator(g, rule, radio.tx_energy)
+            continue
+        ranked = compare_trees(got, rule)
+        assert ranked == compare_trees(want, rule)
+        ranking = select_aggregator(g, rule, radio.tx_energy)
+        assert ranking[0].root == ranked[0].root == brute_choice(g, rule)
+        assert ranking == ranked

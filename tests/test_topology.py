@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -518,12 +519,22 @@ def test_csv_unknown_endpoint():
 
 
 def test_link_energy_recomputed_not_cached():
-    g = NetworkGraph()
-    g.add_vertex("A", 5.0)
-    g.add_vertex("B", 3.0)
-    g.add_edge("A", "B", 1.0)
-    g.nodes[0].energy = 1.0  # battery drained since insertion
-    assert g.link_energy("A", "B") == 1.0
+    # a node cannot change, so a drained battery is a graph built with less energy
+    for energy, expected in [(5.0, 3.0), (1.0, 1.0)]:
+        g = NetworkGraph()
+        g.add_vertex("A", energy)
+        g.add_vertex("B", 3.0)
+        g.add_edge("A", "B", 1.0)
+        assert g.link_energy("A", "B") == expected
+
+
+def test_nodes_are_frozen():
+    g = f4()
+    for node in g.nodes:
+        for field in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field.name, 0.0)
+    assert g == f4()
 
 
 def test_restricted_subgraph():

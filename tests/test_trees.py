@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clmat import errors
-from clmat.metrics import NODE_MIN
+from clmat.metrics import RadioModel
 from clmat.topology import NetworkGraph
 from clmat.trees import build_all_candidates, oracle_shortest_paths, shortest_path_search
 
 from graphgen import (
+    NODE_MIN,
+    RESIDUAL,
     depth_by_walk,
     f4,
     link_distance,
@@ -290,7 +292,7 @@ def test_build_all_candidates_metrics_recompute():
         for c in build_all_candidates(g):
             tree = shortest_path_tree(g, c.root)
             assert c.energy == tree_energy(tree, g, NODE_MIN)
-            assert c.cost == tree_cost(tree, g)
+            assert c.cost == tree_cost(tree, g, RESIDUAL, tx_energy=RadioModel().tx_energy)
             assert c.distance == total_distance(tree)
             assert c.depth == tree.depth
 
@@ -309,16 +311,6 @@ def test_build_all_candidates_isolated_node():
     g = f4()
     g.add_vertex("island", 1.0)
     assert not any(c.spanning for c in build_all_candidates(g))
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    ({"energy_variant": "median"}, "energy variant"),
-    ({"cost_variant": "cheapest"}, "cost variant"),
-    ({"cost_variant": "residual"}, "tx_energy"),
-])
-def test_build_all_candidates_rejects_bad_scoring(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        build_all_candidates(two_node(), **kwargs)
 
 
 def test_edges():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from clmat import errors, trees
 from clmat.cli import main
-from clmat.metrics import CLMAT, EDGE_MIN, NODE_MIN, RESIDUAL
 from clmat.selection import FIRST_MIN, MIN_DEPTH, select_aggregator
 from clmat.simulator import RadioModel
 from clmat.topology import export_json, load_topology
@@ -57,10 +56,10 @@ def _exact_rows(rows):
     return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
 
 
-def _selection(graph, cost, energy, rule):
+def _selection(graph, rule):
     """A selection's exact outcome, or the NoSpanningCandidate message."""
     try:
-        ranking = select_aggregator(graph, cost, energy, rule, TX_ENERGY)
+        ranking = select_aggregator(graph, rule, TX_ENERGY)
     except errors.NoSpanningCandidate as exc:
         return str(exc)
     return ranking[0].root, _exact(ranking)
@@ -72,22 +71,20 @@ def _selection(graph, cost, energy, rule):
        cpus=st.integers(2, 5))
 def test_worker_scores_match_serial_scores(seed, n, isolated, cpus):
     """Split across up to cpus chunks, tie-heavy graphs, spanning or not, score and
-    select exactly as in one chunk, under both tie rules and every scoring."""
+    select exactly as in one chunk, under both tie rules."""
     g = tie_heavy_graph(random.Random(seed), n, isolated)
     chunks = min(cpus, len(g))
-    for cost in (CLMAT, RESIDUAL):
-        for energy in (NODE_MIN, EDGE_MIN):
-            with usable_cpus(1, chunk_work=1) as fork:
-                serial = _exact(build_all_candidates(g, cost, energy, TX_ENERGY))
-                chosen = {rule: _selection(g, cost, energy, rule) for rule in (MIN_DEPTH, FIRST_MIN)}
-            assert fork.call_count == 0
-            with usable_cpus(cpus, chunk_work=1) as fork:
-                assert _exact(build_all_candidates(g, cost, energy, TX_ENERGY)) == serial
-                assert fork.call_count == chunks - 1
-                for rule in (MIN_DEPTH, FIRST_MIN):
-                    assert _selection(g, cost, energy, rule) == chosen[rule]
-            assert fork.call_count == 3 * (chunks - 1)
-            assert_no_children()
+    with usable_cpus(1, chunk_work=1) as fork:
+        serial = _exact(build_all_candidates(g, TX_ENERGY))
+        chosen = {rule: _selection(g, rule) for rule in (MIN_DEPTH, FIRST_MIN)}
+    assert fork.call_count == 0
+    with usable_cpus(cpus, chunk_work=1) as fork:
+        assert _exact(build_all_candidates(g, TX_ENERGY)) == serial
+        assert fork.call_count == chunks - 1
+        for rule in (MIN_DEPTH, FIRST_MIN):
+            assert _selection(g, rule) == chosen[rule]
+    assert fork.call_count == 3 * (chunks - 1)
+    assert_no_children()
 
 
 @pytest.fixture(scope="module")
@@ -182,36 +179,37 @@ def test_error_in_the_parents_chunk_kills_and_reaps_the_workers(monkeypatch):
     parent = os.getpid()
     search = trees.shortest_path_search
 
-    def slow_in_workers(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
+    def slow_in_workers_failing_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise ValueError("search failed in the parent")
+        time.sleep(60)
         return search(*args)
 
-    def fails_in_the_parent(distance):
-        if os.getpid() == parent:
-            raise ValueError("tx_energy failed in the parent")
-        return TX_ENERGY(distance)
-
-    monkeypatch.setattr(trees, "shortest_path_search", slow_in_workers)
+    monkeypatch.setattr(trees, "shortest_path_search", slow_in_workers_failing_in_the_parent)
     start = time.monotonic()
     with usable_cpus(3, chunk_work=1) as fork:
-        with pytest.raises(ValueError, match="tx_energy"):
-            build_all_candidates(g, RESIDUAL, tx_energy=fails_in_the_parent)
+        with pytest.raises(ValueError, match="search failed"):
+            build_all_candidates(g)
     assert time.monotonic() - start < 30
     assert fork.call_count == 2
     assert_no_children()
 
 
-def test_a_missing_tx_energy_raises_before_any_fork():
+def test_a_failing_tx_energy_raises_before_any_fork():
+    """Every link's cost term is priced once, in the parent, before any fork."""
     g = tie_heavy_graph(random.Random(5), 9, isolated=False)
+
+    def fails(distance):
+        raise ValueError("tx_energy failed")
+
     with usable_cpus(3, chunk_work=1) as fork:
         with pytest.raises(ValueError, match="tx_energy"):
-            build_all_candidates(g, RESIDUAL)
+            build_all_candidates(g, fails)
     assert fork.call_count == 0
-    # with no link no tree has an edge, so no residual cost needs tx_energy
+    # with no link no tree has an edge, so no cost term calls tx_energy
     lone = load_topology('{"nodes": [{"id": "a", "energy": 1}, {"id": "b", "energy": 2}]}')
     with usable_cpus(3, chunk_work=1):
-        assert [c.cost for c in build_all_candidates(lone, RESIDUAL)] == [0.0, 0.0]
+        assert [c.cost for c in build_all_candidates(lone, fails)] == [0.0, 0.0]
     assert_no_children()
 
 
