@@ -66,7 +66,7 @@ def _jsonable(x):
 
 
 def _fmt(x) -> str:
-    """A JSON record value as a table or CSV cell."""
+    """A JSON record value as a table or CSV cell, or an energy in DOT or the menu."""
     if x is None:
         return "-"
     if isinstance(x, bool):
@@ -149,11 +149,11 @@ def export_dot(graph: NetworkGraph, root: str) -> str:
     parent = shortest_path_search(graph, graph.get_index(root)).parent
     lines = ["graph sensors {"]
     for n in graph.nodes:
-        attrs = [f'label="{quoted(n.id)}\\n{n.energy:.3f} J"']
+        attrs = [f'label="{quoted(n.id)}\\n{_fmt(n.energy)} J"']
         if n.id == root:
             attrs.append("shape=doublecircle")
         lines.append(f'  "{quoted(n.id)}" [{", ".join(attrs)}];')
-    for link in sorted(graph.links, key=lambda l: (l.u, l.v)):
+    for link in sorted(graph.links):  # by (u, v), which is unique
         attrs = [f'label="{link.distance:g}"']
         i, j = graph.get_index(link.u), graph.get_index(link.v)
         if parent[i] == j or parent[j] == i:
@@ -170,10 +170,10 @@ def display_graph(graph: NetworkGraph) -> str:
     """
     if len(graph) == 0:
         return "Graph does not exist.\n"
-    lines = [f"{_escape(n.id)}  {n.energy:.3f} J" for n in graph.nodes]
+    lines = [f"{_escape(n.id)}  {_fmt(n.energy)} J" for n in graph.nodes]
     for link in graph.links:
         lines.append(f"{_escape(link.u)} -- {_escape(link.v)}  {link.distance:g}  "
-                     f"{graph.link_energy(link.u, link.v):.3f}")
+                     f"{_fmt(graph.link_energy(link.u, link.v))}")
     return "\n".join(lines) + "\n"
 
 

@@ -167,7 +167,7 @@ class _AliveView:
                 cost = 0.0
                 p = parent[w]
                 if p != -1:
-                    cost += tx_energy(adj[p][w].distance)
+                    cost += tx_energy(adj[p][w])
                 k = kids[w]
                 if k:
                     cost += k * rx_cost

@@ -9,7 +9,7 @@ import math
 import random
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import (
     DuplicateVertex,
@@ -34,9 +34,8 @@ class Node:
     position: tuple[float, float] | None = None
 
 
-@dataclass
-class Link:
-    """A stored radio link, usable in both directions."""
+class Link(NamedTuple):
+    """A read-only copy of a stored link: endpoints in first-add orientation, and distance."""
 
     u: str
     v: str
@@ -46,51 +45,55 @@ class Link:
 class NetworkGraph:
     """Node table plus a weighted undirected adjacency keyed by insertion index.
 
-    Each link is stored once, as one Link record held in links and under
-    both endpoints in the adjacency, so a tree searched outward from its
-    root also carries the readings back up to it. _adj[i] maps the
-    insertion index of each neighbour of node i to that Link; names map to
-    indices through _index.
+    Each link's distance is stored once, as _adj[i][j] and _adj[j][i], so a
+    tree searched outward from its root also carries the readings back up
+    to it; names map to insertion indices through _index. _pairs lists each
+    linked (i, j) once, in first-add order and orientation. nodes and links
+    are tuples built on each read, so nothing outside this module can
+    change a built graph.
     The searches read each row as a stored list of (neighbour, distance)
     pairs in the row's order, built from _adj on first use. add_vertex and
-    add_edge are the only writers of _adj, links and those lists, and each
-    resets the lists to None.
-    Construction is single-writer; a fully built graph is treated as
-    immutable and may be read from many computations at once (two
-    computations that both build the lists first build equal ones).
+    add_edge are the only writers of the node table, _adj, _pairs and those
+    lists, and each resets the lists to None.
+    Construction is single-writer; a fully built graph is immutable and may
+    be read from many computations at once (two computations that both
+    build the lists first build equal ones).
     """
 
     def __init__(self):
-        self.nodes: list[Node] = []
-        self.links: list[Link] = []
+        self._nodes: list[Node] = []
         self._index: dict[str, int] = {}
-        self._adj: list[dict[int, Link]] = []
+        self._adj: list[dict[int, float]] = []  # neighbour index -> link distance
+        self._pairs: list[tuple[int, int]] = []
         # _adj[i]'s (neighbour, link distance) pairs by index, built on the first search
         self._lists: list[list[tuple[int, float]]] | None = None
 
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(self._nodes)
+
+    @property
+    def links(self) -> tuple[Link, ...]:
+        """Every link once, in first-add order and orientation."""
+        nodes, adj = self._nodes, self._adj
+        return tuple(Link(nodes[i].id, nodes[j].id, adj[i][j]) for i, j in self._pairs)
+
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._nodes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NetworkGraph):
             return NotImplemented
-        return (
-            [(n.id, n.energy, n.position) for n in self.nodes]
-            == [(n.id, n.energy, n.position) for n in other.nodes]
-            and self._link_set() == other._link_set()
-        )
-
-    def _link_set(self) -> set[tuple[str, str, float]]:
-        return {(min(l.u, l.v), max(l.u, l.v), l.distance) for l in self.links}
+        return self._nodes == other._nodes and self._adj == other._adj
 
     def node_ids(self) -> list[str]:
-        return [n.id for n in self.nodes]
+        return [n.id for n in self._nodes]
 
     def node(self, name: str) -> Node:
         i = self._index.get(name)
         if i is None:
             raise UnknownVertex(f"unknown vertex: {name}")
-        return self.nodes[i]
+        return self._nodes[i]
 
     def energy(self, name: str) -> float:
         return self.node(name).energy
@@ -117,18 +120,18 @@ class NetworkGraph:
             if not (len(position) == 2 and all(_is_finite(c) for c in position)):
                 raise ValueError(f"position must be two finite numbers, got {_shown(position)}")
             position = (float(position[0]), float(position[1]))
-        self._index[name] = len(self.nodes)
-        self.nodes.append(Node(name, float(energy), position))
+        self._index[name] = len(self._nodes)
+        self._nodes.append(Node(name, float(energy), position))
         self._adj.append({})
         self._lists = None
 
     def add_edge(self, u: str, v: str, distance: float) -> None:
         """Store a link between existing vertices.
 
-        A fresh pair gets one Link, held in links and under both endpoints
-        in the adjacency. Re-adding an existing pair, in either order, finds
-        that Link through the adjacency in O(1) and writes one field, its
-        distance; links keeps its order.
+        The distance goes under both endpoints in the adjacency; a fresh
+        pair also joins the end of links, as (u, v). Re-adding an existing
+        pair, in either order, overwrites its distance in O(1) and keeps
+        the order of links and the pair's first orientation.
         """
         i, j = self._index.get(u), self._index.get(v)
         if i is None:
@@ -143,21 +146,16 @@ class NetworkGraph:
                 raise NonPositiveDistance(
                     f"distance must be a positive finite number, got {_shown(distance)}")
             distance = float(distance)
-        link = self._adj[i].get(j)
-        if link is None:
-            link = Link(u, v, distance)
-            self.links.append(link)
-            self._adj[i][j] = self._adj[j][i] = link
-        else:
-            link.distance = distance
+        if j not in self._adj[i]:
+            self._pairs.append((i, j))
+        self._adj[i][j] = self._adj[j][i] = distance
         self._lists = None  # a re-added pair's stored tuple holds its old distance
 
     def _neighbour_lists(self) -> list[list[tuple[int, float]]]:
         """Each node's (neighbour index, distance) pairs in adjacency order, built on first use."""
         lists = self._lists
         if lists is None:
-            distance = attrgetter("distance")
-            lists = self._lists = [list(zip(a, map(distance, a.values()))) for a in self._adj]
+            lists = self._lists = [list(row.items()) for row in self._adj]
         return lists
 
 
@@ -221,19 +219,20 @@ def export_json(graph: NetworkGraph) -> str:
     every energy, coordinate and distance as a finite float, whose repr is
     how json writes it.
     """
-    quote = encode_basestring_ascii
+    ids, adj = graph.node_ids(), graph._adj
+    quoted = list(map(encode_basestring_ascii, ids))
     nodes = []
-    for n in graph.nodes:
+    for q, n in zip(quoted, graph._nodes):
         if n.position is None:
-            nodes.append(f'    {{\n      "id": {quote(n.id)},\n      "energy": {n.energy!r}\n    }}')
+            nodes.append(f'    {{\n      "id": {q},\n      "energy": {n.energy!r}\n    }}')
         else:
             x, y = n.position
-            nodes.append(f'    {{\n      "id": {quote(n.id)},\n      "energy": {n.energy!r},\n'
+            nodes.append(f'    {{\n      "id": {q},\n      "energy": {n.energy!r},\n'
                          f'      "x": {x!r},\n      "y": {y!r}\n    }}')
     edges = [
-        f'    {{\n      "u": {quote(link.u)},\n      "v": {quote(link.v)},\n'
-        f'      "distance": {link.distance!r}\n    }}'
-        for link in sorted(graph.links, key=lambda l: (l.u, l.v))
+        f'    {{\n      "u": {quoted[i]},\n      "v": {quoted[j]},\n'
+        f'      "distance": {adj[i][j]!r}\n    }}'
+        for i, j in sorted(graph._pairs, key=lambda p: (ids[p[0]], ids[p[1]]))
     ]
     return (f'{{\n  "mode": "undirected",\n  "nodes": {_json_list(nodes)},\n'
             f'  "edges": {_json_list(edges)}\n}}\n')

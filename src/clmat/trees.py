@@ -191,7 +191,7 @@ def build_all_candidates(graph, tx_energy=None) -> list[Candidate]:
     by_energy = sorted(range(n), key=energies.__getitem__)
     terms = _cost_terms(graph, energies, tx_energy)  # before any fork, so the workers share it
     inf = math.inf
-    bounds = _chunk_bounds(n, n * (n + 2 * len(graph.links)))
+    bounds = _chunk_bounds(n, n * (n + 2 * len(graph._pairs)))
     if len(bounds) > 2:
         graph._neighbour_lists()  # built before the forks, so the workers share them
 
@@ -225,9 +225,9 @@ def _cost_terms(graph, energies: list[float], tx_energy) -> list[dict[int, float
     """
     terms = [{-1: 0.0} for _ in energies]
     for w, row in enumerate(graph._adj):
-        for p, link in row.items():
+        for p, d in row.items():
             if p < w:
-                tx = tx_energy(link.distance)
+                tx = tx_energy(d)
                 terms[w][p] = terms[p][w] = tx / energies[p] + tx / energies[w]
     return terms
 

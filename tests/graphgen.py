@@ -94,8 +94,8 @@ def link_distance(graph, u: str, v: str) -> float:
     if u == v:
         return 0.0
     i, j = graph.get_index(u), graph.get_index(v)
-    link = graph._adj[i].get(j) if i != -1 and j != -1 else None
-    return math.inf if link is None else link.distance
+    d = graph._adj[i].get(j) if i != -1 and j != -1 else None
+    return math.inf if d is None else d
 
 
 def random_connected_graph(rng: random.Random, n=None, weight_lo=1, weight_hi=20,

@@ -1140,6 +1140,15 @@ def test_display_graph_function():
     assert "a -- b  4  1.500" in display_graph(two_node(e_first=1.5))
 
 
+def test_energies_below_a_millijoule_keep_their_digits():
+    """A 0.0004 J node reads 0.0004 J, not 0.000 J, in DOT and in the menu's listing."""
+    g = two_node(e_first=0.0004)
+    assert '  "a" [label="a\\n0.0004 J"];' in export_dot(g, "b").splitlines()
+    assert display_graph(g).splitlines() == ["a  0.0004 J", "b  5.000 J", "a -- b  4  0.0004"]
+    out = _menu("1\na\n0.0004\n1\nb\n5\n2\na\nb\n4\n3\n6\n")
+    assert "choice: a  0.0004 J\nb  5.000 J\na -- b  4  0.0004\n" in out
+
+
 def test_display_graph_escapes_ids():
     g = NetworkGraph()
     for name in ("a", "c\nd", "e\x85f"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from clmat import errors
 from clmat.topology import (
     NetworkGraph,
+    Node,
     export_json,
     load_topology,
     load_topology_csv,
@@ -142,13 +143,13 @@ def test_add_edge_overwrites_existing_pair():
     assert link_distance(g, "A", "B") == 7.0
 
 
-def test_readd_overwrites_in_place_in_both_orders_and_keeps_link_order():
+def test_readd_overwrites_in_both_orders_and_keeps_link_order():
     g = NetworkGraph()
     for name in "ABCD":
         g.add_vertex(name, 1.0)
     g.add_edge("A", "B", 1.0)
     g.add_edge("C", "B", 2.0)
-    first = list(g.links)
+    first = g.links
     g.add_edge("B", "A", 3.0)  # a re-add in reversed order
     g.add_edge("C", "D", 4.0)  # a fresh pair after a re-add
     g.add_edge("B", "C", 5.0)
@@ -156,29 +157,41 @@ def test_readd_overwrites_in_place_in_both_orders_and_keeps_link_order():
     g.add_edge("A", "B", 7.0)
     assert [(l.u, l.v, l.distance) for l in g.links] == [
         ("A", "B", 7.0), ("C", "B", 5.0), ("C", "D", 6.0)]
-    assert g.links[:2] == first and all(a is b for a, b in zip(g.links, first))
+    # a re-add keeps the pair's place and first orientation; an earlier read keeps its values
+    assert first == (("A", "B", 1.0), ("C", "B", 2.0))
+    assert [(l.u, l.v) for l in g.links[:2]] == [(l.u, l.v) for l in first]
     assert (link_distance(g, "A", "B"), link_distance(g, "B", "C"), link_distance(g, "D", "C")) == (7.0, 5.0, 6.0)
 
 
-def test_readd_does_not_scan_links():
+def test_readd_does_not_scan_links(monkeypatch):
     class Unscannable(list):
-        def __iter__(self):
-            raise AssertionError("add_edge scanned links")
+        def __iter__(self, *args):
+            raise AssertionError("add_edge scanned the linked pairs")
+        __contains__ = index = count = __iter__
+
+    def unreadable(graph):
+        raise AssertionError("add_edge read links")
 
     g = NetworkGraph()
     for i in range(50):
         g.add_vertex(f"n{i}", 1.0)
     for i in range(49):
         g.add_edge(f"n{i}", f"n{i + 1}", 1.0)
-    g.add_edge("n1", "n0", 2.0)  # a re-add finds its Link through the adjacency
-    g.links = Unscannable(g.links)
-    for k in range(100):
-        g.add_edge("n48", "n49", float(k + 1))
-        g.add_edge("n49", "n48", float(k + 2))
-    g.add_edge("n0", "n49", 1.0)
-    g.add_edge("n49", "n0", 9.0)
-    assert list.__getitem__(g.links, 48).distance == 101.0
-    assert list.__getitem__(g.links, -1).distance == 9.0
+    g.add_edge("n1", "n0", 2.0)  # a re-add finds its pair through the adjacency
+    g._pairs = Unscannable(g._pairs)
+    with monkeypatch.context() as m:
+        m.setattr(NetworkGraph, "links", property(unreadable))
+        for k in range(100):
+            g.add_edge("n48", "n49", float(k + 1))
+            g.add_edge("n49", "n48", float(k + 2))
+        g.add_edge("n0", "n49", 1.0)
+        g.add_edge("n49", "n0", 9.0)
+    g._pairs = list.copy(g._pairs)
+    links = g.links
+    assert len(links) == 50
+    assert links[0] == ("n0", "n1", 2.0)
+    assert links[48] == ("n48", "n49", 101.0)
+    assert links[-1] == ("n0", "n49", 9.0)
 
 
 @pytest.mark.referee
@@ -203,15 +216,14 @@ def test_add_edge_matches_scan_reference(adds):
     assert [[l.u, l.v, l.distance] for l in g.links] == want
     for u, v, d in want:
         assert link_distance(g, u, v) == link_distance(g, v, u) == d
-    # each link is stored once: both adjacency entries are the Link held in links
-    held = {frozenset((l.u, l.v)): l for l in g.links}
+    # each link's distance is stored under both endpoints and nowhere else
     ids = g.node_ids()
+    for u, v, d in want:
+        i, j = ids.index(u), ids.index(v)
+        assert g._adj[i][j] == g._adj[j][i] == d
     assert sum(map(len, g._adj)) == 2 * len(g.links)
     for i, row in enumerate(g._adj):
-        for j, link in row.items():
-            assert link is g._adj[j][i]
-            assert link is held[frozenset((ids[i], ids[j]))]
-        assert g._neighbour_lists()[i] == [(j, link.distance) for j, link in row.items()]
+        assert g._neighbour_lists()[i] == list(row.items())
 
 
 def test_get_index():
@@ -537,6 +549,27 @@ def test_nodes_are_frozen():
     assert g == f4()
 
 
+def test_a_built_graph_cannot_be_changed_but_through_its_writers():
+    """nodes and links are read-only copies: no caller can slip in a node
+    add_vertex would reject, or change a distance but through add_edge."""
+    g = f4()
+    with pytest.raises(TypeError):
+        g.nodes[0] = Node("A", 0.0)
+    for name in ("nodes", "links"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, [])
+    link = g.links[0]
+    for field in link._fields:
+        with pytest.raises(AttributeError):
+            setattr(link, field, 0.0)
+    assert g == f4()
+    before = g.links
+    g.add_edge("B", "A", 7.0)
+    assert before[0] == ("A", "B", 2.0)
+    assert g.links[0] == ("A", "B", 7.0) and g.links[1:] == before[1:]
+    assert g != f4()
+
+
 def test_restricted_subgraph():
     g = f4()
     sub = restricted(g, ["A", "B", "D"], energies={"A": 1.5, "B": 2.5, "D": 3.5})
@@ -552,8 +585,8 @@ def test_with_energies_keeps_structure():
     view = with_energies(g, {n.id: 9.0 for n in g.nodes})
     assert view.node_ids() == g.node_ids()
     assert all(n.energy == 9.0 for n in view.nodes)
-    assert view._link_set() == {(u, v, d) for u, v, d in
-                                ((min(l.u, l.v), max(l.u, l.v), l.distance) for l in g.links)}
+    assert view.links == g.links
+    assert view._adj == g._adj
 
 
 @st.composite
@@ -596,8 +629,13 @@ def test_restricted_matches_copy_rebuilt_through_add_edge(graph_history, data):
     assert sub._neighbour_lists() == rebuilt._neighbour_lists()
     assert ([(l.u, l.v, l.distance) for l in sub.links]
             == [(l.u, l.v, l.distance) for l in rebuilt.links])
-    # the copy owns its links, so re-adding a pair on it cannot change the source
-    assert not {id(l) for l in sub.links} & {id(l) for l in g.links}
+    # the copy owns its distances, so re-adding a pair on it cannot change the source
+    if sub.links:
+        links, adj, text = g.links, [dict(row) for row in g._adj], export_json(g)
+        u, v, d = data.draw(st.sampled_from(sub.links), label="readded")
+        sub.add_edge(v, u, d + 1.0)
+        assert link_distance(sub, u, v) == d + 1.0
+        assert g.links == links and g._adj == adj and export_json(g) == text
     victim = data.draw(st.sampled_from(g.node_ids()), label="victim")
     for bad in (0.0, math.nan):
         with pytest.raises(errors.InvalidEnergy):
