@@ -138,14 +138,14 @@ def export_dot(graph: NetworkGraph, root: str) -> str:
     """Deterministic DOT text; root double-circled, the links of its tree bold.
 
     The tree is shortest_path_search from root's index: a link is bold when
-    one endpoint is the other's parent. UnknownVertex unless root is a
+    one endpoint is the other's parent. SemanticError unless root is a
     vertex. A backslash in a node id is written as \\\\ and a double quote
     as \\", in both the id and its label.
     """
     def quoted(name):
         return name.replace("\\", "\\\\").replace('"', '\\"')
 
-    graph.node(root)  # UnknownVertex unless root is a vertex
+    graph.node(root)  # SemanticError unless root is a vertex
     parent = shortest_path_search(graph, graph.get_index(root)).parent
     lines = ["graph sensors {"]
     for n in graph.nodes:
@@ -464,7 +464,11 @@ def _cmd_compare(args) -> int:
     config = _sim_config(args, policies, args.trials)
     graph = _load_input(args)
     lifetimes = compare_policies(graph, config, policies, random_trials=args.trials)
-    rows = [("policy", "lifetime_rounds"), *((name, f"{life:g}") for name, life in lifetimes)]
+    # six significant digits, or every integer digit when there are more: what :g
+    # writes for a lifetime below 999,999.5 rounds, and never an exponent above it
+    rows = [("policy", "lifetime_rounds")]
+    rows += [(name, f"{life:#.{max(0, 6 - len(str(int(life))))}f}".rstrip("0").rstrip("."))
+             for name, life in lifetimes]
     _write_text((args.output, (_table if args.format == "table" else _csv)(rows)))
     return 0
 
@@ -537,7 +541,7 @@ def _menu_add_vertex(graph, ask, say) -> None:
         return
     try:
         graph.add_vertex(name, energy)
-    except (ClmatError, ValueError) as exc:
+    except ClmatError as exc:
         say(f"{exc}\n")
 
 

@@ -1,28 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. ParseError and SemanticError
+are bad data (the CLI's exit 2) and NoSpanningCandidate a network no tree
+spans (exit 3); a bad setting is a ValueError (exit 1)."""
 
 
 class ClmatError(Exception):
     """Base class for every error this package raises on purpose."""
-
-
-class DuplicateVertex(ClmatError):
-    pass
-
-
-class InvalidEnergy(ClmatError):
-    pass
-
-
-class UnknownVertex(ClmatError):
-    pass
-
-
-class SelfLoop(ClmatError):
-    pass
-
-
-class NonPositiveDistance(ClmatError):
-    pass
 
 
 class ParseError(ClmatError):
@@ -30,7 +12,7 @@ class ParseError(ClmatError):
 
 
 class SemanticError(ClmatError):
-    """Well-formed topology input that contradicts itself."""
+    """Well-formed input that contradicts itself, or any write or lookup a graph rejects."""
 
 
 class NoSpanningCandidate(ClmatError):

@@ -240,8 +240,8 @@ def run_lifetime(graph, config: SimConfig, policy: str = "clmat",
     drained is the picked tree's read-only costs mapping itself, which
     every round on that tree shares.
     With stop_at_first_death False the run continues past deaths until the
-    horizon or until the survivors are disconnected or all dead
-    (partitioned=True).
+    horizon, or until deaths leave the survivors disconnected or fewer than
+    two, a lone node having no link to report over (partitioned=True).
     Fully deterministic for a fixed graph, config, and policy. An unknown
     policy name raises ValueError before the run.
     """
@@ -266,7 +266,7 @@ def _run(graph, config: SimConfig, policy: str, stop_at_first_death: bool,
     for r in range(1, config.max_rounds + 1):
         if r == 1 or view is None or (reads_residuals and (r - 1) % config.reselect_every == 0):
             if view is None:
-                if not alive:  # the last survivors died together
+                if len(alive) < 2:  # no link is left to carry a reading
                     partitioned = True
                     break
                 view = _AliveView(graph, alive, config.radio, first_view.searches)

@@ -11,15 +11,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .errors import (
-    DuplicateVertex,
-    InvalidEnergy,
-    NonPositiveDistance,
-    ParseError,
-    SelfLoop,
-    SemanticError,
-    UnknownVertex,
-)
+from .errors import ParseError, SemanticError
 
 
 @dataclass(frozen=True)
@@ -90,9 +82,9 @@ class NetworkGraph:
         return [n.id for n in self._nodes]
 
     def node(self, name: str) -> Node:
-        i = self._index.get(name)
-        if i is None:
-            raise UnknownVertex(f"unknown vertex: {name}")
+        i = self.get_index(name)
+        if i == -1:
+            raise SemanticError(f"unknown vertex: {_shown(name, str)}")
         return self._nodes[i]
 
     def energy(self, name: str) -> float:
@@ -100,25 +92,32 @@ class NetworkGraph:
 
     def get_index(self, name: str) -> int:
         """Insertion position of a vertex, or -1 when absent."""
-        return self._index.get(name, -1)
+        try:
+            return self._index.get(name, -1)
+        except TypeError:  # an unhashable name is no vertex's
+            return -1
 
     def link_energy(self, u: str, v: str) -> float:
         """Min endpoint energy, computed from current node energies."""
         return min(self.energy(u), self.energy(v))
 
     def add_vertex(self, name: str, energy: float, position=None) -> None:
+        """Store a vertex, or raise SemanticError and store nothing: name is a new
+        nonempty str, energy a positive finite number and position None or a
+        tuple or list of two finite numbers."""
         if not isinstance(name, str):
-            raise ValueError(f"vertex name must be a string, got {name!r}")
+            raise SemanticError(f"vertex name must be a string, got {_shown(name)}")
         if not name:
-            raise ValueError("vertex name must be nonempty")
+            raise SemanticError("vertex name must be nonempty")
         if self.get_index(name) != -1:
-            raise DuplicateVertex(f"vertex already exists: {name}")
+            raise SemanticError(f"vertex already exists: {name}")
         if not (_is_finite(energy) and energy > 0):
-            raise InvalidEnergy(
+            raise SemanticError(
                 f"energy must be a positive finite Joule value, got {_shown(energy)}")
         if position is not None:
-            if not (len(position) == 2 and all(_is_finite(c) for c in position)):
-                raise ValueError(f"position must be two finite numbers, got {_shown(position)}")
+            if not (isinstance(position, (tuple, list)) and len(position) == 2
+                    and all(_is_finite(c) for c in position)):
+                raise SemanticError(f"position must be two finite numbers, got {_shown(position)}")
             position = (float(position[0]), float(position[1]))
         self._index[name] = len(self._nodes)
         self._nodes.append(Node(name, float(energy), position))
@@ -126,24 +125,27 @@ class NetworkGraph:
         self._lists = None
 
     def add_edge(self, u: str, v: str, distance: float) -> None:
-        """Store a link between existing vertices.
+        """Store a link between existing vertices, or raise SemanticError and store nothing.
 
-        The distance goes under both endpoints in the adjacency; a fresh
-        pair also joins the end of links, as (u, v). Re-adding an existing
-        pair, in either order, overwrites its distance in O(1) and keeps
-        the order of links and the pair's first orientation.
+        The distance, a positive finite number, goes under both endpoints in
+        the adjacency; a fresh pair also joins the end of links, as (u, v).
+        Re-adding a pair, in either order, overwrites its distance in O(1)
+        and keeps the order of links and the pair's first orientation.
         """
-        i, j = self._index.get(u), self._index.get(v)
-        if i is None:
-            raise UnknownVertex(f"source vertex does not exist: {u}")
-        if j is None:
-            raise UnknownVertex(f"destination vertex does not exist: {v}")
-        if u == v:
-            raise SelfLoop(f"self loop on {u}")
+        try:
+            i, j = self._index.get(u, -1), self._index.get(v, -1)
+        except TypeError:  # an unhashable name is no vertex's
+            i, j = self.get_index(u), self.get_index(v)
+        if i == -1:
+            raise SemanticError(f"source vertex does not exist: {_shown(u, str)}")
+        if j == -1:
+            raise SemanticError(f"destination vertex does not exist: {_shown(v, str)}")
+        if i == j:
+            raise SemanticError(f"self loop on {u}")
         # a positive finite float, what loaders and generators pass, needs no other test
         if not (type(distance) is float and 0.0 < distance < math.inf):
             if not (_is_finite(distance) and distance > 0):
-                raise NonPositiveDistance(
+                raise SemanticError(
                     f"distance must be a positive finite number, got {_shown(distance)}")
             distance = float(distance)
         if j not in self._adj[i]:
@@ -196,7 +198,7 @@ def random_topology(n: int, side: float, radio_range: float,
                 d = dist(pa, positions[j])
                 if d <= radio_range:
                     add_edge(a, ids[j], d)
-    except NonPositiveDistance:
+    except SemanticError:
         if d == 0:
             raise ValueError(f"nodes {a} and {ids[j]} are at the same point: "
                              f"side {side!r} is too small to separate them") from None
@@ -277,18 +279,13 @@ def _is_finite(x) -> bool:
         return False
 
 
-def _shown(x) -> str:
-    """repr(x) for an error message, or a stand-in when x is or holds an int
-    with more digits than repr will write (sys.get_int_max_str_digits())."""
+def _shown(x, text=repr) -> str:
+    """text(x) for an error message, or a stand-in when x is or holds an int
+    with more digits than str or repr will write (sys.get_int_max_str_digits())."""
     try:
-        return repr(x)
+        return text(x)
     except ValueError:
         return "an int too long to write"
-
-
-_CONSTRUCTION_ERRORS = (
-    DuplicateVertex, InvalidEnergy, UnknownVertex, SelfLoop, NonPositiveDistance, ValueError,
-)
 
 
 def load_topology(data) -> NetworkGraph:
@@ -298,9 +295,9 @@ def load_topology(data) -> NetworkGraph:
     an unknown key at the top level, in a node or in an edge included,
     raise ParseError; well-formed content that contradicts itself
     (duplicate ids, unknown endpoints, nonpositive energies or distances)
-    raises SemanticError. Link energies are always
-    recomputed from node energies, never read from the file. data is text
-    or bytes, read by _text.
+    raises SemanticError, from add_vertex and add_edge themselves. Link
+    energies are always recomputed from node energies, never read from the
+    file. data is text or bytes, read by _text.
     """
     try:
         doc = json.loads(_text(data))
@@ -317,36 +314,33 @@ def load_topology(data) -> NetworkGraph:
     if len(doc) != 1 + ("mode" in doc) + ("edges" in doc):
         raise _unknown_keys(doc, ("mode", "nodes", "edges"), "top-level")
     g = NetworkGraph()
-    try:
-        for rec in nodes:
-            _require(isinstance(rec, dict), "node entries must be objects")
-            _require(isinstance(rec.get("id"), str), 'each node needs a string "id"')
-            _require(_is_number(rec.get("energy")), 'each node needs a numeric "energy"')
-            has_x, has_y = "x" in rec, "y" in rec
-            _require(has_x == has_y, "a node position needs both x and y")
-            pos = None
-            if has_x:
-                _require(_is_number(rec["x"]) and _is_number(rec["y"]),
-                         "x and y must be numbers")
-                pos = (rec["x"], rec["y"])
-            if len(rec) != (4 if has_x else 2):
-                raise _unknown_keys(rec, ("id", "energy", "x", "y"), "node")
-            g.add_vertex(_text_id(rec["id"]), rec["energy"], pos)
-        add_edge = g.add_edge
-        for rec in edges:
-            # each field is tested once, inline: this loop runs once per link
-            if not isinstance(rec, dict):
-                raise ParseError("edge entries must be objects")
-            u, v, d = rec.get("u"), rec.get("v"), rec.get("distance")
-            if not (isinstance(u, str) and isinstance(v, str)):
-                raise ParseError('each edge needs string "u" and "v"')
-            if type(d) is not float and not _is_number(d):
-                raise ParseError('each edge needs a numeric "distance"')
-            if len(rec) != 3:  # u, v and distance are all present by now
-                raise _unknown_keys(rec, ("u", "v", "distance"), "edge")
-            add_edge(u, v, d)
-    except _CONSTRUCTION_ERRORS as exc:
-        raise SemanticError(str(exc)) from exc
+    for rec in nodes:
+        _require(isinstance(rec, dict), "node entries must be objects")
+        _require(isinstance(rec.get("id"), str), 'each node needs a string "id"')
+        _require(_is_number(rec.get("energy")), 'each node needs a numeric "energy"')
+        has_x, has_y = "x" in rec, "y" in rec
+        _require(has_x == has_y, "a node position needs both x and y")
+        pos = None
+        if has_x:
+            _require(_is_number(rec["x"]) and _is_number(rec["y"]),
+                     "x and y must be numbers")
+            pos = (rec["x"], rec["y"])
+        if len(rec) != (4 if has_x else 2):
+            raise _unknown_keys(rec, ("id", "energy", "x", "y"), "node")
+        g.add_vertex(_text_id(rec["id"]), rec["energy"], pos)
+    add_edge = g.add_edge
+    for rec in edges:
+        # each field is tested once, inline: this loop runs once per link
+        if not isinstance(rec, dict):
+            raise ParseError("edge entries must be objects")
+        u, v, d = rec.get("u"), rec.get("v"), rec.get("distance")
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ParseError('each edge needs string "u" and "v"')
+        if type(d) is not float and not _is_number(d):
+            raise ParseError('each edge needs a numeric "distance"')
+        if len(rec) != 3:  # u, v and distance are all present by now
+            raise _unknown_keys(rec, ("u", "v", "distance"), "edge")
+        add_edge(u, v, d)
     return g
 
 
@@ -398,20 +392,17 @@ def _read_csv(text: str, required: tuple, optional: tuple = ()) -> list[dict]:
 
 def load_topology_csv(nodes_csv, edges_csv) -> NetworkGraph:
     """Edge-list import: nodes as `id,energy[,x,y]`, edges as `u,v,distance`;
-    each is text or bytes, read by _text."""
+    each is text or bytes, read by _text. Errors as for load_topology."""
     node_rows = _read_csv(_text(nodes_csv), ("id", "energy"), optional=("x", "y"))
     edge_rows = _read_csv(_text(edges_csv), ("u", "v", "distance"))
     g = NetworkGraph()
-    try:
-        for row in node_rows:
-            pos = None
-            x, y = row.get("x"), row.get("y")
-            if x or y:
-                _require(bool(x) and bool(y), "a node position needs both x and y")
-                pos = (_num(x, "x"), _num(y, "y"))
-            g.add_vertex(_text_id(row["id"]), _num(row["energy"], "energy"), pos)
-        for row in edge_rows:
-            g.add_edge(row["u"], row["v"], _num(row["distance"], "distance"))
-    except _CONSTRUCTION_ERRORS as exc:
-        raise SemanticError(str(exc)) from exc
+    for row in node_rows:
+        pos = None
+        x, y = row.get("x"), row.get("y")
+        if x or y:
+            _require(bool(x) and bool(y), "a node position needs both x and y")
+            pos = (_num(x, "x"), _num(y, "y"))
+        g.add_vertex(_text_id(row["id"]), _num(row["energy"], "energy"), pos)
+    for row in edge_rows:
+        g.add_edge(row["u"], row["v"], _num(row["distance"], "distance"))
     return g

@@ -110,11 +110,11 @@ def oracle_shortest_paths(graph, root: str) -> dict[str, float]:
     """Shortest distances by edge relaxation iterated to a fixpoint.
 
     Deliberately shares no structure with shortest_path_search: it sweeps
-    the stored link list, both directions of each link, until no distance
-    improves, using neither the adjacency nor a heap. Unreachable nodes keep
-    +inf, as in the search's best list.
+    the stored link list, both ways, until no distance improves, using
+    neither the adjacency nor a heap. Unreachable nodes keep +inf, as in
+    the search's best list. SemanticError unless root is a vertex.
     """
-    graph.node(root)  # UnknownVertex unless root is a vertex
+    graph.node(root)
     dist = {name: (0.0 if name == root else math.inf) for name in graph.node_ids()}
     arcs = []
     for link in graph.links:

@@ -10,7 +10,11 @@ reference_run_lifetime and first_death_bound. The library builds no tree
 record: it computes every score and every round's drains in closed form
 from a search's lists by insertion index, sums the residual cost's
 formula inline, and restricts a graph through an alive mask; these are
-the plain definitions the tests hold it to.
+the plain definitions the tests hold it to. The graph copies build
+through add_vertex and add_edge, so a bad energy raises SemanticError
+there as it does in the library, and reference_run_lifetime, like
+run_lifetime, ends a run to exhaustion once deaths leave fewer than two
+nodes alive.
 """
 
 import math
@@ -64,7 +68,7 @@ def search_tree(ids: list[str], root: str, paths: ShortestPaths) -> AggregationT
 def shortest_path_tree(graph, root: str) -> AggregationTree:
     """shortest_path_search from root's index, as an AggregationTree.
 
-    UnknownVertex unless root is a vertex.
+    SemanticError unless root is a vertex.
     """
     graph.node(root)
     return search_tree(graph.node_ids(), root, shortest_path_search(graph, graph.get_index(root)))
@@ -437,8 +441,9 @@ def reference_run_lifetime(graph, config, policy="clmat",
     energies and runs the full scored selection on it. Each round charges
     every tree node and then scans every alive node for a residual of <= 0,
     on dicts keyed by id rather than the simulator's ledger by insertion
-    index. run_lifetime must agree with it on every output and every
-    exception.
+    index. A reselection after deaths that left fewer than two nodes alive
+    ends the run as partitioned instead. run_lifetime must agree with it
+    on every output and every exception.
     """
     if not graph.nodes:
         raise NoSpanningCandidate("no candidate tree spans every node")
@@ -457,6 +462,9 @@ def reference_run_lifetime(graph, config, policy="clmat",
     need_select = True
     for r in range(1, config.max_rounds + 1):
         if need_select or (r - 1) % config.reselect_every == 0:
+            if need_select and r > 1 and len(alive) < 2:  # after deaths
+                partitioned = True
+                break
             view = restricted(graph, alive, {v: residual(v) for v in alive})
             try:
                 tree = choose(view)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from clmat import cli, simulator, trees
 from clmat.cli import display_graph, export_dot, main, render_ranking, run_menu
-from clmat.errors import UnknownVertex
+from clmat.errors import SemanticError
 from clmat.selection import select_aggregator
 from clmat.simulator import RadioModel, SimConfig, compare_policies, run_lifetime
 from clmat.topology import NetworkGraph, export_json, load_topology, random_topology
@@ -126,7 +126,7 @@ def test_export_dot_singleton_and_tree():
     assert text.count(" -- ") == 1 and text.count("style=bold") == 1
     assert text.count("doublecircle") == 1
     assert '"b" [label="b\\n5.000 J", shape=doublecircle]' in text
-    with pytest.raises(UnknownVertex):
+    with pytest.raises(SemanticError):
         export_dot(g, "z")
 
 
@@ -220,6 +220,39 @@ def test_compare_table(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0].split() == ["policy", "lifetime_rounds"]
     assert len(lines) == 5
+
+
+def test_compare_writes_every_integer_digit_of_a_lifetime(capsys, tmp_path, monkeypatch):
+    """Six significant digits, or every integer digit when there are more:
+    never an exponent, as :g would write from a million rounds up."""
+    def lifetimes(graph, config, policies, random_trials):
+        return [("clmat", 1e6), ("max-energy", 1234567.0), ("random", 112 / 3)]
+
+    monkeypatch.setattr(cli, "compare_policies", lifetimes)
+    topo = _f4_file(tmp_path)
+    assert _run(capsys, ["compare", topo]) == (0, (
+        "policy      lifetime_rounds\n"
+        "clmat       1000000\n"
+        "max-energy  1234567\n"
+        "random      37.3333\n"), "")
+    assert _run(capsys, ["compare", topo, "--format", "csv"]) == (0, (
+        "policy,lifetime_rounds\nclmat,1000000\nmax-energy,1234567\nrandom,37.3333\n"), "")
+
+
+def test_a_lone_survivor_ends_an_exhaustion_run(capsys, tmp_path):
+    """Once a node has no live neighbour the run ends, rather than idling to
+    the horizon on a one-node tree that drains nothing."""
+    topo = tmp_path / "pair.json"
+    topo.write_text(json.dumps({"nodes": [{"id": "a", "energy": 0.5}, {"id": "b", "energy": 5}],
+                                "edges": [{"u": "a", "v": "b", "distance": 1}]}),
+                    encoding="utf-8")
+    code, out, err = _run(capsys, ["simulate", str(topo), "--until", "exhaustion",
+                                   "--rounds", "1000", "--radio", "0.3,0.1,2,0.2"])
+    assert code == 0
+    assert out.splitlines() == ["round,aggregator,total_drained,alive,deaths",
+                                "1,b,0.6000000000000001,2,", "2,b,0.6000000000000001,1,a"]
+    assert err == ("lifetime: 2 rounds (first death: 2, delivered: 4 packets, "
+                   "partitioned: yes)\n")
 
 
 def test_usage_errors_exit_1(capsys, tmp_path):

@@ -59,6 +59,17 @@ def test_tree_walk_scorers_and_graph_copies_are_not_in_the_library():
         assert not hasattr(errors, name)
 
 
+def test_a_graph_rejects_input_with_semantic_error_alone():
+    """The writers' and lookups' own exception classes are gone: every
+    rejection is a SemanticError, the class the loaders raise for bad data."""
+    for name in ("DuplicateVertex", "InvalidEnergy", "UnknownVertex", "SelfLoop",
+                 "NonPositiveDistance"):
+        assert not hasattr(errors, name)
+    assert [c.__name__ for c in errors.ClmatError.__subclasses__()
+            if c.__module__ == errors.__name__] == [
+        "ParseError", "SemanticError", "NoSpanningCandidate"]
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names bound by the module's top-level imports that the module never reads.
 

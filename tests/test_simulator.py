@@ -159,18 +159,43 @@ def test_drain_on_a_kept_tree_reports_each_death_once_in_alive_order():
     order, not tree order; the survivors' tree is then kept to the horizon,
     and no dead node is charged again."""
     g = NetworkGraph()
-    for name, energy in [("C", 1.0), ("A", 10.0), ("B", 1.5)]:
+    for name, energy in [("C", 1.0), ("A", 10.0), ("B", 1.5), ("D", 10.0)]:
         g.add_vertex(name, energy)
     g.add_edge("A", "B", 1.0)
     g.add_edge("B", "C", 1.0)
+    g.add_edge("A", "D", 1.0)
     result = run_lifetime(g, SimConfig(radio=FLAT, max_rounds=3), policy="fixed:A",
                           stop_at_first_death=False)
     first, *kept = result.reports
     assert first.drained == round_costs(shortest_path_tree(g, "A"), FLAT, g)
-    assert (first.deaths, first.alive_count) == (["C", "B"], 1)
-    assert [(r.drained, r.deaths, r.alive_count) for r in kept] == [({"A": 0.0}, [], 1)] * 2
-    assert result.final_residuals == {"C": 0.0, "A": 9.5, "B": 0.0}
+    assert (first.deaths, first.alive_count) == (["C", "B"], 2)
+    assert ([(r.drained, r.deaths, r.alive_count) for r in kept]
+            == [({"A": 0.5, "D": 1.0}, [], 2)] * 2)
+    assert result.final_residuals == {"C": 0.0, "A": 8.0, "B": 0.0, "D": 7.0}
     assert (result.lifetime, result.partitioned) == (1, False)
+
+
+def test_a_lone_survivor_ends_an_exhaustion_run():
+    """Deaths that leave one node alive end the run as partitioned, as deaths
+    that leave none do: a node with no live neighbour has no link to report
+    over. It would otherwise drain nothing, round after round, to the horizon."""
+    g = NetworkGraph()
+    g.add_vertex("a", 0.5)
+    g.add_vertex("b", 5.0)
+    g.add_edge("a", "b", 1.0)
+    radio = RadioModel(0.3, 0.1, 2, 0.2)
+    for policy in ("clmat", "max-energy", "random", "fixed:b"):
+        result = run_lifetime(g, SimConfig(radio=radio, max_rounds=1000), policy,
+                              stop_at_first_death=False)
+        assert [r.deaths for r in result.reports] == [[], ["a"]]
+        assert result.reports[-1].alive_count == 1
+        assert (result.lifetime, result.first_death_round) == (2, 2)
+        assert (result.delivered_packets, result.partitioned) == (4, True)
+    # a graph of one node never had a link, and no death leaves it alone
+    lone = NetworkGraph()
+    lone.add_vertex("a", 1.0)
+    result = run_lifetime(lone, SimConfig(radio=radio, max_rounds=5), stop_at_first_death=False)
+    assert (len(result.reports), result.partitioned) == (5, False)
 
 
 def test_alive_view_knows_dead_and_unknown_roots():
@@ -327,10 +352,11 @@ def test_exhaustion_continues_past_deaths():
     result = run_lifetime(g, cfg, policy="fixed:hub", stop_at_first_death=False)
     assert result.first_death_round == 2
     assert result.lifetime == 2
-    assert len(result.reports) == 6
-    assert [r.deaths for r in result.reports] == [[], ["leaf0"], ["leaf1"], ["leaf2"], [], []]
-    assert not result.partitioned
-    assert result.delivered_packets == 4 + 4 + 3 + 2 + 1 + 1
+    # leaf2's death leaves the hub alone, which ends the run
+    assert len(result.reports) == 4
+    assert [r.deaths for r in result.reports] == [[], ["leaf0"], ["leaf1"], ["leaf2"]]
+    assert result.partitioned
+    assert result.delivered_packets == 4 + 4 + 3 + 2
 
 
 def test_run_raises_without_spanning_start():
@@ -932,12 +958,15 @@ def test_one_view_per_alive_set_and_bounded_clmat_builds(tmp_path, monkeypatch):
     views, built, rows = _spied_simulate(tmp_path, monkeypatch, g, "clmat")
     death_rounds = [int(r[0]) for r in rows if r[4]]
     assert len(rows) > len(death_rounds) > 1  # several alive sets, each kept a while
-    # a view for round 1 and after every death that another round follows
+    # a view for round 1 and after every death that another round follows and
+    # that leaves two nodes or more: fewer end the run
     alive_sets = [g.node_ids()]
     for r in rows:
         if r[4] and int(r[0]) < 1000:
             dead = set(r[4].split(";"))
-            alive_sets.append([v for v in alive_sets[-1] if v not in dead])
+            alive = [v for v in alive_sets[-1] if v not in dead]
+            if len(alive) > 1:
+                alive_sets.append(alive)
     assert views == [tuple(a) for a in alive_sets]
     # with no stale rows yet, view 1 builds every root, in node order
     assert [root for k, root in built if k == 1] == g.node_ids()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -32,7 +33,7 @@ def test_add_vertex_first_insertion():
 def test_add_vertex_duplicate():
     g = NetworkGraph()
     g.add_vertex("A", 5.0)
-    with pytest.raises(errors.DuplicateVertex):
+    with pytest.raises(errors.SemanticError, match="^vertex already exists: A$"):
         g.add_vertex("A", 3.0)
 
 
@@ -55,13 +56,13 @@ _HUGE_INTS = [pytest.param(10 ** 400, id="10**400"), pytest.param(-(10 ** 400), 
                                  *_HUGE_INTS])
 def test_add_vertex_bad_energy(bad):
     g = NetworkGraph()
-    with pytest.raises(errors.InvalidEnergy):
+    with pytest.raises(errors.SemanticError, match="^energy must be a positive finite Joule"):
         g.add_vertex("A", bad)
 
 
 def test_add_vertex_empty_name():
     g = NetworkGraph()
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.SemanticError, match="^vertex name must be nonempty$"):
         g.add_vertex("", 1.0)
 
 
@@ -69,7 +70,7 @@ def test_add_vertex_empty_name():
 def test_add_vertex_rejects_non_string_name(name):
     # export_json and the renderers take every id for a str
     g = NetworkGraph()
-    with pytest.raises(ValueError, match="string"):
+    with pytest.raises(errors.SemanticError, match="string"):
         g.add_vertex(name, 1.0)
     assert len(g) == 0 and export_json(g).endswith("[]\n}\n")
 
@@ -92,18 +93,18 @@ def test_add_edge_symmetric_energies():
 def test_add_edge_unknown_vertex():
     g = NetworkGraph()
     g.add_vertex("A", 5.0)
-    with pytest.raises(errors.UnknownVertex):
+    with pytest.raises(errors.SemanticError, match="^destination vertex does not exist: Z$"):
         g.add_edge("A", "Z", 1.0)
-    with pytest.raises(errors.UnknownVertex):
+    with pytest.raises(errors.SemanticError, match="^source vertex does not exist: Z$"):
         g.add_edge("Z", "A", 1.0)
-    with pytest.raises(errors.UnknownVertex):
+    with pytest.raises(errors.SemanticError, match="^unknown vertex: x$"):
         NetworkGraph().node("x")
 
 
 def test_add_edge_self_loop():
     g = NetworkGraph()
     g.add_vertex("A", 5.0)
-    with pytest.raises(errors.SelfLoop):
+    with pytest.raises(errors.SemanticError, match="^self loop on A$"):
         g.add_edge("A", "A", 1.0)
 
 
@@ -113,7 +114,7 @@ def test_add_edge_nonpositive_distance(bad):
     g = NetworkGraph()
     g.add_vertex("A", 5.0)
     g.add_vertex("B", 5.0)
-    with pytest.raises(errors.NonPositiveDistance):
+    with pytest.raises(errors.SemanticError, match="^distance must be a positive finite number"):
         g.add_edge("A", "B", bad)
 
 
@@ -454,7 +455,7 @@ def test_load_semantic_errors(doc):
 ])
 def test_add_vertex_rejects_non_finite_position(position):
     g = NetworkGraph()
-    with pytest.raises(ValueError, match="position"):
+    with pytest.raises(errors.SemanticError, match="position"):
         g.add_vertex("a", 1.0, position)
     assert len(g) == 0
 
@@ -463,9 +464,108 @@ def test_add_vertex_rejects_non_finite_position(position):
                                       (), (1.0,), (1.0, 2.0, 3.0), [1.0, 2.0, 3.0, 4.0]])
 def test_add_vertex_rejects_anything_but_two_numbers_as_position(position):
     g = NetworkGraph()
-    with pytest.raises(ValueError, match="position"):
+    with pytest.raises(errors.SemanticError, match="position"):
         g.add_vertex("a", 1.0, position)
     assert len(g) == 0
+
+
+def _linked_pair() -> NetworkGraph:
+    g = NetworkGraph()
+    g.add_vertex("a", 1.0)
+    g.add_vertex("b", 2.0, (0.0, 1.0))
+    g.add_edge("a", "b", 3.0)
+    return g
+
+
+# 10**5000 has more digits than str() or repr() will write
+@pytest.mark.parametrize("call, message", [
+    (lambda g: g.add_vertex("c", 1.0, 5), "^position must be two finite numbers, got 5$"),
+    (lambda g: g.add_vertex("c", 1.0, {1: 2, 3: 4}), "^position must be two finite"),
+    (lambda g: g.add_vertex("c", 1.0, b"ab"), "^position must be two finite"),
+    (lambda g: g.add_vertex("c", 1.0, iter([1.0, 2.0])), "^position must be two finite"),
+    (lambda g: g.add_vertex(10 ** 5000, 1.0),
+     "^vertex name must be a string, got an int too long to write$"),
+    (lambda g: g.add_edge("a", ["b"], 1.0), r"^destination vertex does not exist: \['b'\]$"),
+    (lambda g: g.add_edge({"a"}, "b", 1.0), r"^source vertex does not exist: \{'a'\}$"),
+    (lambda g: g.add_edge("a", 10 ** 5000, 1.0),
+     "^destination vertex does not exist: an int too long to write$"),
+    (lambda g: g.node(["a"]), r"^unknown vertex: \['a'\]$"),
+    (lambda g: g.node(10 ** 5000), "^unknown vertex: an int too long to write$"),
+], ids=["int-position", "dict-position", "bytes-position", "iterator-position", "huge-name",
+        "list-destination", "set-source", "huge-destination", "list-node", "huge-node"])
+def test_writers_and_lookups_reject_any_type_with_semantic_error(call, message):
+    g = _linked_pair()
+    before, text = copy.deepcopy(g), export_json(g)
+    with pytest.raises(errors.SemanticError, match=message):
+        call(g)
+    assert g == before and g.links == before.links and export_json(g) == text
+    for name in (["a"], {"a"}, {"a": 1}, 10 ** 5000, b"a"):
+        assert g.get_index(name) == -1
+
+
+# any value of any type, in any position of a call: numbers that are not
+# finite or too large for a float, bools, bytes, containers and iterators;
+# 10**5000 is built on each draw, since hypothesis cannot repr it in a strategy
+_anything = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.builds(pow, st.just(10), st.just(5000))
+    | st.text(max_size=2) | st.binary(max_size=2) | st.sampled_from(["a", "b"]),
+    lambda inner: (st.lists(inner, max_size=3) | st.tuples(inner, inner)
+                   | st.dictionaries(st.integers(0, 2), inner, max_size=2)
+                   | st.lists(inner, max_size=2).map(iter)),
+    max_leaves=4)
+# two of three names are plain ids, so that many writes are stored
+_names = st.sampled_from(["a", "b", "c", "d"]) | st.sampled_from(["a", "c", ""]) | _anything
+_numbers = st.floats(0.5, 9.0) | st.integers(1, 9) | _anything
+_positions = st.none() | st.tuples(_numbers, _numbers) | st.lists(_numbers, max_size=3) | _anything
+
+
+@pytest.mark.referee
+@given(data=st.data())
+def test_a_write_is_stored_or_rejected_with_semantic_error_alone(data):
+    """Every add_vertex or add_edge call, whatever the types of its arguments,
+    either stores exactly its write or raises SemanticError and leaves the
+    graph as it was; get_index and node answer for any name the same way."""
+    g = _linked_pair()
+    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+        before, text = copy.deepcopy(g), export_json(g)
+        if data.draw(st.booleans(), label="add_vertex"):
+            name = data.draw(_names, label="name")
+            energy = data.draw(_numbers, label="energy")
+            position = data.draw(_positions, label="position")
+            names = [name]
+            try:
+                g.add_vertex(name, energy, position)
+            except errors.SemanticError:
+                stored = False
+            else:
+                stored = True
+                xy = None if position is None else (float(position[0]), float(position[1]))
+                assert g.nodes == (*before.nodes, Node(name, float(energy), xy))
+                assert g._adj == [*before._adj, {}]
+        else:
+            names = [data.draw(_names, label="u"), data.draw(_names, label="v")]
+            distance = data.draw(_numbers, label="distance")
+            try:
+                g.add_edge(*names, distance)
+            except errors.SemanticError:
+                stored = False
+            else:
+                stored = True
+                i, j = map(g.get_index, names)
+                adj = [dict(row) for row in before._adj]
+                adj[i][j] = adj[j][i] = float(distance)
+                assert g.nodes == before.nodes and g._adj == adj
+        if not stored:
+            assert g == before and g.links == before.links and export_json(g) == text
+        for name in names:
+            i = g.get_index(name)
+            if i == -1:
+                with pytest.raises(errors.SemanticError, match="^unknown vertex: "):
+                    g.node(name)
+            else:
+                assert g.node(name) is g.nodes[i] and g.nodes[i].id == name
+    assert load_topology(export_json(g)) == g
 
 
 def test_csv_rejects_non_finite_positions():
@@ -638,7 +738,7 @@ def test_restricted_matches_copy_rebuilt_through_add_edge(graph_history, data):
         assert g.links == links and g._adj == adj and export_json(g) == text
     victim = data.draw(st.sampled_from(g.node_ids()), label="victim")
     for bad in (0.0, math.nan):
-        with pytest.raises(errors.InvalidEnergy):
+        with pytest.raises(errors.SemanticError, match="^energy must be"):
             with_energies(g, {v: bad if v == victim else 1.0 for v in g.node_ids()})
 
 
